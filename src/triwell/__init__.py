@@ -104,7 +104,6 @@ from .protocol import (
     TrialRecord,
     build_protocol_state,
     correct_and_score,
-    measure_bell,
     reference_state,
     run_protocol,
 )

@@ -4,8 +4,9 @@ Subcommands: channel, teleport, parity-sweep, efficiency-sweep, homodyne,
 lattice-map. Every parameter can come from an INI-style config file
 (section per subcommand, ``--config FILE``) or a command line flag; flags
 win. Outputs land in ``--out`` as CSV/JSON plus a run manifest; reruns with
-the same config and seed are byte-identical, and ``--jobs N`` sweeps give
-the same files as serial runs.
+the same config and seed are byte-identical. ``--jobs N`` (accepted by every
+subcommand) spreads the parity-sweep grid over worker processes and gives
+the same files as a serial run; the other subcommands run in one process.
 
 Exit codes: 0 ok, 2 config error, 3 physics precondition violated,
 4 numeric failure.
@@ -17,6 +18,7 @@ import argparse
 import configparser
 import dataclasses
 import math
+import os
 import sys
 import time
 from dataclasses import dataclass
@@ -76,7 +78,7 @@ COMMON = (
     Option("out", str, "triwell-out", "output directory"),
     Option("format", str, "csv", "table format", ("csv", "json")),
     Option("seed", int, 0, "run seed"),
-    Option("jobs", int, 1, "worker processes for sweep grids"),
+    Option("jobs", int, 1, "worker processes for the parity-sweep grid"),
     Option("gnuplot", _parse_bool, False, "also write gnuplot script stubs"),
 )
 
@@ -150,10 +152,6 @@ SCHEMAS = {
 }
 
 
-def _flag(name: str) -> str:
-    return "--" + name
-
-
 def _dest(name: str) -> str:
     return name.replace("-", "_")
 
@@ -173,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
             kwargs = {"type": str, "default": None, "help": opt.help}
             if opt.choices:
                 kwargs["choices"] = opt.choices
-            sub.add_argument(_flag(opt.name), dest=_dest(opt.name), **kwargs)
+            sub.add_argument("--" + opt.name, dest=_dest(opt.name), **kwargs)
     return parser
 
 
@@ -202,6 +200,8 @@ def resolve_options(subcommand: str, args: argparse.Namespace) -> dict:
         raw = getattr(args, _dest(name))
         if raw is not None:
             values[name] = _parse_with(opt, raw)
+    if values["jobs"] < 1:
+        raise ConfigError(f"'jobs' must be >= 1, got {values['jobs']}")
     return values
 
 
@@ -237,12 +237,13 @@ def _versions() -> dict:
 
 
 def _pmap(fn, items, jobs: int):
-    """Order-preserving map, optionally over a process pool."""
-    if jobs <= 1 or len(items) <= 1:
+    """Order-preserving map over min(jobs, len(items), cpu count) processes."""
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers <= 1:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
 
 
@@ -353,17 +354,13 @@ def cmd_parity_sweep(values: dict, outdir: Path) -> list:
     return files
 
 
-def _efficiency_row(task: tuple):
-    r, p_d = task
-    point = total_efficiency(1.0, p_d)  # squeezed vacuum: p_even = 1 for every r
-    return (r, p_d, point.p_even, point.p_total)
-
-
 def cmd_efficiency_sweep(values: dict, outdir: Path) -> list:
     r_grid = np.linspace(values["r-min"], values["r-max"], values["r-points"])
     pd_grid = np.linspace(values["pd-min"], values["pd-max"], values["pd-points"])
-    tasks = [(float(r), float(p)) for r in r_grid for p in pd_grid]
-    rows = _pmap(_efficiency_row, tasks, values["jobs"])
+    # squeezed vacuum: p_even = 1 for every r
+    points = [total_efficiency(1.0, float(p_d)) for p_d in pd_grid]
+    rows = [(float(r), point.p_d, point.p_even, point.p_total)
+            for r in r_grid for point in points]
     files = [write_table(
         outdir, "efficiency", values["format"],
         ("r", "p_d", "p_even", "p_total"), rows,
@@ -407,27 +404,21 @@ def cmd_homodyne(values: dict, outdir: Path) -> list:
     return files
 
 
-def _lattice_row_task(task: tuple):
-    (theta, z_primes, u1, k_l, b_perp, b_parallel, gyro) = task
-    params = LatticeParams(u1, theta, k_l, b_parallel, b_perp, gyro)
-    grid = density_map(params, [theta], z_primes)
-    rows = []
-    for col, zp in enumerate(z_primes):
-        lower = float(grid.band_lower[0, col])
-        upper = float(grid.band_upper[0, col])
-        rows.append((theta, float(zp), lower, upper, upper - lower))
-    return rows
-
-
 def cmd_lattice_map(values: dict, outdir: Path) -> list:
     thetas = np.linspace(values["theta-min"], values["theta-max"],
                          values["theta-points"])
-    z_primes = tuple(float(z) for z in np.linspace(
-        values["zprime-min"], values["zprime-max"], values["zprime-points"]))
-    tasks = [(float(th), z_primes, values["u1"], values["k-l"], values["b-perp"],
-              values["b-parallel"], values["gyro"]) for th in thetas]
-    blocks = _pmap(_lattice_row_task, tasks, values["jobs"])
-    rows = [row for block in blocks for row in block]
+    z_primes = np.linspace(values["zprime-min"], values["zprime-max"],
+                           values["zprime-points"])
+    # density_map takes its angles from the grid, not from params.theta_l
+    params = LatticeParams(values["u1"], values["theta-min"], values["k-l"],
+                           values["b-parallel"], values["b-perp"], values["gyro"])
+    grid = density_map(params, thetas, z_primes)
+    rows = []
+    for row, theta in enumerate(thetas):
+        for col, zp in enumerate(z_primes):
+            lower = float(grid.band_lower[row, col])
+            upper = float(grid.band_upper[row, col])
+            rows.append((float(theta), float(zp), lower, upper, upper - lower))
     files = [write_table(
         outdir, "lattice_map", values["format"],
         ("theta", "z_prime", "band_lower", "band_upper", "gap"), rows,

@@ -11,12 +11,16 @@ and e0 - kappa = kappa/2 the collision maps
 
 conditioned on counting m atoms in the auxiliary afterwards: even m flips
 the coherent labels (the wanted correction), odd m returns the input and
-the run is repeated with a freshly prepared auxiliary. Because the collision
-is diagonal in the auxiliary number basis, the count distribution P(m) is
-exactly the auxiliary's initial number distribution, whatever the central
-state: number state n gives success probability 0 or 1, a coherent state of
-mean nb gives (1 + exp(-2 nb))/2, and squeezed vacuum (even-only support)
-gives exactly 1.
+the run is repeated with a freshly prepared auxiliary. At that time every
+self- and cross-collision phase is a sign, so given m the collision acts on
+the central mode exactly as |n> -> (-1)^((m+1) n) |n> (up to a global
+phase). Because the collision is diagonal in the auxiliary number basis,
+the count distribution P(m) is exactly the auxiliary's initial number
+distribution, whatever the central state: number state n gives success
+probability 0 or 1, a coherent state of mean nb gives (1 + exp(-2 nb))/2,
+and squeezed vacuum (even-only support) gives exactly 1.
+``parity_operation`` applies that exact structure; ``parity_collision``
+simulates the joint two-species evolution and is kept as its oracle.
 
 Virtual displacement
 --------------------
@@ -37,7 +41,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +53,13 @@ from .fock import (
     ShapeMismatch,
     SqueezedVacuumSpec,
     StateVector,
+    apply_mode_phases,
     displace,
     number_distribution,
     pad_cutoff,
     prepare_coherent,
     prepare_number,
     prepare_squeezed_vacuum,
-    project_number,
     tensor,
 )
 
@@ -135,34 +138,33 @@ def parity_collision(central: StateVector, aux_state: StateVector,
     return evolve_cross_kerr(joint, (0, 1), lam.lam / 2, t)
 
 
-class _CollisionCache:
-    """Memo for repeated parity collisions on identical inputs (protocol loops)."""
-
-    def __init__(self, maxsize: int = 32):
-        self.maxsize = maxsize
-        self.entries = OrderedDict()
-
-    def get(self, central: StateVector, aux: AuxiliaryPrep,
-            lam: CrossSpeciesParams, kp: KerrParams, cutoff: FockCutoff):
-        work = cutoff if cutoff.n_max >= central.cutoff.n_max else central.cutoff
-        key = (
-            central.amplitudes.tobytes(), central.cutoff.n_max,
-            aux.kind, aux.parameter, lam.lam, kp.e0_over_hbar, kp.kappa, work.n_max,
-        )
-        hit = self.entries.get(key)
-        if hit is None:
-            joint = parity_collision(
-                pad_cutoff(central, work), aux.prepare(work), lam, kp
-            )
-            marginal = number_distribution(joint, 0)
-            hit = (joint, marginal, np.cumsum(marginal))
-            self.entries[key] = hit
-            if len(self.entries) > self.maxsize:
-                self.entries.popitem(last=False)
-        return hit
+def _work_cutoff(central: StateVector, cutoff: FockCutoff) -> FockCutoff:
+    return cutoff if cutoff.n_max >= central.cutoff.n_max else central.cutoff
 
 
-_collisions = _CollisionCache()
+def parity_count_distribution(central: StateVector, aux: AuxiliaryPrep,
+                              lam: CrossSpeciesParams, kp: KerrParams,
+                              cutoff: FockCutoff) -> np.ndarray:
+    """Exact post-collision auxiliary count distribution P(m).
+
+    This is the auxiliary's own number distribution, on the larger of
+    ``cutoff`` and the central state's cutoff; the central state sets only
+    that basis.
+    """
+    check_parity_conditions(lam, kp)
+    if central.modes != 1:
+        raise ShapeMismatch("the parity collision acts on a single-mode central state")
+    return number_distribution(aux.prepare(_work_cutoff(central, cutoff)), 0)
+
+
+def sample_counts(cdf: np.ndarray, u):
+    """Inverse-CDF count draw(s) from an unnormalized CDF for uniform(s) ``u``."""
+    return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), len(cdf) - 1)
+
+
+def parity_flip(central: StateVector) -> StateVector:
+    """|n> -> (-1)^n |n>, the collision's action for an even count: |b> -> |-b>."""
+    return apply_mode_phases(central, 0, (-1.0) ** np.arange(central.dim))
 
 
 def parity_operation(central: StateVector, aux: AuxiliaryPrep,
@@ -172,22 +174,16 @@ def parity_operation(central: StateVector, aux: AuxiliaryPrep,
 
     Returns ``(m, conditional, success)`` with ``success`` iff m is even; on
     success the conditional state is the parity-flipped input. On failure the
-    run is to be repeated on a fresh pre-collision copy (the odd-m conditional
-    is returned for inspection but discarded by the protocol).
+    run is to be repeated on a fresh pre-collision copy (the odd-m conditional,
+    which is the input itself, is returned for inspection but discarded by the
+    protocol). The conditional lives on the basis of the count distribution.
     """
-    joint, marginal, cdf = _collisions.get(central, aux, lam, kp, cutoff)
-    m = int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right"))
-    m = min(m, len(marginal) - 1)
-    _, conditional = project_number(joint, 0, m)
+    marginal = parity_count_distribution(central, aux, lam, kp, cutoff)
+    m = int(sample_counts(np.cumsum(marginal), rng.random()))
+    conditional = pad_cutoff(central, _work_cutoff(central, cutoff))
+    if m % 2 == 0:
+        conditional = parity_flip(conditional)
     return m, conditional, m % 2 == 0
-
-
-def parity_count_distribution(central: StateVector, aux: AuxiliaryPrep,
-                              lam: CrossSpeciesParams, kp: KerrParams,
-                              cutoff: FockCutoff) -> np.ndarray:
-    """Exact post-collision auxiliary count distribution P(m)."""
-    _, marginal, _ = _collisions.get(central, aux, lam, kp, cutoff)
-    return marginal
 
 
 def p_even_analytic(aux: AuxiliaryPrep) -> float:
@@ -220,10 +216,8 @@ def p_even_monte_carlo(aux: AuxiliaryPrep, central: StateVector,
     """Estimate P_even by Born sampling the post-collision auxiliary counts."""
     if trials < 1:
         raise RangeError("trials must be >= 1")
-    marginal = parity_count_distribution(central, aux, lam, kp, cutoff)
-    cdf = np.cumsum(marginal)
-    draws = np.searchsorted(cdf, rng.random(trials) * cdf[-1], side="right")
-    draws = np.minimum(draws, len(marginal) - 1)
+    cdf = np.cumsum(parity_count_distribution(central, aux, lam, kp, cutoff))
+    draws = sample_counts(cdf, rng.random(trials))
     hits = float(np.mean(draws % 2 == 0))
     return ParityMonteCarlo(hits, math.sqrt(max(hits * (1 - hits), 1e-12) / trials),
                             trials)
@@ -242,9 +236,6 @@ def displacement_offset(beta: complex, l: int) -> float:
     return (l + 0.5) * math.pi / beta.imag
 
 
-_displaced_memo = OrderedDict()
-
-
 def virtual_displacement(central: StateVector, beta: complex, l: int = 0) -> StateVector:
     """Apply the exact displacement D(delta) with delta = (l + 1/2) pi / Im(beta).
 
@@ -261,14 +252,7 @@ def virtual_displacement(central: StateVector, beta: complex, l: int = 0) -> Sta
             f"= {math.exp(-delta**2):.3g} is significant",
             stacklevel=2,
         )
-    key = (central.amplitudes.tobytes(), central.cutoff.n_max, delta)
-    out = _displaced_memo.get(key)
-    if out is None:
-        out = displace(central, 0, delta)
-        _displaced_memo[key] = out
-        if len(_displaced_memo) > 64:
-            _displaced_memo.popitem(last=False)
-    return out
+    return displace(central, 0, delta)
 
 
 def displacement_linearization_error(delta: float, cutoff: FockCutoff) -> float:

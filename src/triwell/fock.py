@@ -374,22 +374,6 @@ def apply_mode_matrix(state: StateVector, mode: int, matrix: np.ndarray) -> Stat
     return state.replace_amplitudes(out.ravel())
 
 
-def apply_pair_matrix(state: StateVector, modes: tuple, matrix: np.ndarray) -> StateVector:
-    """Apply a two-mode operator (dim^2 x dim^2, row-major pair index) to ``modes``."""
-    i, j = modes
-    _check_mode(state, i)
-    _check_mode(state, j)
-    if i == j:
-        raise ShapeMismatch("pair operator needs two distinct modes")
-    d = state.dim
-    if matrix.shape != (d * d, d * d):
-        raise ShapeMismatch("pair matrix has the wrong dimension")
-    view = np.moveaxis(state.tensor_view(), (i, j), (0, 1))
-    flat = matrix @ view.reshape(d * d, -1)
-    out = np.moveaxis(flat.reshape(view.shape), (0, 1), (i, j))
-    return state.replace_amplitudes(out.ravel())
-
-
 @lru_cache(maxsize=64)
 def _displacement_matrix(delta: complex, dim: int) -> np.ndarray:
     lower = np.diag(np.sqrt(np.arange(1, dim)), -1)  # a^dag

@@ -29,7 +29,10 @@ well, counts atoms in both wells (exact joint Born sampling, no Gaussian
 approximation), and thresholds the inferred quadrature at zero. Both
 backends consume their randomness as a single uniform through an inverse
 CDF whose outcome ordering puts "minus-like" results first, so runs with
-matched seeds stay aligned across backends.
+matched seeds stay aligned across backends. A discriminator's one entry
+point is ``prepare(state, mode)``: the prepared outcome distribution gives
+the exact bit probabilities, cheap draws that carry their outcome index,
+and the conditional state of an outcome only when asked for it.
 """
 
 from __future__ import annotations
@@ -236,14 +239,14 @@ def helstrom_vectors(amplitude: complex, cutoff: FockCutoff):
     return w0, w1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # one per stage in every trial record
 class PhaseSample:
     """Outcome of one phase-bit measurement on one mode."""
 
     bit: int
     probability: float
     value: float | None  # quadrature sample (homodyne backend only)
-    posterior: StateVector
+    outcome: int  # index of the outcome: the bit (ideal) or the joint count (homodyne)
 
 
 class _PreparedIdeal:
@@ -262,25 +265,21 @@ class _PreparedIdeal:
                 f"probability {leftover:.3g} of the signal lies outside the "
                 "± coherent pair subspace"
             )
-        self.p_minus = p1 / (p0 + p1)
-        self._posteriors = [None, None]
+        p_minus = p1 / (p0 + p1)
+        self.bit_probabilities = (1 - p_minus, p_minus)  # exact, as drawn
 
-    def _posterior(self, bit: int) -> StateVector:
-        if self._posteriors[bit] is None:
-            vec = self.disc.w1 if bit else self.disc.w0
-            state = self.state
-            if state.modes == 1:
-                amp = complex(np.vdot(vec, state.amplitudes))
-                self._posteriors[bit] = StateVector(1, state.cutoff,
-                                                    vec * (amp / abs(amp)))
-            else:
-                _, self._posteriors[bit] = project_onto_vector(state, self.mode, vec)
-        return self._posteriors[bit]
+    def posterior(self, outcome: int) -> StateVector:
+        """Conditional state of the unmeasured modes after ``outcome``."""
+        vec = self.disc.w1 if outcome else self.disc.w0
+        state = self.state
+        if state.modes == 1:
+            amp = complex(np.vdot(vec, state.amplitudes))
+            return StateVector(1, state.cutoff, vec * (amp / abs(amp)))
+        return project_onto_vector(state, self.mode, vec)[1]
 
     def draw(self, u_select: float, u_tie: float) -> PhaseSample:
-        bit = 1 if u_select < self.p_minus else 0
-        return PhaseSample(bit, self.p_minus if bit else 1 - self.p_minus, None,
-                           self._posterior(bit))
+        bit = 1 if u_select < self.bit_probabilities[1] else 0
+        return PhaseSample(bit, self.bit_probabilities[bit], None, bit)
 
 
 class IdealPhaseDiscriminator:
@@ -291,18 +290,8 @@ class IdealPhaseDiscriminator:
         self.cutoff = cutoff
         self.w0, self.w1 = helstrom_vectors(amplitude, cutoff)
 
-    def probabilities(self, state: StateVector, mode: int):
-        view = np.moveaxis(state.tensor_view(), mode, 0).reshape(state.dim, -1)
-        p0 = float(np.linalg.norm(np.conj(self.w0) @ view) ** 2)
-        p1 = float(np.linalg.norm(np.conj(self.w1) @ view) ** 2)
-        return p0, p1
-
     def prepare(self, state: StateVector, mode: int) -> _PreparedIdeal:
         return _PreparedIdeal(self, state, mode)
-
-    def sample(self, state: StateVector, mode: int, u_select: float,
-               u_tie: float) -> PhaseSample:
-        return self.prepare(state, mode).draw(u_select, u_tie)
 
 
 class HomodynePhaseDiscriminator:
@@ -337,27 +326,13 @@ class HomodynePhaseDiscriminator:
     def prepare(self, state: StateVector, mode: int) -> "_PreparedHomodyne":
         return _PreparedHomodyne(self, state, mode)
 
-    def sample(self, state: StateVector, mode: int, u_select: float,
-               u_tie: float) -> PhaseSample:
-        return self.prepare(state, mode).draw(u_select, u_tie)
-
-    def bit_distribution(self, state: StateVector, mode: int):
-        """Exact (P(bit=0), P(bit=1)) with ties split evenly."""
-        d = state.dim
-        view = np.moveaxis(state.tensor_view(), mode, 0).reshape(d, -1)
-        coupled = self.columns @ view
-        probs = np.einsum("ij,ij->i", np.abs(coupled), np.abs(coupled)).real
-        probs = probs / probs.sum()
-        p_plus = probs[self.values > 0].sum() + probs[self.values == 0].sum() / 2
-        return float(p_plus), float(1 - p_plus)
-
 
 class _PreparedHomodyne:
     """Outcome distribution of one atom-counting readout, ready to draw from.
 
     Keeps only the signal-mode view and the count probabilities; the
-    conditional state for the drawn outcome is reconstructed row by row, so
-    repeated draws from the same conditioning are cheap.
+    conditional state of an outcome is built from its row of the collision
+    columns when asked for, so draws stay cheap.
     """
 
     def __init__(self, disc: HomodynePhaseDiscriminator, state: StateVector,
@@ -366,11 +341,36 @@ class _PreparedHomodyne:
         self.state = state
         d = state.dim
         self.view = np.moveaxis(state.tensor_view(), mode, 0).reshape(d, -1)
-        coupled = disc.columns @ self.view  # (d*d, rest)
-        probs = np.einsum("ij,ij->i", np.abs(coupled), np.abs(coupled)).real
+        # d outcome rows at a time: the whole (d*d, rest) product would be
+        # 45 MB at n_max 40 and is only ever summed
+        probs = np.empty(d * d)
+        for start in range(0, d * d, d):
+            block = np.abs(disc.columns[start:start + d] @ self.view)
+            probs[start:start + d] = np.einsum("ij,ij->i", block, block)
         self.probs = probs
         self.total = probs.sum()
         self.cdf = np.cumsum(probs[disc.order]) / self.total
+
+    @property
+    def bit_probabilities(self):
+        """Exact (P(bit=0), P(bit=1)) with ties split evenly."""
+        probs, values = self.probs / self.total, self.disc.values
+        p_plus = probs[values > 0].sum() + probs[values == 0].sum() / 2
+        return float(p_plus), float(1 - p_plus)
+
+    def posterior(self, outcome: int) -> StateVector:
+        """Conditional state of the unmeasured modes after count ``outcome``.
+
+        A single-mode signal is consumed by the counting; its posterior is
+        the signal-well count state.
+        """
+        state = self.state
+        if state.modes == 1:
+            return prepare_number(outcome // state.dim, state.cutoff)
+        conditional = (self.disc.columns[outcome] @ self.view) / math.sqrt(
+            self.probs[outcome]
+        )
+        return StateVector(state.modes - 1, state.cutoff, conditional, state.leakage)
 
     def draw(self, u_select: float, u_tie: float) -> PhaseSample:
         disc = self.disc
@@ -383,16 +383,7 @@ class _PreparedHomodyne:
             bit = 0
         else:
             bit = 1 if u_tie < 0.5 else 0
-        state = self.state
-        if state.modes == 1:
-            posterior = prepare_number(outcome // state.dim, state.cutoff)
-        else:
-            conditional = (disc.columns[outcome] @ self.view) / math.sqrt(
-                self.probs[outcome]
-            )
-            posterior = StateVector(state.modes - 1, state.cutoff, conditional,
-                                    state.leakage)
-        return PhaseSample(bit, self.probs[outcome] / self.total, value, posterior)
+        return PhaseSample(bit, self.probs[outcome] / self.total, value, outcome)
 
 
 def phase_bit(signal: StateVector, axis_phase: float, backend: str,
@@ -419,5 +410,6 @@ def phase_bit(signal: StateVector, axis_phase: float, backend: str,
                                           config or HomodyneBackendConfig())
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    sample = disc.sample(signal, 0, u_select, u_tie)
-    return sample.bit, sample.posterior
+    prepared = disc.prepare(signal, 0)
+    sample = prepared.draw(u_select, u_tie)
+    return sample.bit, prepared.posterior(sample.outcome)

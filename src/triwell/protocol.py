@@ -24,20 +24,32 @@ target's gamma).
 
 Randomness: trial i consumes only the counter-based stream (seed, i), so
 records are reproducible and independent of execution order.
+
+Scoring: the receiver's correction depends only on the two bits and the
+auxiliary count, and the parity collision acts on mode 3 as an exact sign.
+So a run builds the reference state and the count CDF once, keys the second
+Bell stage by the first stage's outcome index, and scores each (stage
+outcomes, applied operations) combination once, on first use.
 """
 
 from __future__ import annotations
 
 import cmath
-import dataclasses
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
 from .channel import channel_family_index, generate_channel
-from .corrections import AuxiliaryPrep, parity_operation, virtual_displacement
+from .corrections import (
+    AuxiliaryPrep,
+    displacement_offset,
+    parity_count_distribution,
+    parity_flip,
+    sample_counts,
+    virtual_displacement,
+)
 from .dynamics import (
     CrossSpeciesParams,
     JosephsonParams,
@@ -59,6 +71,7 @@ from .homodyne import (
     HomodyneBackendConfig,
     HomodynePhaseDiscriminator,
     IdealPhaseDiscriminator,
+    PhaseSample,
 )
 from .rng import substream
 
@@ -112,8 +125,15 @@ class MeasurementOutcome:
     bit_target: int
     bit_mode2: int
     branch: int
-    raw: tuple
+    raw: tuple  # (stage-1 PhaseSample, stage-2 PhaseSample)
     aux_m: int | None = None
+
+
+def _bits(first: PhaseSample, second: PhaseSample) -> tuple:
+    """(bit_target, bit_mode2, branch) from the raw stage bits."""
+    bit_target = first.bit ^ second.bit
+    bit_mode2 = 1 - second.bit
+    return bit_target, bit_mode2, 2 * bit_target + bit_mode2
 
 
 @dataclass(frozen=True)
@@ -146,16 +166,12 @@ def build_protocol_state(config: ProtocolConfig) -> StateVector:
     return evolve_cross_kerr(state, (0, 1), config.kerr.kappa, t)
 
 
-@lru_cache(maxsize=64)
-def _reference_state_cached(a: complex, b: complex, beta: complex,
-                            cutoff: FockCutoff) -> StateVector:
-    return prepare_cat_superposition(SuperpositionSpec(a, b, beta), cutoff)
-
-
 def reference_state(config: ProtocolConfig) -> StateVector:
     """The state teleportation should deliver: A|b> + B|-b> with the channel's b."""
-    return _reference_state_cached(config.target.a, config.target.b,
-                                   config.beta.amplitude, config.cutoff)
+    return prepare_cat_superposition(
+        SuperpositionSpec(config.target.a, config.target.b, config.beta.amplitude),
+        config.cutoff,
+    )
 
 
 class BellMeasurement:
@@ -168,8 +184,6 @@ class BellMeasurement:
     def __init__(self, state: StateVector, config: ProtocolConfig):
         if state.modes != 3:
             raise ValueError("Bell measurement expects the three-mode protocol state")
-        self.state = state
-        self.config = config
         gamma = config.target.gamma
         alpha = config.alpha.amplitude
         if config.measurement_backend == "ideal":
@@ -191,38 +205,93 @@ class BellMeasurement:
                 )
                 for amp in (gamma, alpha)
             )
-        self._first_stage = None
-        self._second_stage = {}  # keyed by stage-1 posterior amplitudes
+        self._first = self.stages[0].prepare(state, 0)
+        self._second = {}  # prepared second stage per stage-1 outcome index
+
+    def draw(self, rng: np.random.Generator) -> tuple:
+        """Draw both stages; returns the (stage-1, stage-2) PhaseSamples."""
+        draws = rng.random(4)
+        first = self._first.draw(draws[0], draws[1])
+        second = self._second.get(first.outcome)
+        if second is None:
+            second = self.stages[1].prepare(self._first.posterior(first.outcome), 0)
+            self._second[first.outcome] = second
+        return first, second.draw(draws[2], draws[3])
+
+    def posterior(self, first: PhaseSample, second: PhaseSample) -> StateVector:
+        """Conditional mode-3 state after the stage samples ``first``, ``second``."""
+        return self._second[first.outcome].posterior(second.outcome)
 
     def sample(self, rng: np.random.Generator):
         """Measure both modes; returns (outcome, conditional mode-3 state)."""
-        draws = rng.random(4)
-        if self._first_stage is None:
-            self._first_stage = self.stages[0].prepare(self.state, 0)
-        first = self._first_stage.draw(draws[0], draws[1])
-        key = first.posterior.amplitudes.tobytes()
-        prepared = self._second_stage.get(key)
-        if prepared is None:
-            prepared = self.stages[1].prepare(first.posterior, 0)
-            if len(self._second_stage) < 4096:
-                self._second_stage[key] = prepared
-        second = prepared.draw(draws[2], draws[3])
-        raw_target, raw_mode2 = first.bit, second.bit
-        bit_target = raw_target ^ raw_mode2
-        bit_mode2 = 1 - raw_mode2
-        outcome = MeasurementOutcome(
-            bit_target=bit_target,
-            bit_mode2=bit_mode2,
-            branch=2 * bit_target + bit_mode2,
-            raw=((raw_target, first.value), (raw_mode2, second.value)),
-        )
-        return outcome, second.posterior
+        first, second = self.draw(rng)
+        outcome = MeasurementOutcome(*_bits(first, second), (first, second))
+        return outcome, self.posterior(first, second)
 
 
-def measure_bell(state: StateVector, config: ProtocolConfig,
-                 rng: np.random.Generator):
-    """One-shot Bell-type measurement (see BellMeasurement)."""
-    return BellMeasurement(state, config).sample(rng)
+class _Receiver:
+    """Receiver of one configuration: reference, count CDF and score table."""
+
+    def __init__(self, config: ProtocolConfig):
+        self.config = config
+        self.reference = reference_state(config)
+        try:
+            displacement_offset(complex(config.beta.amplitude), 0)
+            self.can_displace = True
+        except ZeroImaginaryPart:
+            self.can_displace = False  # real channel amplitude: correction unavailable
+        self.scores = {}
+
+    @cached_property
+    def count_cdf(self) -> np.ndarray:
+        """Auxiliary count CDF, built (and its conditions checked) on first use."""
+        return np.cumsum(parity_count_distribution(
+            self.reference, self.config.aux, self.config.cross_species,
+            self.config.parity_kerr(), self.config.cutoff,
+        ))
+
+    def draw(self, branch: int, rng: np.random.Generator) -> tuple:
+        """Draw the branch's corrections from ``rng``: (p_d_success, aux_m)."""
+        needed = CORRECTIONS_FOR_BRANCH[branch]
+        p_d_success = aux_m = None
+        if "displacement" in needed:
+            p_d_success = bool(rng.random() < self.config.p_d) and self.can_displace
+        if "parity" in needed:
+            aux_m = int(sample_counts(self.count_cdf, rng.random()))
+        return p_d_success, aux_m
+
+    def score(self, mode3: StateVector, p_d_success, aux_m) -> float:
+        """Fidelity of mode 3 after the drawn corrections."""
+        if p_d_success:
+            mode3 = virtual_displacement(mode3, self.config.beta.amplitude, l=0)
+        if aux_m is not None and aux_m % 2 == 0:
+            mode3 = parity_flip(mode3)
+        return fidelity(mode3, self.reference)
+
+    def correct(self, first: PhaseSample, second: PhaseSample, mode3,
+                rng: np.random.Generator) -> TrialRecord:
+        """Draw the corrections for the stage samples and score the result.
+
+        ``mode3(first, second)`` gives the conditional mode-3 state; it is
+        called only for a combination not scored before.
+        """
+        bits = _bits(first, second)
+        p_d_success, aux_m = self.draw(bits[2], rng)
+        key = (first.outcome, second.outcome, bool(p_d_success),
+               aux_m is not None and aux_m % 2 == 0)
+        score = self.scores.get(key)
+        if score is None:
+            score = self.scores[key] = self.score(mode3(first, second), p_d_success, aux_m)
+        return _record(MeasurementOutcome(*bits, (first, second), aux_m),
+                       score, p_d_success)
+
+
+def _record(outcome: MeasurementOutcome, score: float, p_d_success) -> TrialRecord:
+    """Trial record; a trial is corrected when every drawn correction succeeded."""
+    parity = outcome.aux_m is not None
+    applied = ("displacement",) * bool(p_d_success) + ("parity",) * parity
+    corrected = p_d_success is not False and (not parity or outcome.aux_m % 2 == 0)
+    return TrialRecord(outcome, corrected, score, applied, p_d_success)
 
 
 def correct_and_score(mode3: StateVector, outcome: MeasurementOutcome,
@@ -235,35 +304,13 @@ def correct_and_score(mode3: StateVector, outcome: MeasurementOutcome,
     corrected or not, against the normalized A|b> + B|-b> reference, modulo
     global phase.
     """
-    branch = outcome.branch
-    if branch not in CORRECTIONS_FOR_BRANCH:
-        raise ValueError(f"branch {branch} outside 0..3")
-    state = mode3
-    applied = []
-    p_d_success = None
-    parity_success = None
-    aux_m = None
-    if "displacement" in CORRECTIONS_FOR_BRANCH[branch]:
-        p_d_success = bool(rng.random() < config.p_d)
-        if p_d_success:
-            try:
-                state = virtual_displacement(state, config.beta.amplitude, l=0)
-                applied.append("displacement")
-            except ZeroImaginaryPart:
-                p_d_success = False  # real channel amplitude: correction unavailable
-    if "parity" in CORRECTIONS_FOR_BRANCH[branch]:
-        aux_m, state, parity_success = parity_operation(
-            state, config.aux, config.cross_species, config.parity_kerr(),
-            config.cutoff, rng,
-        )
-        applied.append("parity")
-    corrected = all(
-        flag for flag in (p_d_success, parity_success) if flag is not None
-    )
-    score = fidelity(state, reference_state(config))
+    if outcome.branch not in CORRECTIONS_FOR_BRANCH:
+        raise ValueError(f"branch {outcome.branch} outside 0..3")
+    receiver = _Receiver(config)
+    p_d_success, aux_m = receiver.draw(outcome.branch, rng)
     if aux_m is not None:
-        outcome = dataclasses.replace(outcome, aux_m=aux_m)
-    return TrialRecord(outcome, corrected, score, tuple(applied), p_d_success)
+        outcome = replace(outcome, aux_m=aux_m)
+    return _record(outcome, receiver.score(mode3, p_d_success, aux_m), p_d_success)
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
@@ -274,11 +321,12 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     """
     state = build_protocol_state(config)
     bell = BellMeasurement(state, config)
+    receiver = _Receiver(config)
     records = []
     for trial in range(config.trials):
         rng = substream(config.seed, trial)
-        outcome, mode3 = bell.sample(rng)
-        records.append(correct_and_score(mode3, outcome, config, rng))
+        first, second = bell.draw(rng)
+        records.append(receiver.correct(first, second, bell.posterior, rng))
     histogram = [0, 0, 0, 0]
     for rec in records:
         histogram[rec.outcome.branch] += 1

@@ -125,6 +125,12 @@ class TestSweeps:
         assert run(args + ["--out", parallel, "--jobs", "2"]) == 0
         assert read_files(serial) == read_files(parallel)
 
+    @pytest.mark.parametrize("subcommand", ["parity-sweep", "efficiency-sweep"])
+    def test_jobs_below_one_is_exit_2_before_any_work(self, tmp_path, subcommand):
+        out = tmp_path / "never"
+        assert run([subcommand, "--jobs", "0", "--out", out]) == 2
+        assert not out.exists()
+
     def test_efficiency_sweep_identity_row(self, tmp_path):
         out = tmp_path / "eff"
         assert run(["efficiency-sweep", "--r-points", "3", "--pd-points", "3",

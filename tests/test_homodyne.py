@@ -180,11 +180,14 @@ class TestPhaseBit:
         cutoff = FockCutoff(28)
         disc = IdealPhaseDiscriminator(2.0, cutoff)
         plus = prepare_coherent(CoherentSpec(2.0), cutoff)
-        p0, p1 = disc.probabilities(plus, 0)
+        # raw projections: the Helstrom pair must span the signal to 1e-10
+        p0 = abs(np.vdot(disc.w0, plus.amplitudes)) ** 2
+        p1 = abs(np.vdot(disc.w1, plus.amplitudes)) ** 2
         overlap = math.exp(-8.0)
         bound = 1 - 0.5 * (1 - math.sqrt(1 - overlap**2))
         assert p0 >= bound - 1e-12
         assert p0 + p1 == pytest.approx(1.0, abs=1e-10)
+        assert disc.prepare(plus, 0).bit_probabilities == pytest.approx((p0, p1), abs=1e-10)
 
     def test_ideal_bit_on_pure_branches(self):
         cutoff = FockCutoff(28)
@@ -205,7 +208,7 @@ class TestPhaseBit:
         config = HomodyneBackendConfig()
         disc = HomodynePhaseDiscriminator(0.0, cutoff, config)
         minus = prepare_coherent(CoherentSpec(-2.0), cutoff)
-        p_plus, p_minus = disc.bit_distribution(minus, 0)
+        p_plus, p_minus = disc.prepare(minus, 0).bit_probabilities
         assert p_minus >= 0.997
         bits = [phase_bit(minus, 0.0, "homodyne", substream(7, i))[0]
                 for i in range(200)]

@@ -18,13 +18,14 @@ from triwell import (
     build_protocol_state,
     correct_and_score,
     fidelity,
-    measure_bell,
     oracle_evolve,
+    parity_operation,
     prepare_cat_superposition,
     reference_state,
     run_protocol,
     substream,
     tensor,
+    virtual_displacement,
 )
 from triwell.fock import StateVector, coherent_amplitudes
 from triwell.protocol import CORRECTIONS_FOR_BRANCH, BellMeasurement
@@ -202,10 +203,10 @@ class TestBellMeasurement:
         mode0_marginal = dist.sum(axis=(1, 2))
         assert mode0_marginal[0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_measure_bell_entry_point(self):
+    def test_sample_entry_point(self):
         config = make_config()
         state = build_protocol_state(config)
-        outcome, mode3 = measure_bell(state, config, substream(5))
+        outcome, mode3 = BellMeasurement(state, config).sample(substream(5))
         assert mode3.modes == 1
         assert outcome.branch in (0, 1, 2, 3)
 
@@ -269,6 +270,44 @@ class TestCorrectAndScore:
 
 
 class TestRunProtocol:
+    @pytest.mark.parametrize("backend, cutoff", [("ideal", 26), ("homodyne", 32)])
+    def test_records_match_direct_corrections(self, backend, cutoff):
+        # every trial rescored by applying the corrections to its own posterior
+        config = make_config(
+            target=SuperpositionSpec(0.6, 0.8, 2.0), cutoff=FockCutoff(cutoff),
+            measurement_backend=backend, p_d=0.7, trials=300, seed=19,
+            aux=AuxiliaryPrep("coherent", 2.0),
+        )
+        result = run_protocol(config)
+        bell = BellMeasurement(build_protocol_state(config), config)
+        reference = reference_state(config)
+        seen = set()
+        for trial, rec in enumerate(result.records):
+            rng = substream(config.seed, trial)
+            outcome, state = bell.sample(rng)
+            p_d_success = aux_m = None
+            corrected = True
+            if outcome.branch in (1, 3):
+                p_d_success = bool(rng.random() < config.p_d)
+                corrected = p_d_success
+                if p_d_success:
+                    state = virtual_displacement(state, config.beta.amplitude)
+            if outcome.branch in (2, 3):
+                aux_m, state, even = parity_operation(
+                    state, config.aux, config.cross_species, config.parity_kerr(),
+                    config.cutoff, rng)
+                corrected = corrected and even
+            assert rec.outcome.branch == outcome.branch
+            assert rec.outcome.aux_m == aux_m
+            assert rec.p_d_success == p_d_success
+            assert rec.corrected == corrected
+            assert rec.fidelity == pytest.approx(fidelity(state, reference), abs=1e-12)
+            seen.add((outcome.branch, p_d_success, None if aux_m is None else aux_m % 2))
+        # every branch, and both outcomes of each correction, occurred
+        assert {key[0] for key in seen} == {0, 1, 2, 3}
+        assert {key[1] for key in seen} == {None, True, False}
+        assert {key[2] for key in seen} == {None, 0, 1}
+
     def test_seed_determinism(self):
         config = make_config(trials=64, p_d=0.6, aux=AuxiliaryPrep("coherent", 2.0))
         first = run_protocol(config)
