@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import dataclasses
 import math
 import os
@@ -36,7 +37,7 @@ from .corrections import (
     total_efficiency,
 )
 from .dynamics import CrossSpeciesParams, JosephsonParams, KerrParams
-from .errors import ConfigError, NumericError, PreconditionError
+from .errors import ConfigError, NumericError, PreconditionError, TriwellError
 from .fock import CoherentSpec, FockCutoff, SuperpositionSpec, prepare_cat_superposition, state_to_dict
 from .homodyne import initial_schwinger, perturbative_sx, simulate_sx
 from .lattice import LatticeParams, density_map
@@ -236,6 +237,24 @@ def _versions() -> dict:
     return {"triwell": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
+@contextlib.contextmanager
+def _building():
+    """Scope where a handler builds its parameter objects and grids: a plain
+    ValueError there is a config error; later library errors keep their own."""
+    try:
+        yield
+    except TriwellError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _grid(start: float, stop: float, points: int) -> np.ndarray:
+    if points < 1:
+        raise ValueError(f"a grid needs at least 1 point, got {points}")
+    return np.linspace(start, stop, points)
+
+
 def _pmap(fn, items, jobs: int):
     """Order-preserving map over min(jobs, len(items), cpu count) processes."""
     workers = min(jobs, len(items), os.cpu_count() or 1)
@@ -261,10 +280,11 @@ def _emit_manifest(outdir: Path, subcommand: str, values: dict, files: list,
 
 
 def cmd_channel(values: dict, outdir: Path) -> list:
-    cutoff = FockCutoff(values["cutoff"])
-    kp = KerrParams(values["e0"], values["kappa"])
-    alpha = CoherentSpec(values["alpha"])
-    beta = CoherentSpec(values["beta"])
+    with _building():
+        cutoff = FockCutoff(values["cutoff"])
+        kp = KerrParams(values["e0"], values["kappa"])
+        alpha = CoherentSpec(values["alpha"])
+        beta = CoherentSpec(values["beta"])
     j = channel_family_index(kp)
     state = generate_channel(alpha, beta, kp, cutoff)
     gram = channel_family_overlaps(alpha, beta, kp, cutoff)
@@ -290,21 +310,22 @@ def cmd_channel(values: dict, outdir: Path) -> list:
 def cmd_teleport(values: dict, outdir: Path) -> tuple:
     kappa = values["kappa"]
     lam = values["lam"] if values["lam"] is not None else kappa / 2
-    config = ProtocolConfig(
-        target=SuperpositionSpec(values["a-weight"], values["b-weight"], values["gamma"]),
-        alpha=CoherentSpec(values["alpha"]),
-        beta=CoherentSpec(values["beta"]),
-        kerr=KerrParams(values["e0"], kappa),
-        josephson=JosephsonParams(values["omega"]),
-        cross_species=CrossSpeciesParams(lam),
-        cutoff=FockCutoff(values["cutoff"]),
-        measurement_backend=values["backend"],
-        p_d=values["p-d"],
-        trials=values["trials"],
-        seed=values["seed"],
-        aux=AuxiliaryPrep(values["aux-kind"], values["aux-parameter"]),
-        reference_magnitude=values["reference-magnitude"],
-    )
+    with _building():
+        config = ProtocolConfig(
+            target=SuperpositionSpec(values["a-weight"], values["b-weight"], values["gamma"]),
+            alpha=CoherentSpec(values["alpha"]),
+            beta=CoherentSpec(values["beta"]),
+            kerr=KerrParams(values["e0"], kappa),
+            josephson=JosephsonParams(values["omega"]),
+            cross_species=CrossSpeciesParams(lam),
+            cutoff=FockCutoff(values["cutoff"]),
+            measurement_backend=values["backend"],
+            p_d=values["p-d"],
+            trials=values["trials"],
+            seed=values["seed"],
+            aux=AuxiliaryPrep(values["aux-kind"], values["aux-parameter"]),
+            reference_magnitude=values["reference-magnitude"],
+        )
     result = run_protocol(config)
     rows = [
         (i, rec.outcome.branch, rec.corrected, rec.fidelity, rec.outcome.aux_m,
@@ -320,27 +341,22 @@ def cmd_teleport(values: dict, outdir: Path) -> tuple:
 
 
 def _parity_point(task: tuple):
-    (family, parameter, kappa, cutoff_n, beta, trials, seed, index) = task
-    aux = AuxiliaryPrep(family, parameter)
-    cutoff = FockCutoff(cutoff_n)
+    aux, lam, kp, cutoff, beta, trials, seed, index = task
     central = prepare_cat_superposition(SuperpositionSpec(1.0, 1.0, beta), cutoff)
-    mc = p_even_monte_carlo(
-        aux, central, CrossSpeciesParams(kappa / 2), KerrParams(1.5 * kappa, kappa),
-        cutoff, trials, substream(seed, index),
-    )
-    return (family, parameter, p_even_analytic(aux), mc.p_even, mc.trials, mc.stderr)
+    mc = p_even_monte_carlo(aux, central, lam, kp, cutoff, trials, substream(seed, index))
+    return (aux.kind, aux.parameter, p_even_analytic(aux), mc.p_even, mc.trials, mc.stderr)
 
 
 def cmd_parity_sweep(values: dict, outdir: Path) -> list:
     families = AUX_KINDS if values["family"] == "all" else (values["family"],)
-    grid = np.linspace(values["param-min"], values["param-max"], values["points"])
-    tasks = []
-    for family in families:
-        for parameter in grid:
-            tasks.append((
-                family, float(parameter), values["kappa"], values["cutoff"],
-                values["beta"], values["trials"], values["seed"], len(tasks),
-            ))
+    kappa = values["kappa"]
+    with _building():
+        grid = _grid(values["param-min"], values["param-max"], values["points"])
+        auxes = [AuxiliaryPrep(family, float(p)) for family in families for p in grid]
+        shared = (CrossSpeciesParams(kappa / 2), KerrParams(1.5 * kappa, kappa),
+                  FockCutoff(values["cutoff"]), values["beta"], values["trials"],
+                  values["seed"])
+    tasks = [(aux, *shared, index) for index, aux in enumerate(auxes)]
     rows = _pmap(_parity_point, tasks, values["jobs"])
     files = [write_table(
         outdir, "parity", values["format"],
@@ -355,8 +371,9 @@ def cmd_parity_sweep(values: dict, outdir: Path) -> list:
 
 
 def cmd_efficiency_sweep(values: dict, outdir: Path) -> list:
-    r_grid = np.linspace(values["r-min"], values["r-max"], values["r-points"])
-    pd_grid = np.linspace(values["pd-min"], values["pd-max"], values["pd-points"])
+    with _building():
+        r_grid = _grid(values["r-min"], values["r-max"], values["r-points"])
+        pd_grid = _grid(values["pd-min"], values["pd-max"], values["pd-points"])
     # squeezed vacuum: p_even = 1 for every r
     points = [total_efficiency(1.0, float(p_d)) for p_d in pd_grid]
     rows = [(float(r), point.p_d, point.p_even, point.p_total)
@@ -373,20 +390,18 @@ def cmd_efficiency_sweep(values: dict, outdir: Path) -> list:
 
 
 def cmd_homodyne(values: dict, outdir: Path) -> list:
-    cutoff = FockCutoff(values["cutoff"])
-    jp = JosephsonParams(values["omega"])
-    kp = KerrParams(values["e0"], values["kappa"])
-    signal = prepare_cat_superposition(
-        SuperpositionSpec(1.0, 0.0, values["gamma"]), cutoff
-    )
-    beta = CoherentSpec(values["beta"])
-    t_max = values["t-max"] if values["t-max"] is not None else math.pi / values["omega"]
-    t_grid = np.linspace(0.0, t_max, values["steps"])
+    with _building():
+        cutoff = FockCutoff(values["cutoff"])
+        jp = JosephsonParams(values["omega"])
+        kp = KerrParams(values["e0"], values["kappa"])
+        beta = CoherentSpec(values["beta"])
+        t_max = values["t-max"] if values["t-max"] is not None else math.pi / values["omega"]
+        t_grid = _grid(0.0, t_max, values["steps"])
+    signal = prepare_cat_superposition(SuperpositionSpec(1.0, 0.0, values["gamma"]), cutoff)
     records = simulate_sx(signal, beta, jp, kp, t_grid)
-    init = initial_schwinger(signal, beta)
     eps = values["kappa"] / values["omega"]
     total = records[0].normalization
-    init = dataclasses.replace(init, epsilon=eps)
+    init = dataclasses.replace(initial_schwinger(signal, beta), epsilon=eps)
     rows = []
     for rec in records:
         pert = perturbative_sx(init, total, values["omega"], rec.t)
@@ -405,13 +420,12 @@ def cmd_homodyne(values: dict, outdir: Path) -> list:
 
 
 def cmd_lattice_map(values: dict, outdir: Path) -> list:
-    thetas = np.linspace(values["theta-min"], values["theta-max"],
-                         values["theta-points"])
-    z_primes = np.linspace(values["zprime-min"], values["zprime-max"],
-                           values["zprime-points"])
-    # density_map takes its angles from the grid, not from params.theta_l
-    params = LatticeParams(values["u1"], values["theta-min"], values["k-l"],
-                           values["b-parallel"], values["b-perp"], values["gyro"])
+    with _building():
+        thetas = _grid(values["theta-min"], values["theta-max"], values["theta-points"])
+        z_primes = _grid(values["zprime-min"], values["zprime-max"], values["zprime-points"])
+        # density_map takes its angles from the grid, not from params.theta_l
+        params = LatticeParams(values["u1"], values["theta-min"], values["k-l"],
+                               values["b-parallel"], values["b-perp"], values["gyro"])
     grid = density_map(params, thetas, z_primes)
     rows = []
     for row, theta in enumerate(thetas):
@@ -469,9 +483,6 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"triwell: numeric failure: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"triwell: config error: {exc}", file=sys.stderr)
-        return 2
     elapsed = time.perf_counter() - started
     print(f"triwell {args.subcommand}: wrote {len(produced)} file(s) to "
           f"{outdir} in {elapsed:.3f}s", file=sys.stderr)

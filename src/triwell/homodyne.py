@@ -27,12 +27,15 @@ backends. ``ideal`` projects onto the minimum-error pair of orthonormal
 vectors in span{|a>, |-a>}; ``homodyne`` couples the mode to a reference
 well, counts atoms in both wells (exact joint Born sampling, no Gaussian
 approximation), and thresholds the inferred quadrature at zero. Both
-backends consume their randomness as a single uniform through an inverse
-CDF whose outcome ordering puts "minus-like" results first, so runs with
-matched seeds stay aligned across backends. A discriminator's one entry
-point is ``prepare(state, mode)``: the prepared outcome distribution gives
-the exact bit probabilities, cheap draws that carry their outcome index,
-and the conditional state of an outcome only when asked for it.
+backends consume a selector uniform through an inverse CDF whose outcome
+ordering puts "minus-like" results first, so runs with matched seeds stay
+aligned across backends, and a tie-breaker uniform read only on a zero
+quadrature value. A discriminator's one entry point is ``prepare(state,
+mode)``: the prepared distribution gives the exact bit probabilities, array
+draws ``draw(u_select, u_tie) -> (outcome, bit)``, and the conditional state
+of an outcome index on request. The index is the bit (ideal) or the joint
+count ``m_c * dim + m_b`` (homodyne), whose probability and quadrature value
+are ``probs[outcome] / total`` and ``disc.values[outcome]``.
 """
 
 from __future__ import annotations
@@ -239,16 +242,6 @@ def helstrom_vectors(amplitude: complex, cutoff: FockCutoff):
     return w0, w1
 
 
-@dataclass(frozen=True, slots=True)  # one per stage in every trial record
-class PhaseSample:
-    """Outcome of one phase-bit measurement on one mode."""
-
-    bit: int
-    probability: float
-    value: float | None  # quadrature sample (homodyne backend only)
-    outcome: int  # index of the outcome: the bit (ideal) or the joint count (homodyne)
-
-
 class _PreparedIdeal:
     """Outcome distribution of one ideal discrimination, ready to draw from."""
 
@@ -277,9 +270,10 @@ class _PreparedIdeal:
             return StateVector(1, state.cutoff, vec * (amp / abs(amp)))
         return project_onto_vector(state, self.mode, vec)[1]
 
-    def draw(self, u_select: float, u_tie: float) -> PhaseSample:
-        bit = 1 if u_select < self.bit_probabilities[1] else 0
-        return PhaseSample(bit, self.bit_probabilities[bit], None, bit)
+    def draw(self, u_select: np.ndarray, u_tie: np.ndarray) -> tuple:
+        """(outcome, bit) arrays for the uniform pairs; here the outcome is the bit."""
+        bit = (u_select < self.bit_probabilities[1]).astype(np.int64)
+        return bit, bit
 
 
 class IdealPhaseDiscriminator:
@@ -372,18 +366,15 @@ class _PreparedHomodyne:
         )
         return StateVector(state.modes - 1, state.cutoff, conditional, state.leakage)
 
-    def draw(self, u_select: float, u_tie: float) -> PhaseSample:
-        disc = self.disc
-        k = int(np.searchsorted(self.cdf, u_select, side="right"))
-        outcome = int(disc.order[min(k, len(disc.order) - 1)])
-        value = float(disc.values[outcome])
-        if value < 0:
-            bit = 1
-        elif value > 0:
-            bit = 0
-        else:
-            bit = 1 if u_tie < 0.5 else 0
-        return PhaseSample(bit, self.probs[outcome] / self.total, value, outcome)
+    def draw(self, u_select: np.ndarray, u_tie: np.ndarray) -> tuple:
+        """(outcome, bit) arrays for the uniform pairs: bit 1 for a negative
+        value, 0 for a positive one, and for a zero value 1 iff ``u_tie`` < 0.5."""
+        order = self.disc.order
+        k = np.searchsorted(self.cdf, u_select, side="right")
+        outcome = order[np.minimum(k, len(order) - 1)]
+        value = self.disc.values[outcome]
+        bit = np.where(value == 0, u_tie < 0.5, value < 0).astype(np.int64)
+        return outcome, bit
 
 
 def phase_bit(signal: StateVector, axis_phase: float, backend: str,
@@ -401,7 +392,6 @@ def phase_bit(signal: StateVector, axis_phase: float, backend: str,
         max(mean_occupation(signal, 0), 0.0)
     )
     _pair_overlap_guard(magnitude)
-    u_select, u_tie = float(rng.random()), float(rng.random())
     if backend == "ideal":
         axis_amplitude = magnitude * cmath.exp(1j * axis_phase)
         disc = IdealPhaseDiscriminator(axis_amplitude, signal.cutoff)
@@ -411,5 +401,5 @@ def phase_bit(signal: StateVector, axis_phase: float, backend: str,
     else:
         raise ValueError(f"unknown backend {backend!r}")
     prepared = disc.prepare(signal, 0)
-    sample = prepared.draw(u_select, u_tie)
-    return sample.bit, prepared.posterior(sample.outcome)
+    (outcome,), (bit,) = prepared.draw(*rng.random((2, 1)))  # (u_select, u_tie)
+    return int(bit), prepared.posterior(int(outcome))

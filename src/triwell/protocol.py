@@ -22,14 +22,16 @@ pre-measurement state -- and scores against A|b> + B|-b> built from the
 channel amplitude b (the teleported amplitude is the channel's, not the
 target's gamma).
 
-Randomness: trial i consumes only the counter-based stream (seed, i), so
-records are reproducible and independent of execution order.
+Randomness: a run reads one stream, ``substream(seed)``, as 4 * trials + 2
+uniforms. Trial i reads uniforms 4i..4i+5 (two per Bell stage, then up to
+two for its corrections), exactly the first six of ``substream(seed, i)``;
+neighbouring windows share two uniforms (ROADMAP item 1).
 
 Scoring: the receiver's correction depends only on the two bits and the
 auxiliary count, and the parity collision acts on mode 3 as an exact sign.
-So a run builds the reference state and the count CDF once, keys the second
-Bell stage by the first stage's outcome index, and scores each (stage
-outcomes, applied operations) combination once, on first use.
+So a run draws every trial at once, preparing the second Bell stage once per
+distinct first-stage outcome, and scores each distinct (stage outcomes,
+displaced, flipped) combination once.
 """
 
 from __future__ import annotations
@@ -71,7 +73,6 @@ from .homodyne import (
     HomodyneBackendConfig,
     HomodynePhaseDiscriminator,
     IdealPhaseDiscriminator,
-    PhaseSample,
 )
 from .rng import substream
 
@@ -85,6 +86,8 @@ CORRECTIONS_FOR_BRANCH = {
     2: ("parity",),
     3: ("displacement", "parity"),
 }
+_NEEDS = np.array([[op in CORRECTIONS_FOR_BRANCH[b] for op in ("displacement", "parity")]
+                   for b in range(4)])  # per branch: (needs displacement, needs parity)
 
 
 @dataclass(frozen=True)
@@ -120,20 +123,13 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class MeasurementOutcome:
-    """Two classical bits plus the raw per-stage records."""
+    """Two classical bits plus the raw outcome index of each Bell stage."""
 
     bit_target: int
     bit_mode2: int
     branch: int
-    raw: tuple  # (stage-1 PhaseSample, stage-2 PhaseSample)
+    raw: tuple  # (stage-1, stage-2) outcome indices
     aux_m: int | None = None
-
-
-def _bits(first: PhaseSample, second: PhaseSample) -> tuple:
-    """(bit_target, bit_mode2, branch) from the raw stage bits."""
-    bit_target = first.bit ^ second.bit
-    bit_mode2 = 1 - second.bit
-    return bit_target, bit_mode2, 2 * bit_target + bit_mode2
 
 
 @dataclass(frozen=True)
@@ -208,29 +204,32 @@ class BellMeasurement:
         self._first = self.stages[0].prepare(state, 0)
         self._second = {}  # prepared second stage per stage-1 outcome index
 
-    def draw(self, rng: np.random.Generator) -> tuple:
-        """Draw both stages; returns the (stage-1, stage-2) PhaseSamples."""
-        draws = rng.random(4)
-        first = self._first.draw(draws[0], draws[1])
-        second = self._second.get(first.outcome)
-        if second is None:
-            second = self.stages[1].prepare(self._first.posterior(first.outcome), 0)
-            self._second[first.outcome] = second
-        return first, second.draw(draws[2], draws[3])
+    def draw(self, u: np.ndarray) -> tuple:
+        """(stage-1 outcome, stage-2 outcome, branch) arrays for the rows of
+        ``u``: selector and tie of stage 1, then of stage 2. Stage 2 is
+        prepared and drawn once per distinct stage-1 outcome."""
+        first, bit1 = self._first.draw(u[:, 0], u[:, 1])
+        second, bit2 = np.empty_like(first), np.empty_like(bit1)
+        for key in np.unique(first).tolist():
+            rows = first == key
+            if key not in self._second:
+                self._second[key] = self.stages[1].prepare(self._first.posterior(key), 0)
+            second[rows], bit2[rows] = self._second[key].draw(u[rows, 2], u[rows, 3])
+        return first, second, 2 * (bit1 ^ bit2) + 1 - bit2
 
-    def posterior(self, first: PhaseSample, second: PhaseSample) -> StateVector:
-        """Conditional mode-3 state after the stage samples ``first``, ``second``."""
-        return self._second[first.outcome].posterior(second.outcome)
+    def posterior(self, first: int, second: int) -> StateVector:
+        """Conditional mode-3 state after the stage outcomes ``first``, ``second``."""
+        return self._second[first].posterior(second)
 
     def sample(self, rng: np.random.Generator):
         """Measure both modes; returns (outcome, conditional mode-3 state)."""
-        first, second = self.draw(rng)
-        outcome = MeasurementOutcome(*_bits(first, second), (first, second))
+        (first,), (second,), (branch,) = (a.tolist() for a in self.draw(rng.random((1, 4))))
+        outcome = MeasurementOutcome(branch >> 1, branch & 1, branch, (first, second))
         return outcome, self.posterior(first, second)
 
 
 class _Receiver:
-    """Receiver of one configuration: reference, count CDF and score table."""
+    """Receiver of one configuration: reference state and count CDF."""
 
     def __init__(self, config: ProtocolConfig):
         self.config = config
@@ -240,7 +239,6 @@ class _Receiver:
             self.can_displace = True
         except ZeroImaginaryPart:
             self.can_displace = False  # real channel amplitude: correction unavailable
-        self.scores = {}
 
     @cached_property
     def count_cdf(self) -> np.ndarray:
@@ -250,40 +248,39 @@ class _Receiver:
             self.config.parity_kerr(), self.config.cutoff,
         ))
 
-    def draw(self, branch: int, rng: np.random.Generator) -> tuple:
-        """Draw the branch's corrections from ``rng``: (p_d_success, aux_m)."""
-        needed = CORRECTIONS_FOR_BRANCH[branch]
-        p_d_success = aux_m = None
-        if "displacement" in needed:
-            p_d_success = bool(rng.random() < self.config.p_d) and self.can_displace
-        if "parity" in needed:
-            aux_m = int(sample_counts(self.count_cdf, rng.random()))
-        return p_d_success, aux_m
-
-    def score(self, mode3: StateVector, p_d_success, aux_m) -> float:
-        """Fidelity of mode 3 after the drawn corrections."""
-        if p_d_success:
+    def score(self, mode3: StateVector, displaced: bool, flipped: bool) -> float:
+        """Fidelity of mode 3 after the applied operations."""
+        if displaced:
             mode3 = virtual_displacement(mode3, self.config.beta.amplitude, l=0)
-        if aux_m is not None and aux_m % 2 == 0:
+        if flipped:
             mode3 = parity_flip(mode3)
         return fidelity(mode3, self.reference)
 
-    def correct(self, first: PhaseSample, second: PhaseSample, mode3,
-                rng: np.random.Generator) -> TrialRecord:
-        """Draw the corrections for the stage samples and score the result.
+    def draw_and_score(self, first, second, branch, u, mode3) -> tuple:
+        """Draw each row's corrections from its two uniforms ``u`` and score it.
 
-        ``mode3(first, second)`` gives the conditional mode-3 state; it is
-        called only for a combination not scored before.
+        p_d success reads the first uniform; the auxiliary count reads the
+        first, or the second after a displacement draw. ``mode3(first,
+        second)`` is called once per distinct (stage outcomes, displaced,
+        flipped) row. Returns (p_d_success, aux_m, fidelity) lists, None
+        where the branch needs no such correction.
         """
-        bits = _bits(first, second)
-        p_d_success, aux_m = self.draw(bits[2], rng)
-        key = (first.outcome, second.outcome, bool(p_d_success),
-               aux_m is not None and aux_m % 2 == 0)
-        score = self.scores.get(key)
-        if score is None:
-            score = self.scores[key] = self.score(mode3(first, second), p_d_success, aux_m)
-        return _record(MeasurementOutcome(*bits, (first, second), aux_m),
-                       score, p_d_success)
+        displacing, parity = _NEEDS[branch].T
+        success = (u[:, 0] < self.config.p_d) & self.can_displace
+        aux_m = np.full(len(branch), -1)
+        if parity.any():
+            counts = sample_counts(self.count_cdf, np.where(displacing, u[:, 1], u[:, 0]))
+            aux_m[parity] = counts[parity]
+        # one integer key per row for (first, second, displaced, flipped)
+        width = int(second.max()) + 1
+        flipped = parity & (aux_m % 2 == 0)
+        keys = 4 * (first * width + second) + 2 * (displacing & success) + flipped
+        table, inverse = np.unique(keys, return_inverse=True)
+        scores = np.array([self.score(mode3(*divmod(key >> 2, width)), key & 2, key & 1)
+                           for key in table.tolist()])
+        p_d_success = [s if d else None for d, s in zip(displacing.tolist(), success.tolist())]
+        return (p_d_success, [m if m >= 0 else None for m in aux_m.tolist()],
+                scores[inverse].tolist())
 
 
 def _record(outcome: MeasurementOutcome, score: float, p_d_success) -> TrialRecord:
@@ -306,11 +303,12 @@ def correct_and_score(mode3: StateVector, outcome: MeasurementOutcome,
     """
     if outcome.branch not in CORRECTIONS_FOR_BRANCH:
         raise ValueError(f"branch {outcome.branch} outside 0..3")
-    receiver = _Receiver(config)
-    p_d_success, aux_m = receiver.draw(outcome.branch, rng)
+    zero = np.zeros(1, int)  # one row: its stage outcomes only key the score table
+    (p_d_success,), (aux_m,), (score,) = _Receiver(config).draw_and_score(
+        zero, zero, np.array([outcome.branch]), rng.random((1, 2)), lambda *_: mode3)
     if aux_m is not None:
         outcome = replace(outcome, aux_m=aux_m)
-    return _record(outcome, receiver.score(mode3, p_d_success, aux_m), p_d_success)
+    return _record(outcome, score, p_d_success)
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
@@ -319,21 +317,21 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     Summary: branch histogram, success rate (all required corrections
     succeeded), and the mean fidelity over the corrected trials.
     """
-    state = build_protocol_state(config)
-    bell = BellMeasurement(state, config)
-    receiver = _Receiver(config)
-    records = []
-    for trial in range(config.trials):
-        rng = substream(config.seed, trial)
-        first, second = bell.draw(rng)
-        records.append(receiver.correct(first, second, bell.posterior, rng))
-    histogram = [0, 0, 0, 0]
-    for rec in records:
-        histogram[rec.outcome.branch] += 1
+    bell = BellMeasurement(build_protocol_state(config), config)
+    u = substream(config.seed).random(4 * config.trials + 2)
+    rows = np.lib.stride_tricks.sliding_window_view(u, 6)[::4]  # trial i: u[4i:4i+6]
+    first, second, branch = bell.draw(rows[:, :4])
+    p_d_success, aux_m, scores = _Receiver(config).draw_and_score(
+        first, second, branch, rows[:, 4:], bell.posterior)
+    records = [
+        _record(MeasurementOutcome(b >> 1, b & 1, b, (o1, o2), m), score, p_d)
+        for o1, o2, b, m, score, p_d in zip(first.tolist(), second.tolist(), branch.tolist(),
+                                           aux_m, scores, p_d_success)
+    ]
     corrected = [rec.fidelity for rec in records if rec.corrected]
     summary = {
         "trials": config.trials,
-        "branch_histogram": histogram,
+        "branch_histogram": np.bincount(branch, minlength=4).tolist(),
         "success_rate": len(corrected) / config.trials,
         "mean_fidelity": float(np.mean(corrected)) if corrected else None,
     }

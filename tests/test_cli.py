@@ -194,6 +194,28 @@ class TestParsing:
         assert info.value.code == 2
 
 
+class TestExitCodes:
+    @pytest.mark.parametrize("args", [
+        ["teleport", "--cutoff", "0"],
+        ["teleport", "--trials", "0"],
+        ["parity-sweep", "--points", "-1"],
+        ["homodyne", "--steps", "0"],
+    ])
+    def test_bad_parameters_are_exit_2(self, tmp_path, args):
+        assert run(args + ["--out", tmp_path / "x"]) == 2
+
+    def test_precondition_keeps_exit_3(self, tmp_path):
+        assert run(["teleport", "--p-d", "1.5", "--out", tmp_path / "x"]) == 3
+
+    def test_library_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
+        def broken(config):
+            raise ValueError("internal failure")
+
+        monkeypatch.setattr("triwell.cli.run_protocol", broken)
+        with pytest.raises(ValueError, match="internal failure"):
+            run(["teleport", "--trials", "5", "--out", tmp_path / "x"])
+
+
 class TestFormats:
     def test_json_tables(self, tmp_path):
         out = tmp_path / "eff"

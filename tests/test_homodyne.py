@@ -208,11 +208,14 @@ class TestPhaseBit:
         config = HomodyneBackendConfig()
         disc = HomodynePhaseDiscriminator(0.0, cutoff, config)
         minus = prepare_coherent(CoherentSpec(-2.0), cutoff)
-        p_plus, p_minus = disc.prepare(minus, 0).bit_probabilities
+        prepared = disc.prepare(minus, 0)
+        p_plus, p_minus = prepared.bit_probabilities
         assert p_minus >= 0.997
-        bits = [phase_bit(minus, 0.0, "homodyne", substream(7, i))[0]
-                for i in range(200)]
+        draws = substream(7).random((200, 2))
+        _, bits = prepared.draw(draws[:, 0], draws[:, 1])
         assert np.mean(bits) >= 0.98
+        # phase_bit reads the same first pair of uniforms
+        assert phase_bit(minus, 0.0, "homodyne", substream(7))[0] == bits[0]
 
     def test_homodyne_sign_fidelity_with_collisions(self):
         # |g| = 1.5, eps*N <= 0.02: sampled sign matches the branch >= 99%
@@ -227,8 +230,40 @@ class TestPhaseBit:
             signal = prepare_coherent(CoherentSpec(sign * magnitude), cutoff)
             prepared = disc.prepare(signal, 0)
             draws = rng.random((10**4, 2))
-            hits = sum(prepared.draw(u, v).bit == want for u, v in draws)
-            assert hits / 10**4 >= 0.99
+            _, bits = prepared.draw(draws[:, 0], draws[:, 1])
+            assert np.mean(bits == want) >= 0.99
+
+    def test_ideal_array_draw_matches_elementwise(self):
+        cutoff = FockCutoff(28)
+        cat = prepare_cat_superposition(SuperpositionSpec(0.6, 0.8, 2.0), cutoff)
+        prepared = IdealPhaseDiscriminator(2.0, cutoff).prepare(cat, 0)
+        draws = substream(21).random((2000, 2))
+        outcome, bit = prepared.draw(draws[:, 0], draws[:, 1])
+        single = [prepared.draw(draws[i:i + 1, 0], draws[i:i + 1, 1]) for i in range(2000)]
+        assert outcome.tolist() == [o[0] for o, _ in single]
+        assert bit.tolist() == [b[0] for _, b in single]
+        assert set(bit.tolist()) == {0, 1}
+
+    def test_homodyne_array_draw_matches_elementwise(self):
+        # half the selectors land inside the CDF steps of zero-value (tie)
+        # outcomes, so each element must read its own tie-breaker
+        cutoff = FockCutoff(26)
+        disc = HomodynePhaseDiscriminator(0.0, cutoff, HomodyneBackendConfig(2.0))
+        prepared = disc.prepare(prepare_coherent(CoherentSpec(1.0), cutoff), 0)
+        lower = np.concatenate(([0.0], prepared.cdf[:-1]))
+        ties = np.flatnonzero((disc.values[disc.order] == 0) & (prepared.cdf > lower))
+        rng = substream(23)
+        draws = rng.random((2000, 2))
+        steps = rng.choice(ties, 1000)
+        draws[:1000, 0] = (lower[steps] + prepared.cdf[steps]) / 2
+        outcome, bit = prepared.draw(draws[:, 0], draws[:, 1])
+        single = [prepared.draw(draws[i:i + 1, 0], draws[i:i + 1, 1]) for i in range(2000)]
+        assert outcome.tolist() == [o[0] for o, _ in single]
+        assert bit.tolist() == [b[0] for _, b in single]
+        tied = disc.values[outcome] == 0
+        assert tied[:1000].all()
+        assert set(bit[tied].tolist()) == {0, 1}
+        assert (bit[tied] == (draws[tied, 1] < 0.5)).all()
 
     def test_posterior_is_count_state(self):
         cutoff = FockCutoff(52)

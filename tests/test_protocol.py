@@ -137,12 +137,26 @@ class TestBellMeasurement:
         config = make_config()
         state = build_protocol_state(config)
         bell = BellMeasurement(state, config)
-        counts = [0, 0, 0, 0]
-        trials = 10_000
-        for trial in range(trials):
-            outcome, _ = bell.sample(substream(2, trial))
-            counts[outcome.branch] += 1
-        assert chisquare(counts).pvalue > 0.001
+        _, _, branch = bell.draw(substream(2).random((10_000, 4)))
+        assert chisquare(np.bincount(branch, minlength=4)).pvalue > 0.001
+
+    @pytest.mark.parametrize("backend, cutoff", [("ideal", 26), ("homodyne", 32)])
+    def test_draw_matches_one_row_draws(self, backend, cutoff):
+        config = make_config(cutoff=FockCutoff(cutoff), measurement_backend=backend)
+        state = build_protocol_state(config)
+        u = substream(31).random((300, 4))
+        drawn = [a.tolist() for a in BellMeasurement(state, config).draw(u)]
+        bell = BellMeasurement(state, config)
+        rows = [bell.draw(u[i:i + 1]) for i in range(300)]
+        assert drawn == [[row[k][0] for row in rows] for k in range(3)]
+        # each row against the two stages prepared directly
+        first, seconds = bell.stages[0].prepare(state, 0), {}
+        for i, (o1, o2, branch) in enumerate(zip(*drawn)):
+            (ref1,), (bit1,) = first.draw(u[i:i + 1, 0], u[i:i + 1, 1])
+            if o1 not in seconds:
+                seconds[o1] = bell.stages[1].prepare(first.posterior(o1), 0)
+            (ref2,), (bit2,) = seconds[o1].draw(u[i:i + 1, 2], u[i:i + 1, 3])
+            assert (o1, o2, branch) == (ref1, ref2, 2 * (bit1 ^ bit2) + 1 - bit2)
 
     @pytest.mark.parametrize("branch", [0, 1, 2, 3])
     def test_conditionals_match_the_branch_forms(self, branch):
@@ -298,6 +312,7 @@ class TestRunProtocol:
                     config.cutoff, rng)
                 corrected = corrected and even
             assert rec.outcome.branch == outcome.branch
+            assert rec.outcome.raw == outcome.raw
             assert rec.outcome.aux_m == aux_m
             assert rec.p_d_success == p_d_success
             assert rec.corrected == corrected
