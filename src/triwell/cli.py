@@ -37,7 +37,7 @@ from .corrections import (
     total_efficiency,
 )
 from .dynamics import CrossSpeciesParams, JosephsonParams, KerrParams
-from .errors import ConfigError, NumericError, PreconditionError, TriwellError
+from .errors import ConfigError, NumericError, PreconditionError, TriwellError, ValidityDomainExceeded
 from .fock import CoherentSpec, FockCutoff, SuperpositionSpec, prepare_cat_superposition, state_to_dict
 from .homodyne import initial_schwinger, perturbative_sx, simulate_sx
 from .lattice import LatticeParams, density_map
@@ -351,6 +351,8 @@ def cmd_parity_sweep(values: dict, outdir: Path) -> list:
     families = AUX_KINDS if values["family"] == "all" else (values["family"],)
     kappa = values["kappa"]
     with _building():
+        if values["trials"] < 1:
+            raise ValueError("trials must be >= 1")
         grid = _grid(values["param-min"], values["param-max"], values["points"])
         auxes = [AuxiliaryPrep(family, float(p)) for family in families for p in grid]
         shared = (CrossSpeciesParams(kappa / 2), KerrParams(1.5 * kappa, kappa),
@@ -393,6 +395,8 @@ def cmd_homodyne(values: dict, outdir: Path) -> list:
     with _building():
         cutoff = FockCutoff(values["cutoff"])
         jp = JosephsonParams(values["omega"])
+        if jp.omega <= 0:
+            raise ValidityDomainExceeded("atom-counting readout needs omega > 0")
         kp = KerrParams(values["e0"], values["kappa"])
         beta = CoherentSpec(values["beta"])
         t_max = values["t-max"] if values["t-max"] is not None else math.pi / values["omega"]

@@ -60,6 +60,7 @@ from .fock import (
     prepare_coherent,
     prepare_number,
     prepare_squeezed_vacuum,
+    quadrature_eigensystem,
     tensor,
 )
 
@@ -266,7 +267,6 @@ def displacement_linearization_error(delta: float, cutoff: FockCutoff) -> float:
     d = cutoff.dim
     lower = np.diag(np.sqrt(np.arange(1, d)), -1)
     x_op = lower + lower.T
-    from scipy.linalg import expm
-
-    gap = expm(1j * delta * x_op) - (np.eye(d) + 1j * delta * x_op)
+    x, w = quadrature_eigensystem(d)
+    gap = (w * np.exp(1j * delta * x)) @ w.T - (np.eye(d) + 1j * delta * x_op)
     return float(np.linalg.norm(gap, 2))

@@ -24,12 +24,12 @@ to evaluate concurrently.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     CutoffTooSmall,
@@ -277,7 +277,7 @@ def project_number(state: StateVector, mode: int, outcome: int):
 
     Returns ``(probability, conditional)`` where ``conditional`` is the
     renormalized state of the remaining modes. Projection probabilities over
-    all outcomes sum to one (minus recorded leakage).
+    all outcomes sum to one: preparations renormalize away their leakage.
     """
     _check_mode(state, mode)
     if state.modes < 2:
@@ -374,18 +374,32 @@ def apply_mode_matrix(state: StateVector, mode: int, matrix: np.ndarray) -> Stat
     return state.replace_amplitudes(out.ravel())
 
 
+@lru_cache(maxsize=16)
+def quadrature_eigensystem(dim: int) -> tuple:
+    """``(x, W)`` with X = W diag(x) W^T for the truncated X = a + a^dag (real,
+    symmetric, tridiagonal), so exp(i t X) = (W * exp(i t x)) @ W.T. Cached and
+    shared, hence read-only."""
+    off = np.sqrt(np.arange(1, dim))
+    x, w = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 @lru_cache(maxsize=64)
 def _displacement_matrix(delta: complex, dim: int) -> np.ndarray:
-    lower = np.diag(np.sqrt(np.arange(1, dim)), -1)  # a^dag
-    gen = delta * lower - np.conj(delta) * lower.T
-    return expm(gen)
+    # delta a^dag - conj(delta) a = -i |delta| R X R^dag with X = a + a^dag and
+    # R = diag(e^{i n (arg(delta) + pi/2)}), so D = (R W) diag(e^{-i |delta| x}) (R W)^dag
+    x, w = quadrature_eigensystem(dim)
+    rotated = np.exp(1j * (cmath.phase(delta) + math.pi / 2) * np.arange(dim))[:, None] * w
+    return (rotated * np.exp(-1j * abs(delta) * x)) @ rotated.conj().T
 
 
 def displace(state: StateVector, mode: int, delta: complex,
              max_top_shell: float = DEFAULT_MAX_LEAKAGE) -> StateVector:
     """Displacement D(delta) = exp(delta a^dag - conj(delta) a) on one mode.
 
-    Exact matrix exponential of the truncated generator; unitary on the
+    The exact exponential of the truncated generator, evaluated in the
+    eigenbasis of the truncated quadrature a + a^dag; unitary on the
     truncated space, so the norm is preserved. Raises ``CutoffTooSmall`` when
     the result piles probability onto the top occupation shell (no headroom).
     """

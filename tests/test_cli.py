@@ -200,12 +200,23 @@ class TestExitCodes:
         ["teleport", "--trials", "0"],
         ["parity-sweep", "--points", "-1"],
         ["homodyne", "--steps", "0"],
+        ["parity-sweep", "--trials", "0"],
     ])
     def test_bad_parameters_are_exit_2(self, tmp_path, args):
         assert run(args + ["--out", tmp_path / "x"]) == 2
 
     def test_precondition_keeps_exit_3(self, tmp_path):
         assert run(["teleport", "--p-d", "1.5", "--out", tmp_path / "x"]) == 3
+
+    @pytest.mark.parametrize("args", [
+        ["teleport", "--backend", "homodyne", "--omega", "0"],
+        ["homodyne", "--omega", "0"],
+        ["homodyne", "--omega", "0", "--t-max", "1"],
+    ])
+    def test_zero_omega_is_exit_3_before_any_work(self, tmp_path, args, capsys):
+        assert run(args + ["--out", tmp_path / "x"]) == 3
+        assert "atom-counting readout needs omega > 0" in capsys.readouterr().err
+        assert not list((tmp_path / "x").iterdir())
 
     def test_library_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
         def broken(config):

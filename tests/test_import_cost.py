@@ -1,0 +1,45 @@
+"""Import guard: no triwell code path loads ``scipy.linalg``.
+
+Importing ``scipy.linalg`` costs ~0.3 s and ~20 MB in every fresh process.
+The pytest process has scipy loaded by other tests, so the check runs in a
+fresh interpreter: import the CLI, draw displaced branches, evaluate the
+linearization diagnostic, run one CLI subcommand, then inspect
+``sys.modules``.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+SCRIPT = """
+import sys
+
+import triwell.cli
+from triwell import (CoherentSpec, CrossSpeciesParams, FockCutoff, JosephsonParams,
+                     KerrParams, ProtocolConfig, SuperpositionSpec, run_protocol)
+from triwell.corrections import displacement_linearization_error
+
+config = ProtocolConfig(
+    target=SuperpositionSpec(1.0, 1.0, 2.0), alpha=CoherentSpec(2.0),
+    beta=CoherentSpec(2j), kerr=KerrParams(1.0, 1.0),
+    josephson=JosephsonParams(1000.0), cross_species=CrossSpeciesParams(0.5),
+    cutoff=FockCutoff(26), p_d=1.0, trials=200, seed=0,
+)
+records = run_protocol(config).records
+assert any("displacement" in rec.corrections_applied for rec in records)
+displacement_linearization_error(0.3, FockCutoff(26))
+assert triwell.cli.main(["teleport", "--trials", "50", "--out", sys.argv[1]]) == 0
+loaded = sorted(name for name in sys.modules if name.startswith("scipy.linalg"))
+assert not loaded, loaded
+"""
+
+
+def test_no_code_path_loads_scipy_linalg(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
