@@ -23,7 +23,6 @@ from .corrections import (
     p_even_curve,
     p_even_monte_carlo,
     parity_count_distribution,
-    parity_operation,
     total_efficiency,
     virtual_displacement,
 )
@@ -83,7 +82,6 @@ from .homodyne import (
     estimate_quadrature,
     initial_schwinger,
     perturbative_sx,
-    phase_bit,
     simulate_sx,
 )
 from .lattice import (

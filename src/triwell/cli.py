@@ -4,9 +4,9 @@ Subcommands: channel, teleport, parity-sweep, efficiency-sweep, homodyne,
 lattice-map. Every parameter can come from an INI-style config file
 (section per subcommand, ``--config FILE``) or a command line flag; flags
 win. Outputs land in ``--out`` as CSV/JSON plus a run manifest; reruns with
-the same config and seed are byte-identical. ``--jobs N`` (accepted by every
-subcommand) spreads the parity-sweep grid over worker processes and gives
-the same files as a serial run; the other subcommands run in one process.
+the same config and seed are byte-identical. Every subcommand runs in one
+process; ``--jobs N`` is accepted by every subcommand and only validated
+(N >= 1), so it never changes what a run does or writes.
 
 Exit codes: 0 ok, 2 config error, 3 physics precondition violated,
 4 numeric failure.
@@ -19,7 +19,6 @@ import configparser
 import contextlib
 import dataclasses
 import math
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -79,7 +78,7 @@ COMMON = (
     Option("out", str, "triwell-out", "output directory"),
     Option("format", str, "csv", "table format", ("csv", "json")),
     Option("seed", int, 0, "run seed"),
-    Option("jobs", int, 1, "worker processes for the parity-sweep grid"),
+    Option("jobs", int, 1, "validated (>= 1) but unused: every subcommand runs in one process"),
     Option("gnuplot", _parse_bool, False, "also write gnuplot script stubs"),
 )
 
@@ -255,17 +254,6 @@ def _grid(start: float, stop: float, points: int) -> np.ndarray:
     return np.linspace(start, stop, points)
 
 
-def _pmap(fn, items, jobs: int):
-    """Order-preserving map over min(jobs, len(items), cpu count) processes."""
-    workers = min(jobs, len(items), os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
 def _emit_manifest(outdir: Path, subcommand: str, values: dict, files: list,
                    caveats=(), summary=None) -> Path:
     manifest = build_manifest(
@@ -340,13 +328,6 @@ def cmd_teleport(values: dict, outdir: Path) -> tuple:
     return files, result.summary
 
 
-def _parity_point(task: tuple):
-    aux, lam, kp, cutoff, beta, trials, seed, index = task
-    central = prepare_cat_superposition(SuperpositionSpec(1.0, 1.0, beta), cutoff)
-    mc = p_even_monte_carlo(aux, central, lam, kp, cutoff, trials, substream(seed, index))
-    return (aux.kind, aux.parameter, p_even_analytic(aux), mc.p_even, mc.trials, mc.stderr)
-
-
 def cmd_parity_sweep(values: dict, outdir: Path) -> list:
     families = AUX_KINDS if values["family"] == "all" else (values["family"],)
     kappa = values["kappa"]
@@ -355,11 +336,16 @@ def cmd_parity_sweep(values: dict, outdir: Path) -> list:
             raise ValueError("trials must be >= 1")
         grid = _grid(values["param-min"], values["param-max"], values["points"])
         auxes = [AuxiliaryPrep(family, float(p)) for family in families for p in grid]
-        shared = (CrossSpeciesParams(kappa / 2), KerrParams(1.5 * kappa, kappa),
-                  FockCutoff(values["cutoff"]), values["beta"], values["trials"],
-                  values["seed"])
-    tasks = [(aux, *shared, index) for index, aux in enumerate(auxes)]
-    rows = _pmap(_parity_point, tasks, values["jobs"])
+        lam, kp = CrossSpeciesParams(kappa / 2), KerrParams(1.5 * kappa, kappa)
+        cutoff = FockCutoff(values["cutoff"])
+    # the count distribution reads only the central state's basis size
+    central = prepare_cat_superposition(SuperpositionSpec(1.0, 1.0, values["beta"]), cutoff)
+    rows = []
+    for index, aux in enumerate(auxes):
+        mc = p_even_monte_carlo(aux, central, lam, kp, cutoff, values["trials"],
+                                substream(values["seed"], index))
+        rows.append((aux.kind, aux.parameter, p_even_analytic(aux), mc.p_even,
+                     mc.trials, mc.stderr))
     files = [write_table(
         outdir, "parity", values["format"],
         ("family", "parameter", "p_even_analytic", "p_even_mc", "mc_trials",

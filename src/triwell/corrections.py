@@ -19,8 +19,9 @@ the count distribution P(m) is exactly the auxiliary's initial number
 distribution, whatever the central state: number state n gives success
 probability 0 or 1, a coherent state of mean nb gives (1 + exp(-2 nb))/2,
 and squeezed vacuum (even-only support) gives exactly 1.
-``parity_operation`` applies that exact structure; ``parity_collision``
-simulates the joint two-species evolution and is kept as its oracle.
+``parity_count_distribution`` and ``parity_flip`` give that exact structure;
+``parity_collision`` simulates the joint two-species evolution and is kept as
+their oracle.
 
 Virtual displacement
 --------------------
@@ -56,7 +57,6 @@ from .fock import (
     apply_mode_phases,
     displace,
     number_distribution,
-    pad_cutoff,
     prepare_coherent,
     prepare_number,
     prepare_squeezed_vacuum,
@@ -166,25 +166,6 @@ def sample_counts(cdf: np.ndarray, u):
 def parity_flip(central: StateVector) -> StateVector:
     """|n> -> (-1)^n |n>, the collision's action for an even count: |b> -> |-b>."""
     return apply_mode_phases(central, 0, (-1.0) ** np.arange(central.dim))
-
-
-def parity_operation(central: StateVector, aux: AuxiliaryPrep,
-                     lam: CrossSpeciesParams, kp: KerrParams, cutoff: FockCutoff,
-                     rng: np.random.Generator):
-    """Collide, count the auxiliary, and condition the central mode.
-
-    Returns ``(m, conditional, success)`` with ``success`` iff m is even; on
-    success the conditional state is the parity-flipped input. On failure the
-    run is to be repeated on a fresh pre-collision copy (the odd-m conditional,
-    which is the input itself, is returned for inspection but discarded by the
-    protocol). The conditional lives on the basis of the count distribution.
-    """
-    marginal = parity_count_distribution(central, aux, lam, kp, cutoff)
-    m = int(sample_counts(np.cumsum(marginal), rng.random()))
-    conditional = pad_cutoff(central, _work_cutoff(central, cutoff))
-    if m % 2 == 0:
-        conditional = parity_flip(conditional)
-    return m, conditional, m % 2 == 0
 
 
 def p_even_analytic(aux: AuxiliaryPrep) -> float:

@@ -61,7 +61,6 @@ from .fock import (
     mean_occupation,
     expect_exchange,
     prepare_coherent,
-    prepare_number,
     project_onto_vector,
     tensor,
 )
@@ -264,11 +263,7 @@ class _PreparedIdeal:
     def posterior(self, outcome: int) -> StateVector:
         """Conditional state of the unmeasured modes after ``outcome``."""
         vec = self.disc.w1 if outcome else self.disc.w0
-        state = self.state
-        if state.modes == 1:
-            amp = complex(np.vdot(vec, state.amplitudes))
-            return StateVector(1, state.cutoff, vec * (amp / abs(amp)))
-        return project_onto_vector(state, self.mode, vec)[1]
+        return project_onto_vector(self.state, self.mode, vec)[1]
 
     def draw(self, u_select: np.ndarray, u_tie: np.ndarray) -> tuple:
         """(outcome, bit) arrays for the uniform pairs; here the outcome is the bit."""
@@ -353,14 +348,8 @@ class _PreparedHomodyne:
         return float(p_plus), float(1 - p_plus)
 
     def posterior(self, outcome: int) -> StateVector:
-        """Conditional state of the unmeasured modes after count ``outcome``.
-
-        A single-mode signal is consumed by the counting; its posterior is
-        the signal-well count state.
-        """
+        """Conditional state of the unmeasured modes after count ``outcome``."""
         state = self.state
-        if state.modes == 1:
-            return prepare_number(outcome // state.dim, state.cutoff)
         conditional = (self.disc.columns[outcome] @ self.view) / math.sqrt(
             self.probs[outcome]
         )
@@ -375,31 +364,3 @@ class _PreparedHomodyne:
         value = self.disc.values[outcome]
         bit = np.where(value == 0, u_tie < 0.5, value < 0).astype(np.int64)
         return outcome, bit
-
-
-def phase_bit(signal: StateVector, axis_phase: float, backend: str,
-              rng: np.random.Generator, amplitude: float | None = None,
-              config: HomodyneBackendConfig | None = None):
-    """Distinguish |a> from |-a| along ``axis_phase`` on a single-mode signal.
-
-    Returns ``(bit, posterior)``: bit 0 for the branch aligned with the axis,
-    1 for the opposite one. When ``amplitude`` is omitted the branch
-    magnitude is inferred from sqrt(<n>) of the signal.
-    """
-    if signal.modes != 1:
-        raise ShapeMismatch("phase_bit expects a single-mode signal")
-    magnitude = abs(amplitude) if amplitude is not None else math.sqrt(
-        max(mean_occupation(signal, 0), 0.0)
-    )
-    _pair_overlap_guard(magnitude)
-    if backend == "ideal":
-        axis_amplitude = magnitude * cmath.exp(1j * axis_phase)
-        disc = IdealPhaseDiscriminator(axis_amplitude, signal.cutoff)
-    elif backend == "homodyne":
-        disc = HomodynePhaseDiscriminator(axis_phase, signal.cutoff,
-                                          config or HomodyneBackendConfig())
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    prepared = disc.prepare(signal, 0)
-    (outcome,), (bit,) = prepared.draw(*rng.random((2, 1)))  # (u_select, u_tie)
-    return int(bit), prepared.posterior(int(outcome))

@@ -1,9 +1,7 @@
 """Reproducible random streams.
 
 All sampling in the package goes through counter-based Philox streams, so a
-run is a pure function of its seed: stream ``(seed, i, j)`` yields the same
-numbers whether the work items are executed serially or dispatched to a
-worker pool in any order.
+run is a pure function of its seed.
 """
 
 from __future__ import annotations
@@ -17,7 +15,10 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator for a (seed, path) pair.
 
     ``path`` may hold up to three non-negative indices (e.g. grid point and
-    trial number). Distinct paths give statistically independent streams.
+    trial number). Distinct paths are not independent: the path fills the
+    Philox counter words, and word 0 is the one the generator increments, so
+    uniforms 5..8 of ``substream(s, i)`` are uniforms 1..4 of
+    ``substream(s, i + 1)`` (ROADMAP item 1).
     """
     if len(path) > 3:
         raise ValueError("substream path supports at most 3 indices")

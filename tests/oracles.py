@@ -1,0 +1,26 @@
+"""Reference implementations the tests compare the package against."""
+
+import numpy as np
+
+from triwell import AuxiliaryPrep, CrossSpeciesParams, FockCutoff, KerrParams, StateVector
+from triwell.corrections import parity_count_distribution, parity_flip, sample_counts
+from triwell.fock import pad_cutoff
+
+
+def parity_operation(central: StateVector, aux: AuxiliaryPrep,
+                     lam: CrossSpeciesParams, kp: KerrParams, cutoff: FockCutoff,
+                     rng: np.random.Generator):
+    """Collide, count the auxiliary, and condition the central mode.
+
+    Returns ``(m, conditional, success)`` with ``success`` iff m is even; on
+    success the conditional state is the parity-flipped input. On failure the
+    run is to be repeated on a fresh pre-collision copy (the odd-m conditional,
+    which is the input itself, is returned for inspection but discarded by the
+    protocol). The conditional lives on the basis of the count distribution.
+    """
+    marginal = parity_count_distribution(central, aux, lam, kp, cutoff)
+    m = int(sample_counts(np.cumsum(marginal), rng.random()))
+    conditional = pad_cutoff(central, FockCutoff(len(marginal) - 1))
+    if m % 2 == 0:
+        conditional = parity_flip(conditional)
+    return m, conditional, m % 2 == 0

@@ -125,6 +125,26 @@ class TestSweeps:
         assert run(args + ["--out", parallel, "--jobs", "2"]) == 0
         assert read_files(serial) == read_files(parallel)
 
+    def test_parity_sweep_never_starts_a_pool(self, tmp_path, monkeypatch):
+        args = ["parity-sweep", "--family", "coherent", "--points", "5",
+                "--trials", "2000", "--cutoff", "34"]
+        serial = tmp_path / "s"
+        assert run(args + ["--out", serial, "--jobs", "1"]) == 0
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("parity-sweep started a process pool")
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", refuse)
+        jobs = tmp_path / "j"
+        assert run(args + ["--out", jobs, "--jobs", "2"]) == 0
+        assert read_files(serial) == read_files(jobs)
+
+    def test_parity_sweep_leaky_central_state_is_exit_4(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run(["parity-sweep", "--beta", "9", "--cutoff", "20", "--out", out]) == 4
+        assert "numeric failure" in capsys.readouterr().err
+        assert not (out / "parity.csv").exists()
+
     @pytest.mark.parametrize("subcommand", ["parity-sweep", "efficiency-sweep"])
     def test_jobs_below_one_is_exit_2_before_any_work(self, tmp_path, subcommand):
         out = tmp_path / "never"

@@ -19,7 +19,6 @@ from triwell import (
     p_even_curve,
     p_even_monte_carlo,
     parity_count_distribution,
-    parity_operation,
     prepare_cat_superposition,
     prepare_coherent,
     substream,
@@ -31,6 +30,8 @@ from triwell.corrections import (
     displacement_offset,
 )
 from triwell.fock import StateVector, coherent_amplitudes
+
+from oracles import parity_operation
 
 KAPPA = 1.0
 LAM = CrossSpeciesParams(KAPPA / 2)
@@ -82,11 +83,11 @@ class TestParity:
         cutoff = FockCutoff(20)
         central = cat(1.0, 1.0, 1.5j, cutoff)
         with pytest.raises(FrequencyConditionViolated):
-            parity_operation(central, AuxiliaryPrep("number", 0),
-                             CrossSpeciesParams(0.7), KP, cutoff, substream(0))
+            parity_count_distribution(central, AuxiliaryPrep("number", 0),
+                                      CrossSpeciesParams(0.7), KP, cutoff)
         with pytest.raises(FrequencyConditionViolated):
-            parity_operation(central, AuxiliaryPrep("number", 0), LAM,
-                             KerrParams(1.0, KAPPA), cutoff, substream(0))
+            parity_count_distribution(central, AuxiliaryPrep("number", 0), LAM,
+                                      KerrParams(1.0, KAPPA), cutoff)
 
     def test_monte_carlo_matches_closed_form(self):
         cutoff = FockCutoff(34)

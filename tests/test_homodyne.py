@@ -18,12 +18,12 @@ from triwell import (
     initial_schwinger,
     norm,
     perturbative_sx,
-    phase_bit,
     prepare_cat_superposition,
     prepare_coherent,
     prepare_number,
     simulate_sx,
     substream,
+    tensor,
 )
 from triwell.fock import quadrature_expectation
 from triwell.homodyne import (
@@ -191,11 +191,12 @@ class TestPhaseBit:
 
     def test_ideal_bit_on_pure_branches(self):
         cutoff = FockCutoff(28)
+        disc = IdealPhaseDiscriminator(2.0, cutoff)
+        draws = substream(5).random((64, 2))
         for sign, want in ((1.0, 0), (-1.0, 1)):
             signal = prepare_coherent(CoherentSpec(sign * 2.0), cutoff)
-            bits = [phase_bit(signal, 0.0, "ideal", substream(5, i))[0]
-                    for i in range(64)]
-            assert np.mean([b == want for b in bits]) == 1.0
+            _, bits = disc.prepare(signal, 0).draw(draws[:, 0], draws[:, 1])
+            assert (bits == want).all()
 
     def test_helstrom_vectors_orthonormal(self):
         w0, w1 = helstrom_vectors(1.5, FockCutoff(24))
@@ -214,8 +215,6 @@ class TestPhaseBit:
         draws = substream(7).random((200, 2))
         _, bits = prepared.draw(draws[:, 0], draws[:, 1])
         assert np.mean(bits) >= 0.98
-        # phase_bit reads the same first pair of uniforms
-        assert phase_bit(minus, 0.0, "homodyne", substream(7))[0] == bits[0]
 
     def test_homodyne_sign_fidelity_with_collisions(self):
         # |g| = 1.5, eps*N <= 0.02: sampled sign matches the branch >= 99%
@@ -266,27 +265,36 @@ class TestPhaseBit:
         assert (bit[tied] == (draws[tied, 1] < 0.5)).all()
 
     def test_posterior_is_count_state(self):
+        # counting the signal leaves an untouched count-state mode as it was
         cutoff = FockCutoff(52)
         signal = prepare_coherent(CoherentSpec(1.5), cutoff)
-        bit, posterior = phase_bit(signal, 0.0, "homodyne", substream(3, 1))
+        disc = HomodynePhaseDiscriminator(0.0, cutoff, HomodyneBackendConfig())
+        prepared = disc.prepare(tensor(signal, prepare_number(3, cutoff)), 0)
+        (outcome,), (bit,) = prepared.draw(*substream(3, 1).random((2, 1)))
         assert bit == 0
-        assert np.count_nonzero(posterior.amplitudes) == 1  # collapsed to a count
+        posterior = prepared.posterior(int(outcome))
+        assert posterior.modes == 1
+        assert np.flatnonzero(posterior.amplitudes).tolist() == [3]
+        assert abs(posterior.amplitudes[3]) == pytest.approx(1.0, abs=1e-10)
 
     def test_ambiguous_support(self):
-        cutoff = FockCutoff(12)
-        vac = prepare_number(0, cutoff)
         with pytest.raises(AmbiguousSupport):
-            phase_bit(vac, 0.0, "ideal", substream(1))
+            IdealPhaseDiscriminator(0.0, FockCutoff(12))
 
     def test_support_leftover_guard(self):
         # a number state far from the +-2 pair is rejected by the ideal backend
         cutoff = FockCutoff(28)
         stray = prepare_number(9, cutoff)
         with pytest.raises(AmbiguousSupport):
-            phase_bit(stray, 0.0, "ideal", substream(2), amplitude=2.0)
+            IdealPhaseDiscriminator(2.0, cutoff).prepare(stray, 0)
 
     def test_posterior_norm(self):
         cutoff = FockCutoff(30)
         cat = prepare_cat_superposition(SuperpositionSpec(1.0, 1.0, 2.0), cutoff)
-        _, posterior = phase_bit(cat, 0.0, "ideal", substream(9))
-        assert norm(posterior) == pytest.approx(1.0, abs=1e-10)
+        other = prepare_coherent(CoherentSpec(1.0j), cutoff)
+        prepared = IdealPhaseDiscriminator(2.0, cutoff).prepare(tensor(cat, other), 0)
+        for outcome in (0, 1):
+            posterior = prepared.posterior(outcome)
+            assert norm(posterior) == pytest.approx(1.0, abs=1e-10)
+            assert abs(np.vdot(other.amplitudes, posterior.amplitudes)) == pytest.approx(
+                1.0, abs=1e-10)

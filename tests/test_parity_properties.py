@@ -4,8 +4,8 @@
 two-species collision. For random central states and every auxiliary kind,
 its count marginal must be the auxiliary's own distribution, and its
 conditional central state for each count m must be the input times the sign
-(-1)^((m+1) n) -- what ``parity_count_distribution`` and
-``parity_operation`` use.
+(-1)^((m+1) n) -- what ``parity_count_distribution`` and the
+``oracles.parity_operation`` reference use.
 """
 
 import numpy as np
@@ -20,11 +20,12 @@ from triwell import (
     StateVector,
     number_distribution,
     parity_count_distribution,
-    parity_operation,
     project_number,
     substream,
 )
 from triwell.corrections import parity_collision, parity_flip
+
+from oracles import parity_operation
 
 CUTOFF = FockCutoff(16)
 LAM = CrossSpeciesParams(0.5)

@@ -19,7 +19,6 @@ from triwell import (
     correct_and_score,
     fidelity,
     oracle_evolve,
-    parity_operation,
     prepare_cat_superposition,
     reference_state,
     run_protocol,
@@ -29,6 +28,8 @@ from triwell import (
 )
 from triwell.fock import StateVector, coherent_amplitudes
 from triwell.protocol import CORRECTIONS_FOR_BRANCH, BellMeasurement
+
+from oracles import parity_operation
 
 
 def four_branch_state(a_w, b_w, gamma, alpha, beta, cutoff):
