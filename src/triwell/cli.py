@@ -277,11 +277,8 @@ def cmd_channel(values: dict, outdir: Path) -> list:
     state = generate_channel(alpha, beta, kp, cutoff)
     gram = channel_family_overlaps(alpha, beta, kp, cutoff)
     files = [write_json(outdir / "channel_state.json", state_to_dict(state))]
-    rows = [
-        (row, col, float(gram[row, col].real), float(gram[row, col].imag),
-         float(abs(gram[row, col])))
-        for row in range(4) for col in range(4)
-    ]
+    rows = [(*divmod(cell, 4), z.real, z.imag, abs(z))
+            for cell, z in enumerate(gram.ravel().tolist())]
     files.append(write_table(
         outdir, "gram", values["format"],
         ("j_row", "j_col", "re", "im", "magnitude"), rows,
@@ -315,11 +312,8 @@ def cmd_teleport(values: dict, outdir: Path) -> tuple:
             reference_magnitude=values["reference-magnitude"],
         )
     result = run_protocol(config)
-    rows = [
-        (i, rec.outcome.branch, rec.corrected, rec.fidelity, rec.outcome.aux_m,
-         rec.p_d_success)
-        for i, rec in enumerate(result.records)
-    ]
+    names = ("branch", "corrected", "fidelity", "aux_m", "p_d_success")
+    rows = list(zip(range(config.trials), *(result.columns[name].tolist() for name in names)))
     files = [write_table(
         outdir, "trials", values["format"],
         ("trial", "branch", "corrected", "fidelity", "aux_m", "p_d_draw"), rows,
@@ -417,12 +411,10 @@ def cmd_lattice_map(values: dict, outdir: Path) -> list:
         params = LatticeParams(values["u1"], values["theta-min"], values["k-l"],
                                values["b-parallel"], values["b-perp"], values["gyro"])
     grid = density_map(params, thetas, z_primes)
-    rows = []
-    for row, theta in enumerate(thetas):
-        for col, zp in enumerate(z_primes):
-            lower = float(grid.band_lower[row, col])
-            upper = float(grid.band_upper[row, col])
-            rows.append((float(theta), float(zp), lower, upper, upper - lower))
+    # theta-major rows, as Python floats so every cell formats by repr
+    columns = (*np.meshgrid(thetas, z_primes, indexing="ij"), grid.band_lower,
+               grid.band_upper, grid.band_upper - grid.band_lower)
+    rows = list(zip(*(column.ravel().tolist() for column in columns)))
     files = [write_table(
         outdir, "lattice_map", values["format"],
         ("theta", "z_prime", "band_lower", "band_upper", "gap"), rows,

@@ -31,14 +31,15 @@ Scoring: the receiver's correction depends only on the two bits and the
 auxiliary count, and the parity collision acts on mode 3 as an exact sign.
 So a run draws every trial at once, preparing the second Bell stage once per
 distinct first-stage outcome, and scores each distinct (stage outcomes,
-displaced, flipped) combination once.
+displaced, flipped) combination once. Trials stay named columns from the draw
+to the summary; ``ProtocolResult.records`` builds per-trial objects when read.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -141,10 +142,42 @@ class TrialRecord:
     p_d_success: bool | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProtocolResult:
-    records: list
-    summary: dict
+    """A run's trials as columns, one entry per trial: ``stage1``, ``stage2``
+    (raw outcome indices), ``branch``, ``p_d_success`` and ``aux_m`` (None where
+    the branch needs no such correction), ``corrected`` and ``fidelity``."""
+
+    columns: dict
+
+    def __eq__(self, other):
+        return (isinstance(other, ProtocolResult) and self.columns.keys() == other.columns.keys()
+                and all(np.array_equal(col, other.columns[name])
+                        for name, col in self.columns.items()))
+
+    @cached_property
+    def summary(self) -> dict:
+        """Branch histogram, success rate (all required corrections
+        succeeded), and the mean fidelity over the corrected trials."""
+        branch = self.columns["branch"]
+        fidelities = self.columns["fidelity"][self.columns["corrected"]]
+        return {
+            "trials": len(branch),
+            "branch_histogram": np.bincount(branch, minlength=4).tolist(),
+            "success_rate": len(fidelities) / len(branch),
+            "mean_fidelity": float(np.mean(fidelities)) if len(fidelities) else None,
+        }
+
+    @cached_property
+    def records(self) -> list:
+        """One ``TrialRecord`` per trial, built on first access."""
+        cols = [self.columns[name].tolist() for name in
+                ("stage1", "stage2", "branch", "aux_m", "corrected", "fidelity", "p_d_success")]
+        return [
+            TrialRecord(MeasurementOutcome(b >> 1, b & 1, b, (o1, o2), m), ok, score,
+                        ("displacement",) * bool(p_d) + ("parity",) * (m is not None), p_d)
+            for o1, o2, b, m, ok, score, p_d in zip(*cols)
+        ]
 
 
 def build_protocol_state(config: ProtocolConfig) -> StateVector:
@@ -256,21 +289,23 @@ class _Receiver:
             mode3 = parity_flip(mode3)
         return fidelity(mode3, self.reference)
 
-    def draw_and_score(self, first, second, branch, u, mode3) -> tuple:
+    def draw_and_score(self, first, second, branch, u, mode3) -> dict:
         """Draw each row's corrections from its two uniforms ``u`` and score it.
 
-        p_d success reads the first uniform; the auxiliary count reads the
-        first, or the second after a displacement draw. ``mode3(first,
-        second)`` is called once per distinct (stage outcomes, displaced,
-        flipped) row. Returns (p_d_success, aux_m, fidelity) lists, None
-        where the branch needs no such correction.
+        Displacement success is a Bernoulli(p_d) draw on the first uniform
+        (hardware mastering); parity success is the auxiliary count, read from
+        the first uniform or from the second after a displacement draw, being
+        even. A row is corrected when every drawn correction succeeded; either
+        way its fidelity is scored against the normalized A|b> + B|-b>
+        reference, modulo global phase. ``mode3(first, second)`` is called once
+        per distinct (stage outcomes, displaced, flipped) row. Returns the
+        run's columns.
         """
         displacing, parity = _NEEDS[branch].T
         success = (u[:, 0] < self.config.p_d) & self.can_displace
-        aux_m = np.full(len(branch), -1)
-        if parity.any():
-            counts = sample_counts(self.count_cdf, np.where(displacing, u[:, 1], u[:, 0]))
-            aux_m[parity] = counts[parity]
+        aux_m = np.zeros(len(branch), int)
+        if parity.any():  # the count CDF (and its conditions) only when needed
+            aux_m = sample_counts(self.count_cdf, np.where(displacing, u[:, 1], u[:, 0]))
         # one integer key per row for (first, second, displaced, flipped)
         width = int(second.max()) + 1
         flipped = parity & (aux_m % 2 == 0)
@@ -278,61 +313,31 @@ class _Receiver:
         table, inverse = np.unique(keys, return_inverse=True)
         scores = np.array([self.score(mode3(*divmod(key >> 2, width)), key & 2, key & 1)
                            for key in table.tolist()])
-        p_d_success = [s if d else None for d, s in zip(displacing.tolist(), success.tolist())]
-        return (p_d_success, [m if m >= 0 else None for m in aux_m.tolist()],
-                scores[inverse].tolist())
-
-
-def _record(outcome: MeasurementOutcome, score: float, p_d_success) -> TrialRecord:
-    """Trial record; a trial is corrected when every drawn correction succeeded."""
-    parity = outcome.aux_m is not None
-    applied = ("displacement",) * bool(p_d_success) + ("parity",) * parity
-    corrected = p_d_success is not False and (not parity or outcome.aux_m % 2 == 0)
-    return TrialRecord(outcome, corrected, score, applied, p_d_success)
+        return {
+            "stage1": first, "stage2": second, "branch": branch,
+            "p_d_success": np.where(displacing, success, None),
+            "aux_m": np.where(parity, aux_m, None),
+            "corrected": (success | ~displacing) & (flipped | ~parity),
+            "fidelity": scores[inverse],
+        }
 
 
 def correct_and_score(mode3: StateVector, outcome: MeasurementOutcome,
                       config: ProtocolConfig, rng: np.random.Generator) -> TrialRecord:
-    """Apply the branch's corrections to mode 3 and score the result.
-
-    Displacement success is an exogenous Bernoulli(p_d) draw (hardware
-    mastering); parity success is the sampled auxiliary count being even.
-    The fidelity of whatever state results is recorded for every trial,
-    corrected or not, against the normalized A|b> + B|-b> reference, modulo
-    global phase.
-    """
+    """One trial of ``_Receiver.draw_and_score``: the branch's corrections
+    applied to ``mode3`` and scored, keeping ``outcome``'s stage outcomes."""
     if outcome.branch not in CORRECTIONS_FOR_BRANCH:
         raise ValueError(f"branch {outcome.branch} outside 0..3")
-    zero = np.zeros(1, int)  # one row: its stage outcomes only key the score table
-    (p_d_success,), (aux_m,), (score,) = _Receiver(config).draw_and_score(
-        zero, zero, np.array([outcome.branch]), rng.random((1, 2)), lambda *_: mode3)
-    if aux_m is not None:
-        outcome = replace(outcome, aux_m=aux_m)
-    return _record(outcome, score, p_d_success)
+    first, second = (np.array([index]) for index in outcome.raw)
+    columns = _Receiver(config).draw_and_score(first, second, np.array([outcome.branch]),
+                                               rng.random((1, 2)), lambda *_: mode3)
+    return ProtocolResult(columns).records[0]
 
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
-    """Run ``config.trials`` seeded trials; deterministic given the seed.
-
-    Summary: branch histogram, success rate (all required corrections
-    succeeded), and the mean fidelity over the corrected trials.
-    """
+    """Run ``config.trials`` seeded trials; deterministic given the seed."""
     bell = BellMeasurement(build_protocol_state(config), config)
     u = substream(config.seed).random(4 * config.trials + 2)
     rows = np.lib.stride_tricks.sliding_window_view(u, 6)[::4]  # trial i: u[4i:4i+6]
-    first, second, branch = bell.draw(rows[:, :4])
-    p_d_success, aux_m, scores = _Receiver(config).draw_and_score(
-        first, second, branch, rows[:, 4:], bell.posterior)
-    records = [
-        _record(MeasurementOutcome(b >> 1, b & 1, b, (o1, o2), m), score, p_d)
-        for o1, o2, b, m, score, p_d in zip(first.tolist(), second.tolist(), branch.tolist(),
-                                           aux_m, scores, p_d_success)
-    ]
-    corrected = [rec.fidelity for rec in records if rec.corrected]
-    summary = {
-        "trials": config.trials,
-        "branch_histogram": np.bincount(branch, minlength=4).tolist(),
-        "success_rate": len(corrected) / config.trials,
-        "mean_fidelity": float(np.mean(corrected)) if corrected else None,
-    }
-    return ProtocolResult(records, summary)
+    return ProtocolResult(_Receiver(config).draw_and_score(
+        *bell.draw(rows[:, :4]), rows[:, 4:], bell.posterior))

@@ -1,8 +1,11 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from triwell import LatticeParams, density_map
 from triwell.cli import main
 
 
@@ -174,6 +177,24 @@ class TestSweeps:
                         csv_rows(without_field / "lattice_map.csv")]
         assert min(gaps_with) > 0
         assert min(gaps_without) < 1e-12
+
+    def test_lattice_map_rows_are_theta_major(self, tmp_path):
+        out = tmp_path / "lm"
+        assert run(["lattice-map", "--theta-points", "7", "--zprime-points", "11",
+                    "--out", out]) == 0
+        thetas = np.linspace(math.pi / 2, 5 * math.pi / 2, 7)
+        z_primes = np.linspace(0.0, 4 * math.pi, 11)
+        grid = density_map(LatticeParams(1.0, math.pi / 2, 1.0, 0.0, 0.1, 1.0),
+                           thetas, z_primes)
+        rows = csv_rows(out / "lattice_map.csv")
+        assert len(rows) == 7 * 11
+        for index, row in enumerate(rows):
+            i, j = divmod(index, 11)
+            assert float(row["theta"]) == thetas[i]
+            assert float(row["z_prime"]) == z_primes[j]
+            assert float(row["band_lower"]) == grid.band_lower[i, j]
+            assert float(row["band_upper"]) == grid.band_upper[i, j]
+            assert float(row["gap"]) == grid.band_upper[i, j] - grid.band_lower[i, j]
 
     def test_lattice_map_parallel_equals_serial(self, tmp_path):
         args = ["lattice-map", "--theta-points", "7", "--zprime-points", "11"]

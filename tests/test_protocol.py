@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from triwell import (
     HamiltonianTerm,
     JosephsonParams,
     KerrParams,
+    MeasurementOutcome,
     ProtocolConfig,
     SuperpositionSpec,
     build_protocol_state,
@@ -26,6 +28,8 @@ from triwell import (
     tensor,
     virtual_displacement,
 )
+import triwell.protocol
+from triwell.cli import main
 from triwell.fock import StateVector, coherent_amplitudes
 from triwell.protocol import CORRECTIONS_FOR_BRANCH, BellMeasurement
 
@@ -62,6 +66,19 @@ def branch_state(branch, a_w, b_w, beta, cutoff):
     }
     amps = forms[branch]
     return StateVector(1, cutoff, amps / np.linalg.norm(amps))
+
+
+def assert_python_types(rec):
+    """Every field of a trial record holds a plain Python value, never a numpy scalar."""
+    assert type(rec.corrected) is bool
+    assert type(rec.fidelity) is float
+    assert type(rec.p_d_success) in (bool, type(None))
+    assert type(rec.outcome.aux_m) in (int, type(None))
+    assert type(rec.corrections_applied) is tuple
+    assert type(rec.outcome.raw) is tuple and len(rec.outcome.raw) == 2
+    assert all(type(value) is int for value in
+               (*rec.outcome.raw, rec.outcome.bit_target, rec.outcome.bit_mode2,
+                rec.outcome.branch))
 
 
 def make_config(**overrides):
@@ -264,6 +281,29 @@ class TestCorrectAndScore:
         for branch, rec in records.items():
             assert rec.corrections_applied == CORRECTIONS_FOR_BRANCH[branch]
 
+    @pytest.mark.parametrize("backend, cutoff", [("ideal", 26), ("homodyne", 32)])
+    def test_keeps_the_callers_outcome_and_sets_aux_m(self, backend, cutoff):
+        config = make_config(
+            target=SuperpositionSpec(0.6, 0.8, 2.0), cutoff=FockCutoff(cutoff),
+            measurement_backend=backend, p_d=0.7, aux=AuxiliaryPrep("coherent", 2.0),
+        )
+        bell = BellMeasurement(build_protocol_state(config), config)
+        for trial in range(40):
+            rng = substream(3, trial)
+            outcome, mode3 = bell.sample(rng)
+            rec = correct_and_score(mode3, outcome, config, rng)
+            assert rec.outcome == dataclasses.replace(outcome, aux_m=rec.outcome.aux_m)
+            assert (rec.outcome.aux_m is None) == (outcome.branch < 2)
+            assert_python_types(rec)
+
+    def test_keeps_raw_outcomes_it_did_not_draw(self):
+        config = make_config(aux=AuxiliaryPrep("number", 0))
+        mode3 = reference_state(config)
+        outcome = MeasurementOutcome(1, 0, 2, (5, 7))
+        rec = correct_and_score(mode3, outcome, config, substream(4))
+        assert rec.outcome == MeasurementOutcome(1, 0, 2, (5, 7), aux_m=0)
+        assert rec.corrections_applied == ("parity",) and rec.corrected
+
     def test_p_d_zero_never_corrects_displacement_branches(self):
         config = make_config(p_d=0.0, trials=300)
         result = run_protocol(config)
@@ -318,6 +358,7 @@ class TestRunProtocol:
             assert rec.p_d_success == p_d_success
             assert rec.corrected == corrected
             assert rec.fidelity == pytest.approx(fidelity(state, reference), abs=1e-12)
+            assert_python_types(rec)
             seen.add((outcome.branch, p_d_success, None if aux_m is None else aux_m % 2))
         # every branch, and both outcomes of each correction, occurred
         assert {key[0] for key in seen} == {0, 1, 2, 3}
@@ -330,6 +371,22 @@ class TestRunProtocol:
         second = run_protocol(config)
         assert first.records == second.records
         assert first.summary == second.summary
+
+    def test_equal_configs_give_equal_results(self):
+        config = make_config(trials=64, p_d=0.6, aux=AuxiliaryPrep("coherent", 2.0))
+        assert run_protocol(config) == run_protocol(config)
+        assert run_protocol(config) != run_protocol(dataclasses.replace(config, seed=1))
+
+    def test_run_and_cli_build_no_trial_objects(self, monkeypatch, tmp_path):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("per-trial object built")
+
+        monkeypatch.setattr(triwell.protocol, "TrialRecord", forbidden)
+        monkeypatch.setattr(triwell.protocol, "MeasurementOutcome", forbidden)
+        config = make_config(trials=200, p_d=0.7, aux=AuxiliaryPrep("coherent", 2.0))
+        assert run_protocol(config).summary["trials"] == 200
+        assert main(["teleport", "--trials", "200", "--p-d", "0.7", "--aux-kind", "coherent",
+                     "--aux-parameter", "2", "--out", str(tmp_path / "tp")]) == 0
 
     def test_success_rate_tracks_total_efficiency(self):
         trials = 4000
