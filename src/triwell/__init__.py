@@ -75,7 +75,6 @@ from .fock import (
     tensor,
 )
 from .homodyne import (
-    HomodyneBackendConfig,
     PerturbativeInit,
     QuadratureEstimate,
     SchwingerRecord,

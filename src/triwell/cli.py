@@ -380,6 +380,8 @@ def cmd_homodyne(values: dict, outdir: Path) -> list:
         kp = KerrParams(values["e0"], values["kappa"])
         beta = CoherentSpec(values["beta"])
         t_max = values["t-max"] if values["t-max"] is not None else math.pi / values["omega"]
+        if not t_max >= 0:
+            raise ValueError(f"t-max must be >= 0, got {t_max}")
         t_grid = _grid(0.0, t_max, values["steps"])
     signal = prepare_cat_superposition(SuperpositionSpec(1.0, 0.0, values["gamma"]), cutoff)
     records = simulate_sx(signal, beta, jp, kp, t_grid)

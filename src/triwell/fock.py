@@ -296,26 +296,6 @@ def project_number(state: StateVector, mode: int, outcome: int):
     return prob, conditional
 
 
-def project_onto_vector(state: StateVector, mode: int, vec: np.ndarray):
-    """Project ``mode`` onto the (unit) single-mode vector ``vec``.
-
-    Returns ``(probability, conditional)`` with the measured mode removed.
-    """
-    _check_mode(state, mode)
-    if state.modes < 2:
-        raise ShapeMismatch("projection needs at least two modes to leave a remainder")
-    if vec.shape != (state.dim,):
-        raise ShapeMismatch("projector vector has the wrong dimension")
-    reduced = np.tensordot(np.conj(vec), state.tensor_view(), axes=([0], [mode]))
-    prob = float(np.vdot(reduced, reduced).real)
-    if prob < 1e-14:
-        raise ZeroProbabilityBranch(f"projector on mode {mode} has probability {prob:.3e}")
-    conditional = StateVector(
-        state.modes - 1, state.cutoff, reduced.ravel() / math.sqrt(prob), state.leakage
-    )
-    return prob, conditional
-
-
 def mean_occupation(state: StateVector, mode: int) -> float:
     return float(number_distribution(state, mode) @ np.arange(state.dim))
 

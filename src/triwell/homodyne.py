@@ -22,20 +22,27 @@ above is literally true for the raw quantity.
 verbatim, including its non-Hermitian pieces; the imaginary part is
 reported rather than silently dropped, and validity requires eps*N <= 0.1.
 
-Phase discrimination (|a> vs |-a| along a known axis) comes in two
-backends. ``ideal`` projects onto the minimum-error pair of orthonormal
-vectors in span{|a>, |-a>}; ``homodyne`` couples the mode to a reference
-well, counts atoms in both wells (exact joint Born sampling, no Gaussian
-approximation), and thresholds the inferred quadrature at zero. Both
-backends consume a selector uniform through an inverse CDF whose outcome
-ordering puts "minus-like" results first, so runs with matched seeds stay
-aligned across backends, and a tie-breaker uniform read only on a zero
-quadrature value. A discriminator's one entry point is ``prepare(state,
-mode)``: the prepared distribution gives the exact bit probabilities, array
-draws ``draw(u_select, u_tie) -> (outcome, bit)``, and the conditional state
-of an outcome index on request. The index is the bit (ideal) or the joint
-count ``m_c * dim + m_b`` (homodyne), whose probability and quadrature value
-are ``probs[outcome] / total`` and ``disc.values[outcome]``.
+Phase discrimination (|a> vs |-a> along a known axis) comes in two
+backends, both described by three arrays:
+
+- ``rows[o]`` maps the measured mode to the unnormalised conditional state
+  of the other modes after outcome ``o``;
+- ``values[o]`` is the outcome's quadrature value: bit 1 when negative, 0
+  when positive, and a tie at zero;
+- ``order`` is the inverse-CDF order of the outcomes, "minus-like" results
+  first, so runs with matched seeds stay aligned across backends.
+
+``ideal`` has the rows conj(w0), conj(w1) of the minimum-error orthonormal
+pair in span{|a>, |-a>}, values (+1, -1) and order (1, 0). ``homodyne``
+couples the mode to a reference well for a quarter tunnelling period and
+counts atoms in both wells (exact joint Born sampling, no Gaussian
+approximation): outcome ``m_c * dim + m_b`` has its row of the pair
+propagator and the value (m_c - m_b) / (2 |r|), ordered by value and ties by
+count. A discriminator's one entry point is ``prepare(state, mode)``. The
+prepared distribution holds ``probs[o] = |rows[o] . state|^2`` and their CDF
+along ``order``; it gives the exact bit probabilities, array draws
+``draw(u_select, u_tie) -> (outcome, bit)`` that read the tie-breaker only
+on a zero value, and ``posterior(o)`` on request.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from .dynamics import (
     evolve_josephson,
     josephson_collision_columns,
 )
-from .errors import AmbiguousSupport, ShapeMismatch, ValidityDomainExceeded
+from .errors import AmbiguousSupport, ShapeMismatch, ValidityDomainExceeded, ZeroProbabilityBranch
 from .fock import (
     CoherentSpec,
     FockCutoff,
@@ -61,7 +68,6 @@ from .fock import (
     mean_occupation,
     expect_exchange,
     prepare_coherent,
-    project_onto_vector,
     tensor,
 )
 
@@ -105,27 +111,13 @@ class QuadratureEstimate:
     reference_magnitude: float
 
 
-@dataclass(frozen=True)
-class HomodyneBackendConfig:
-    """Reference-well parameters for the atom-counting backend."""
-
-    reference_magnitude: float = 4.0
-    omega: float = 1.0
-    kappa: float = 0.0
-    e0_over_hbar: float = 0.0
-
-    def josephson(self) -> JosephsonParams:
-        return JosephsonParams(self.omega)
-
-    def kerr(self) -> KerrParams:
-        return KerrParams(self.e0_over_hbar, self.kappa)
-
-
 def _pair_schwinger(joint: StateVector, t: float) -> SchwingerRecord:
     n_c = mean_occupation(joint, 0)
     n_b = mean_occupation(joint, 1)
     exchange = expect_exchange(joint, 0, 1)
     total = n_c + n_b
+    if not total > 0:
+        raise ValidityDomainExceeded("pseudo-spin undefined for an empty pair: <n_c + n_b> = 0")
     return SchwingerRecord(
         t=t,
         sx=complex((n_c - n_b) / (2 * total)),
@@ -241,34 +233,73 @@ def helstrom_vectors(amplitude: complex, cutoff: FockCutoff):
     return w0, w1
 
 
-class _PreparedIdeal:
-    """Outcome distribution of one ideal discrimination, ready to draw from."""
+class _PreparedReadout:
+    """Outcome distribution of one discrimination, ready to draw from.
 
-    def __init__(self, disc: "IdealPhaseDiscriminator", state: StateVector, mode: int):
+    Keeps only the measured-mode view and the outcome probabilities; the
+    conditional state of an outcome is built from its row when asked for,
+    so draws stay cheap.
+    """
+
+    def __init__(self, disc, state: StateVector, mode: int):
         self.disc = disc
         self.state = state
-        self.mode = mode
-        view = np.moveaxis(state.tensor_view(), mode, 0).reshape(state.dim, -1)
-        p0 = float(np.linalg.norm(np.conj(disc.w0) @ view) ** 2)
-        p1 = float(np.linalg.norm(np.conj(disc.w1) @ view) ** 2)
-        leftover = 1.0 - p0 - p1
-        if leftover > MAX_SUPPORT_LEFTOVER:
+        d = state.dim
+        self.view = np.moveaxis(state.tensor_view(), mode, 0).reshape(d, -1)
+        rows = disc.rows
+        # d outcome rows at a time: the whole (d*d, rest) homodyne product
+        # would be 45 MB at n_max 40 and is only ever summed
+        probs = np.empty(len(rows))
+        for start in range(0, len(rows), d):
+            block = np.abs(rows[start:start + d] @ self.view)
+            probs[start:start + d] = np.einsum("ij,ij->i", block, block)
+        self.probs = probs
+        self.total = probs.sum()
+        if 1.0 - self.total > MAX_SUPPORT_LEFTOVER:
             raise AmbiguousSupport(
-                f"probability {leftover:.3g} of the signal lies outside the "
-                "± coherent pair subspace"
+                f"probability {1.0 - self.total:.3g} of the signal lies outside "
+                "the span of the readout rows"
             )
-        p_minus = p1 / (p0 + p1)
-        self.bit_probabilities = (1 - p_minus, p_minus)  # exact, as drawn
+        self.cdf = np.cumsum(probs[disc.order]) / self.total
+
+    @property
+    def bit_probabilities(self):
+        """Exact (P(bit=0), P(bit=1)) with ties split evenly."""
+        probs, values = self.probs / self.total, self.disc.values
+        p_plus = probs[values > 0].sum() + probs[values == 0].sum() / 2
+        return float(p_plus), float(1 - p_plus)
 
     def posterior(self, outcome: int) -> StateVector:
         """Conditional state of the unmeasured modes after ``outcome``."""
-        vec = self.disc.w1 if outcome else self.disc.w0
-        return project_onto_vector(self.state, self.mode, vec)[1]
+        state, prob = self.state, self.probs[outcome]
+        if prob < 1e-14:
+            raise ZeroProbabilityBranch(f"readout outcome {outcome} has probability {prob:.3e}")
+        conditional = self.disc.rows[outcome] @ self.view / math.sqrt(prob)
+        return StateVector(state.modes - 1, state.cutoff, conditional, state.leakage)
 
     def draw(self, u_select: np.ndarray, u_tie: np.ndarray) -> tuple:
-        """(outcome, bit) arrays for the uniform pairs; here the outcome is the bit."""
-        bit = (u_select < self.bit_probabilities[1]).astype(np.int64)
+        """(outcome, bit) arrays for the uniform pairs: bit 1 for a negative
+        value, 0 for a positive one, and for a zero value 1 iff ``u_tie`` < 0.5."""
+        order = self.disc.order
+        k = np.searchsorted(self.cdf, u_select, side="right")
+        outcome = order[np.minimum(k, len(order) - 1)]
+        value = self.disc.values[outcome]
+        bit = np.where(value == 0, u_tie < 0.5, value < 0).astype(np.int64)
+        return outcome, bit
+
+
+class _PreparedIdeal(_PreparedReadout):
+    """Outcome distribution of one ideal discrimination."""
+
+    def draw(self, u_select: np.ndarray, u_tie: np.ndarray) -> tuple:
+        """The generic draw for two tie-free outcomes as one comparison:
+        outcome 1 (bit 1) below ``cdf[0]``. The outcome is the bit."""
+        bit = (u_select < self.cdf[0]).astype(np.int64)
         return bit, bit
+
+
+class _PreparedHomodyne(_PreparedReadout):
+    """Outcome distribution of one atom-counting readout."""
 
 
 class IdealPhaseDiscriminator:
@@ -278,6 +309,9 @@ class IdealPhaseDiscriminator:
         self.amplitude = amplitude
         self.cutoff = cutoff
         self.w0, self.w1 = helstrom_vectors(amplitude, cutoff)
+        self.rows = np.conj([self.w0, self.w1])
+        self.values = np.array([1.0, -1.0])
+        self.order = np.array([1, 0])
 
     def prepare(self, state: StateVector, mode: int) -> _PreparedIdeal:
         return _PreparedIdeal(self, state, mode)
@@ -292,75 +326,22 @@ class HomodynePhaseDiscriminator:
     phase bit. Sampling is exact Born sampling of the joint counts.
     """
 
-    def __init__(self, axis_phase: float, cutoff: FockCutoff,
-                 config: HomodyneBackendConfig):
-        if config.omega <= 0:
+    def __init__(self, axis_phase: float, cutoff: FockCutoff, reference_magnitude: float,
+                 josephson: JosephsonParams, kerr: KerrParams):
+        if josephson.omega <= 0:
             raise ValidityDomainExceeded("atom-counting readout needs omega > 0")
         self.axis_phase = axis_phase
         self.cutoff = cutoff
-        self.config = config
-        theta = axis_phase + math.pi / 2
-        self.reference = config.reference_magnitude * cmath.exp(1j * theta)
+        self.reference = reference_magnitude * cmath.exp(1j * (axis_phase + math.pi / 2))
         ref_state = prepare_coherent(CoherentSpec(self.reference), cutoff)
-        t = math.pi / (2 * config.omega)
-        self.columns = josephson_collision_columns(
-            cutoff, config.josephson(), config.kerr(), t, ref_state.amplitudes
+        self.rows = josephson_collision_columns(
+            cutoff, josephson, kerr, math.pi / (2 * josephson.omega), ref_state.amplitudes
         )
         d = cutoff.dim
-        counts = np.indices((d, d)).reshape(2, d * d)
-        self.values = (counts[0] - counts[1]) / (2 * config.reference_magnitude)
-        # inverse-CDF ordering: most minus-like outcomes first, then by counts
-        self.order = np.lexsort((counts[1], counts[0], self.values))
+        m_c, m_b = np.indices((d, d)).reshape(2, d * d)
+        self.values = (m_c - m_b) / (2 * reference_magnitude)
+        # stable: tied values keep the count order m_c * dim + m_b
+        self.order = np.argsort(self.values, kind="stable")
 
-    def prepare(self, state: StateVector, mode: int) -> "_PreparedHomodyne":
+    def prepare(self, state: StateVector, mode: int) -> _PreparedHomodyne:
         return _PreparedHomodyne(self, state, mode)
-
-
-class _PreparedHomodyne:
-    """Outcome distribution of one atom-counting readout, ready to draw from.
-
-    Keeps only the signal-mode view and the count probabilities; the
-    conditional state of an outcome is built from its row of the collision
-    columns when asked for, so draws stay cheap.
-    """
-
-    def __init__(self, disc: HomodynePhaseDiscriminator, state: StateVector,
-                 mode: int):
-        self.disc = disc
-        self.state = state
-        d = state.dim
-        self.view = np.moveaxis(state.tensor_view(), mode, 0).reshape(d, -1)
-        # d outcome rows at a time: the whole (d*d, rest) product would be
-        # 45 MB at n_max 40 and is only ever summed
-        probs = np.empty(d * d)
-        for start in range(0, d * d, d):
-            block = np.abs(disc.columns[start:start + d] @ self.view)
-            probs[start:start + d] = np.einsum("ij,ij->i", block, block)
-        self.probs = probs
-        self.total = probs.sum()
-        self.cdf = np.cumsum(probs[disc.order]) / self.total
-
-    @property
-    def bit_probabilities(self):
-        """Exact (P(bit=0), P(bit=1)) with ties split evenly."""
-        probs, values = self.probs / self.total, self.disc.values
-        p_plus = probs[values > 0].sum() + probs[values == 0].sum() / 2
-        return float(p_plus), float(1 - p_plus)
-
-    def posterior(self, outcome: int) -> StateVector:
-        """Conditional state of the unmeasured modes after count ``outcome``."""
-        state = self.state
-        conditional = (self.disc.columns[outcome] @ self.view) / math.sqrt(
-            self.probs[outcome]
-        )
-        return StateVector(state.modes - 1, state.cutoff, conditional, state.leakage)
-
-    def draw(self, u_select: np.ndarray, u_tie: np.ndarray) -> tuple:
-        """(outcome, bit) arrays for the uniform pairs: bit 1 for a negative
-        value, 0 for a positive one, and for a zero value 1 iff ``u_tie`` < 0.5."""
-        order = self.disc.order
-        k = np.searchsorted(self.cdf, u_select, side="right")
-        outcome = order[np.minimum(k, len(order) - 1)]
-        value = self.disc.values[outcome]
-        bit = np.where(value == 0, u_tie < 0.5, value < 0).astype(np.int64)
-        return outcome, bit

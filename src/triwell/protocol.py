@@ -70,11 +70,7 @@ from .fock import (
     prepare_cat_superposition,
     tensor,
 )
-from .homodyne import (
-    HomodyneBackendConfig,
-    HomodynePhaseDiscriminator,
-    IdealPhaseDiscriminator,
-)
+from .homodyne import HomodynePhaseDiscriminator, IdealPhaseDiscriminator
 from .rng import substream
 
 BACKENDS = ("ideal", "homodyne")
@@ -116,6 +112,8 @@ class ProtocolConfig:
             raise ValueError("trials must be >= 1")
         if not 0.0 <= self.p_d <= 1.0:
             raise RangeError(f"p_d = {self.p_d} outside [0, 1]")
+        if self.reference_magnitude is not None and not self.reference_magnitude > 0:
+            raise ValueError(f"reference_magnitude must be > 0, got {self.reference_magnitude}")
 
     def parity_kerr(self) -> KerrParams:
         """Well frequency retuned to e0 = 3 kappa / 2 for the parity stage."""
@@ -221,17 +219,11 @@ class BellMeasurement:
                 IdealPhaseDiscriminator(alpha, config.cutoff),
             )
         else:
+            ref = config.reference_magnitude
             self.stages = tuple(
-                HomodynePhaseDiscriminator(
-                    cmath.phase(amp),
-                    config.cutoff,
-                    HomodyneBackendConfig(
-                        reference_magnitude=config.reference_magnitude or abs(amp),
-                        omega=config.josephson.omega,
-                        kappa=config.kerr.kappa,
-                        e0_over_hbar=config.kerr.e0_over_hbar,
-                    ),
-                )
+                HomodynePhaseDiscriminator(cmath.phase(amp), config.cutoff,
+                                           abs(amp) if ref is None else ref,
+                                           config.josephson, config.kerr)
                 for amp in (gamma, alpha)
             )
         self._first = self.stages[0].prepare(state, 0)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from triwell import LatticeParams, density_map
-from triwell.cli import main
+from triwell.cli import COMMON, SCHEMAS, _parse_complex, main
 
 
 def run(args):
@@ -242,6 +242,9 @@ class TestExitCodes:
         ["parity-sweep", "--points", "-1"],
         ["homodyne", "--steps", "0"],
         ["parity-sweep", "--trials", "0"],
+        ["teleport", "--backend", "homodyne", "--cutoff", "40", "--reference-magnitude", "0"],
+        ["teleport", "--backend", "homodyne", "--cutoff", "40", "--reference-magnitude", "-3"],
+        ["homodyne", "--t-max", "-1"],
     ])
     def test_bad_parameters_are_exit_2(self, tmp_path, args):
         assert run(args + ["--out", tmp_path / "x"]) == 2
@@ -259,6 +262,11 @@ class TestExitCodes:
         assert "atom-counting readout needs omega > 0" in capsys.readouterr().err
         assert not list((tmp_path / "x").iterdir())
 
+    def test_empty_homodyne_pair_is_exit_3(self, tmp_path, capsys):
+        # vacuum signal and reference: S_x = (n_c - n_b) / 2N has N = 0
+        assert run(["homodyne", "--gamma", "0", "--beta", "0", "--out", tmp_path / "x"]) == 3
+        assert "empty pair" in capsys.readouterr().err
+
     def test_library_value_error_is_not_a_config_error(self, tmp_path, monkeypatch):
         def broken(config):
             raise ValueError("internal failure")
@@ -266,6 +274,27 @@ class TestExitCodes:
         monkeypatch.setattr("triwell.cli.run_protocol", broken)
         with pytest.raises(ValueError, match="internal failure"):
             run(["teleport", "--trials", "5", "--out", tmp_path / "x"])
+
+
+# small grids, so every run of the sweep below is quick
+SMALL = {
+    "channel": [],
+    "teleport": ["--trials", "20"],
+    "parity-sweep": ["--points", "2", "--trials", "20", "--param-max", "0.5"],
+    "efficiency-sweep": ["--r-points", "2", "--pd-points", "2"],
+    "homodyne": ["--steps", "3"],
+    "lattice-map": ["--theta-points", "3", "--zprime-points", "3"],
+}
+SWEEP = [(subcommand, [f"--{opt.name}={value}"])
+         for subcommand, schema in SCHEMAS.items() for opt in schema + COMMON
+         if opt.parse in (int, float, _parse_complex) for value in ("0", "-1")]
+SWEEP.append(("homodyne", ["--gamma", "0", "--beta", "0"]))
+
+
+@pytest.mark.parametrize("subcommand, args", SWEEP, ids=[" ".join([sub, *args]) for sub, args in SWEEP])
+def test_zero_and_negative_values_exit_with_a_code(tmp_path, subcommand, args):
+    # every numeric option at 0 and -1 ends in a documented exit code, never a traceback
+    assert run([subcommand, *SMALL[subcommand], *args, "--out", tmp_path / "x"]) in (0, 2, 3, 4)
 
 
 class TestFormats:

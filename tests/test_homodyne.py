@@ -8,12 +8,12 @@ from triwell import (
     AmbiguousSupport,
     CoherentSpec,
     FockCutoff,
-    HomodyneBackendConfig,
     JosephsonParams,
     KerrParams,
     PerturbativeInit,
     SuperpositionSpec,
     ValidityDomainExceeded,
+    ZeroProbabilityBranch,
     estimate_quadrature,
     initial_schwinger,
     norm,
@@ -29,6 +29,7 @@ from triwell.fock import quadrature_expectation
 from triwell.homodyne import (
     HomodynePhaseDiscriminator,
     IdealPhaseDiscriminator,
+    _PreparedReadout,
     helstrom_vectors,
 )
 
@@ -206,8 +207,8 @@ class TestPhaseBit:
     def test_homodyne_bit_error_bound(self):
         # |-2> should read bit 1 with probability >= 0.997 (exact computation)
         cutoff = FockCutoff(52)
-        config = HomodyneBackendConfig()
-        disc = HomodynePhaseDiscriminator(0.0, cutoff, config)
+        disc = HomodynePhaseDiscriminator(0.0, cutoff, 4.0, JosephsonParams(1.0),
+                                          KerrParams(0.0, 0.0))
         minus = prepare_coherent(CoherentSpec(-2.0), cutoff)
         prepared = disc.prepare(minus, 0)
         p_plus, p_minus = prepared.bit_probabilities
@@ -220,10 +221,9 @@ class TestPhaseBit:
         # |g| = 1.5, eps*N <= 0.02: sampled sign matches the branch >= 99%
         cutoff = FockCutoff(46)
         magnitude = 1.5
-        config = HomodyneBackendConfig(reference_magnitude=3.0, omega=1000.0,
-                                       kappa=1.0, e0_over_hbar=1.0)
-        assert (config.kappa / config.omega) * (magnitude**2 + 9.0) <= 0.02
-        disc = HomodynePhaseDiscriminator(0.0, cutoff, config)
+        jp, kp = JosephsonParams(1000.0), KerrParams(1.0, 1.0)
+        assert (kp.kappa / jp.omega) * (magnitude**2 + 9.0) <= 0.02
+        disc = HomodynePhaseDiscriminator(0.0, cutoff, 3.0, jp, kp)
         rng = substream(13)
         for sign, want in ((1.0, 0), (-1.0, 1)):
             signal = prepare_coherent(CoherentSpec(sign * magnitude), cutoff)
@@ -243,11 +243,42 @@ class TestPhaseBit:
         assert bit.tolist() == [b[0] for _, b in single]
         assert set(bit.tolist()) == {0, 1}
 
+    def test_ideal_draw_is_the_generic_draw(self):
+        # the one-comparison ideal draw equals the inverse-CDF draw, also on
+        # a selector exactly at the CDF step and at both ends of [0, 1)
+        cutoff = FockCutoff(28)
+        cat = prepare_cat_superposition(SuperpositionSpec(0.6, 0.8, 2.0), cutoff)
+        prepared = IdealPhaseDiscriminator(2.0, cutoff).prepare(cat, 0)
+        draws = substream(29).random((2000, 2))
+        draws[:3, 0] = prepared.cdf[0], 0.0, 1 - 2**-53
+        fast = prepared.draw(draws[:, 0], draws[:, 1])
+        generic = _PreparedReadout.draw(prepared, draws[:, 0], draws[:, 1])
+        for got, want in zip(fast, generic):
+            assert got.dtype == want.dtype
+            assert got.tolist() == want.tolist()
+        assert fast[1][:3].tolist() == [0, 1, 0]
+
+    def test_homodyne_order_is_value_then_counts(self):
+        cutoff = FockCutoff(20)
+        disc = HomodynePhaseDiscriminator(0.3, cutoff, 1.0, JosephsonParams(1.0),
+                                          KerrParams(0.0, 0.0))
+        m_c, m_b = np.divmod(np.arange(cutoff.dim**2), cutoff.dim)
+        assert disc.order.tolist() == np.lexsort((m_b, m_c, disc.values)).tolist()
+
+    def test_homodyne_rows_are_an_isometry(self):
+        # so the support-leftover check of a prepared readout never fires here
+        cutoff = FockCutoff(26)
+        disc = HomodynePhaseDiscriminator(0.7, cutoff, 2.0, JosephsonParams(1000.0),
+                                          KerrParams(1.0, 1.0))
+        gram = disc.rows.conj().T @ disc.rows
+        assert np.abs(gram - np.eye(cutoff.dim)).max() < 1e-12
+
     def test_homodyne_array_draw_matches_elementwise(self):
         # half the selectors land inside the CDF steps of zero-value (tie)
         # outcomes, so each element must read its own tie-breaker
         cutoff = FockCutoff(26)
-        disc = HomodynePhaseDiscriminator(0.0, cutoff, HomodyneBackendConfig(2.0))
+        disc = HomodynePhaseDiscriminator(0.0, cutoff, 2.0, JosephsonParams(1.0),
+                                          KerrParams(0.0, 0.0))
         prepared = disc.prepare(prepare_coherent(CoherentSpec(1.0), cutoff), 0)
         lower = np.concatenate(([0.0], prepared.cdf[:-1]))
         ties = np.flatnonzero((disc.values[disc.order] == 0) & (prepared.cdf > lower))
@@ -268,7 +299,8 @@ class TestPhaseBit:
         # counting the signal leaves an untouched count-state mode as it was
         cutoff = FockCutoff(52)
         signal = prepare_coherent(CoherentSpec(1.5), cutoff)
-        disc = HomodynePhaseDiscriminator(0.0, cutoff, HomodyneBackendConfig())
+        disc = HomodynePhaseDiscriminator(0.0, cutoff, 4.0, JosephsonParams(1.0),
+                                          KerrParams(0.0, 0.0))
         prepared = disc.prepare(tensor(signal, prepare_number(3, cutoff)), 0)
         (outcome,), (bit,) = prepared.draw(*substream(3, 1).random((2, 1)))
         assert bit == 0
@@ -276,6 +308,15 @@ class TestPhaseBit:
         assert posterior.modes == 1
         assert np.flatnonzero(posterior.amplitudes).tolist() == [3]
         assert abs(posterior.amplitudes[3]) == pytest.approx(1.0, abs=1e-10)
+
+    def test_posterior_of_a_null_outcome_raises(self):
+        # all 26 atoms of vacuum (x) |2i> counted in the signal well: ~3e-21
+        cutoff = FockCutoff(26)
+        disc = HomodynePhaseDiscriminator(0.0, cutoff, 2.0, JosephsonParams(1.0),
+                                          KerrParams(0.0, 0.0))
+        prepared = disc.prepare(tensor(prepare_number(0, cutoff), prepare_number(3, cutoff)), 0)
+        with pytest.raises(ZeroProbabilityBranch):
+            prepared.posterior(cutoff.n_max * cutoff.dim)
 
     def test_ambiguous_support(self):
         with pytest.raises(AmbiguousSupport):
