@@ -20,7 +20,6 @@ from .corrections import (
     EfficiencyPoint,
     ParityMonteCarlo,
     p_even_analytic,
-    p_even_curve,
     p_even_monte_carlo,
     parity_count_distribution,
     total_efficiency,
@@ -85,11 +84,9 @@ from .homodyne import (
 )
 from .lattice import (
     DensityMap,
-    LatticeDerived,
     LatticeParams,
     ScheduleReport,
     density_map,
-    derived_geometry,
     potential_matrix,
     schedule_check,
 )

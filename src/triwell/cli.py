@@ -79,7 +79,7 @@ COMMON = (
     Option("format", str, "csv", "table format", ("csv", "json")),
     Option("seed", int, 0, "run seed"),
     Option("jobs", int, 1, "validated (>= 1) but unused: every subcommand runs in one process"),
-    Option("gnuplot", _parse_bool, False, "also write gnuplot script stubs"),
+    Option("gnuplot", _parse_bool, False, "also write gnuplot script stubs (csv format only)"),
 )
 
 SCHEMAS = {
@@ -202,6 +202,8 @@ def resolve_options(subcommand: str, args: argparse.Namespace) -> dict:
             values[name] = _parse_with(opt, raw)
     if values["jobs"] < 1:
         raise ConfigError(f"'jobs' must be >= 1, got {values['jobs']}")
+    if values["gnuplot"] and values["format"] != "csv":
+        raise ConfigError("'gnuplot' stubs plot the CSV tables; it needs format csv")
     return values
 
 

@@ -83,15 +83,14 @@ class AuxiliaryPrep:
         if self.parameter < 0:
             raise ValueError("auxiliary parameter must be >= 0")
 
-    def prepare(self, cutoff: FockCutoff,
-                max_leakage: float = AUX_MAX_LEAKAGE) -> StateVector:
+    def prepare(self, cutoff: FockCutoff) -> StateVector:
         if self.kind == "number":
             return prepare_number(int(round(self.parameter)), cutoff)
         if self.kind == "coherent":
             return prepare_coherent(CoherentSpec(math.sqrt(self.parameter)), cutoff,
-                                    max_leakage=max_leakage)
+                                    max_leakage=AUX_MAX_LEAKAGE)
         return prepare_squeezed_vacuum(SqueezedVacuumSpec(self.parameter), cutoff,
-                                       max_leakage=max_leakage)
+                                       max_leakage=AUX_MAX_LEAKAGE)
 
 
 @dataclass(frozen=True)
@@ -175,12 +174,6 @@ def p_even_analytic(aux: AuxiliaryPrep) -> float:
     if aux.kind == "coherent":
         return (1 + math.exp(-2 * aux.parameter)) / 2
     return 1.0  # squeezed vacuum populates even occupations only
-
-
-def p_even_curve(kind: str, parameter_grid) -> list:
-    """(parameter, P_even) pairs for one auxiliary family."""
-    return [(float(p), p_even_analytic(AuxiliaryPrep(kind, float(p))))
-            for p in parameter_grid]
 
 
 @dataclass(frozen=True)

@@ -127,6 +127,14 @@ def _josephson_sectors(dim: int, omega: float, e0: float, kappa: float):
     return sectors
 
 
+def _propagate_sectors(flat: np.ndarray, dim: int, jp: JosephsonParams, kp: KerrParams,
+                       t: float) -> np.ndarray:
+    """Apply the pair propagator in place to the columns of a (dim^2, k) array."""
+    for idx, vals, vecs in _josephson_sectors(dim, jp.omega, kp.e0_over_hbar, kp.kappa):
+        flat[idx, :] = (vecs * np.exp(-1j * vals * t)) @ (vecs.conj().T @ flat[idx, :])
+    return flat
+
+
 def evolve_josephson(state: StateVector, modes: tuple, jp: JosephsonParams,
                      kp: KerrParams, t: float) -> StateVector:
     """Exact tunnelling + self-collision evolution on a mode pair."""
@@ -137,10 +145,7 @@ def evolve_josephson(state: StateVector, modes: tuple, jp: JosephsonParams,
         raise ValueError("t must be >= 0")
     d = state.dim
     view = np.moveaxis(state.tensor_view(), (i, j), (0, 1))
-    flat = view.reshape(d * d, -1).copy()
-    for idx, vals, vecs in _josephson_sectors(d, jp.omega, kp.e0_over_hbar, kp.kappa):
-        block = flat[idx, :]
-        flat[idx, :] = (vecs * np.exp(-1j * vals * t)) @ (vecs.conj().T @ block)
+    flat = _propagate_sectors(view.reshape(d * d, -1).copy(), d, jp, kp, t)
     out = np.moveaxis(flat.reshape(view.shape), (0, 1), (i, j))
     return state.replace_amplitudes(out.ravel())
 
@@ -159,9 +164,7 @@ def josephson_collision_columns(cutoff: FockCutoff, jp: JosephsonParams,
     cols = np.zeros((d * d, d), dtype=np.complex128)
     for n in range(d):
         cols[n * d:(n + 1) * d, n] = reference
-    for idx, vals, vecs in _josephson_sectors(d, jp.omega, kp.e0_over_hbar, kp.kappa):
-        cols[idx, :] = (vecs * np.exp(-1j * vals * t)) @ (vecs.conj().T @ cols[idx, :])
-    return cols
+    return _propagate_sectors(cols, d, jp, kp, t)
 
 
 # ---------------------------------------------------------------------------

@@ -186,10 +186,12 @@ def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     return c * math.exp(-abs(alpha) ** 2 / 2)
 
 
-def _finalize_preparation(raw: np.ndarray, cutoff: FockCutoff, max_leakage: float,
-                          what: str) -> StateVector:
+def _finalize_preparation(raw: np.ndarray, exact_sq: float, cutoff: FockCutoff,
+                          max_leakage: float, what: str) -> StateVector:
+    """Renormalize ``raw``; its leakage is the share of ``exact_sq``, the
+    untruncated squared norm, that the cutoff dropped."""
     kept = float(np.vdot(raw, raw).real)
-    leakage = max(0.0, 1.0 - kept)
+    leakage = max(0.0, 1.0 - kept / exact_sq)
     if leakage > max_leakage:
         raise CutoffTooSmall(
             f"{what}: truncation leakage {leakage:.3e} exceeds bound {max_leakage:.1e} "
@@ -202,7 +204,7 @@ def prepare_coherent(spec: CoherentSpec, cutoff: FockCutoff,
                      max_leakage: float = DEFAULT_MAX_LEAKAGE) -> StateVector:
     """Coherent state |alpha| in the truncated basis, renormalized."""
     raw = coherent_amplitudes(spec.amplitude, cutoff.dim)
-    return _finalize_preparation(raw, cutoff, max_leakage, "prepare_coherent")
+    return _finalize_preparation(raw, 1.0, cutoff, max_leakage, "prepare_coherent")
 
 
 def prepare_number(n: int, cutoff: FockCutoff) -> StateVector:
@@ -230,7 +232,7 @@ def prepare_squeezed_vacuum(spec: SqueezedVacuumSpec, cutoff: FockCutoff,
         # c_{2k} = c_{2k-2} * factor * sqrt((2k)(2k-1)) / (2k)
         raw[2 * k] = raw[2 * k - 2] * factor * math.sqrt((2 * k) * (2 * k - 1)) / (2 * k)
         k += 1
-    return _finalize_preparation(raw, cutoff, max_leakage, "prepare_squeezed_vacuum")
+    return _finalize_preparation(raw, 1.0, cutoff, max_leakage, "prepare_squeezed_vacuum")
 
 
 def prepare_cat_superposition(spec: SuperpositionSpec, cutoff: FockCutoff,
@@ -251,13 +253,8 @@ def prepare_cat_superposition(spec: SuperpositionSpec, cutoff: FockCutoff,
         raise DegenerateSuperposition(
             "superposition weights cancel: unnormalized norm below 1e-12"
         )
-    kept = float(np.vdot(raw, raw).real)
-    leakage = max(0.0, 1.0 - kept / exact_sq)
-    if leakage > max_leakage:
-        raise CutoffTooSmall(
-            f"prepare_cat_superposition: leakage {leakage:.3e} exceeds {max_leakage:.1e}"
-        )
-    return StateVector(1, cutoff, raw / math.sqrt(kept), leakage)
+    return _finalize_preparation(raw, exact_sq, cutoff, max_leakage,
+                                 "prepare_cat_superposition")
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +371,7 @@ def _displacement_matrix(delta: complex, dim: int) -> np.ndarray:
     return (rotated * np.exp(-1j * abs(delta) * x)) @ rotated.conj().T
 
 
-def displace(state: StateVector, mode: int, delta: complex,
-             max_top_shell: float = DEFAULT_MAX_LEAKAGE) -> StateVector:
+def displace(state: StateVector, mode: int, delta: complex) -> StateVector:
     """Displacement D(delta) = exp(delta a^dag - conj(delta) a) on one mode.
 
     The exact exponential of the truncated generator, evaluated in the
@@ -388,10 +384,10 @@ def displace(state: StateVector, mode: int, delta: complex,
         return state
     out = apply_mode_matrix(state, mode, _displacement_matrix(complex(delta), state.dim))
     top_mass = float(number_distribution(out, mode)[-1])
-    if top_mass > max_top_shell:
+    if top_mass > DEFAULT_MAX_LEAKAGE:
         raise CutoffTooSmall(
             f"displacement left probability {top_mass:.3e} on the n_max shell "
-            f"(bound {max_top_shell:.1e}); increase the cutoff"
+            f"(bound {DEFAULT_MAX_LEAKAGE:.1e}); increase the cutoff"
         )
     return out
 

@@ -260,7 +260,10 @@ class _PreparedReadout:
                 f"probability {1.0 - self.total:.3g} of the signal lies outside "
                 "the span of the readout rows"
             )
-        self.cdf = np.cumsum(probs[disc.order]) / self.total
+        cumulative = np.cumsum(probs[disc.order])
+        # normalised by its own last entry, so it ends at exactly 1 and every
+        # selector u < 1 lands on an outcome of positive probability
+        self.cdf = cumulative / cumulative[-1]
 
     @property
     def bit_probabilities(self):
@@ -280,9 +283,7 @@ class _PreparedReadout:
     def draw(self, u_select: np.ndarray, u_tie: np.ndarray) -> tuple:
         """(outcome, bit) arrays for the uniform pairs: bit 1 for a negative
         value, 0 for a positive one, and for a zero value 1 iff ``u_tie`` < 0.5."""
-        order = self.disc.order
-        k = np.searchsorted(self.cdf, u_select, side="right")
-        outcome = order[np.minimum(k, len(order) - 1)]
+        outcome = self.disc.order[np.searchsorted(self.cdf, u_select, side="right")]
         value = self.disc.values[outcome]
         bit = np.where(value == 0, u_tie < 0.5, value < 0).astype(np.int64)
         return outcome, bit

@@ -24,7 +24,6 @@ the teleportation protocol.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,43 +49,33 @@ class LatticeParams:
             raise ValueError("k_l must be > 0")
 
 
-@dataclass(frozen=True)
-class LatticeDerived:
-    """Peak-peak modulation depth and well separation at the params' angle."""
-
-    u_p: float
-    dz: float
+def _bipotential(params: LatticeParams, th, zp) -> tuple:
+    """(scalar, sigma_z, sigma_x) coefficients of U at angle th and z' = 2 k_L z."""
+    scalar = -(2 * params.u1 / 3) * 2 * (1 + np.cos(th) * np.cos(zp))
+    z_coef = (
+        -(2 * params.u1 / 3) * np.sin(th) * np.sin(zp)
+        - params.gyro / 2 * params.b_parallel
+    )
+    x_coef = -params.gyro / 2 * params.b_perp
+    return scalar, z_coef, x_coef
 
 
 def potential_matrix(z: float, params: LatticeParams) -> np.ndarray:
     """2x2 Hermitian potential at position z (basis m = +1/2, m = -1/2)."""
-    zp = 2 * params.k_l * z
-    scalar = -(2 * params.u1 / 3) * 2 * (1 + math.cos(params.theta_l) * math.cos(zp))
-    z_coef = (
-        -(2 * params.u1 / 3) * math.sin(params.theta_l) * math.sin(zp)
-        - params.gyro / 2 * params.b_parallel
-    )
-    x_coef = -params.gyro / 2 * params.b_perp
+    scalar, z_coef, x_coef = _bipotential(params, params.theta_l, 2 * params.k_l * z)
     return np.array(
         [[scalar + z_coef, x_coef], [x_coef, scalar - z_coef]], dtype=np.complex128
     )
 
 
-def modulation_depth(u1: float, theta: float) -> float:
-    return (4 / 3) * u1 * math.sqrt(3 * math.cos(theta) ** 2 + 1)
+def modulation_depth(u1: float, theta):
+    """Peak-peak depth U_p; accepts an array of angles."""
+    return (4 / 3) * u1 * np.sqrt(3 * np.cos(theta) ** 2 + 1)
 
 
-def separation_phase(theta: float) -> float:
-    """k_L * dz on the continuous branch (monotone on (0, pi))."""
-    return math.atan2(math.sin(theta), 2 * math.cos(theta))
-
-
-def derived_geometry(params: LatticeParams) -> LatticeDerived:
-    """Closed-form U_p and dz; the theta = pi/2 limit (k_L dz = pi/2) is exact."""
-    return LatticeDerived(
-        u_p=modulation_depth(params.u1, params.theta_l),
-        dz=separation_phase(params.theta_l) / params.k_l,
-    )
+def separation_phase(theta):
+    """k_L * dz on the continuous branch (monotone on (0, pi)); accepts arrays."""
+    return np.arctan2(np.sin(theta), 2 * np.cos(theta))
 
 
 @dataclass(frozen=True)
@@ -105,14 +94,7 @@ def density_map(params: LatticeParams, thetas, z_primes) -> DensityMap:
     z_primes = np.asarray(z_primes, dtype=float)
     if thetas.size == 0 or z_primes.size == 0:
         raise RangeError("density_map needs non-empty grids")
-    th = thetas[:, None]
-    zp = z_primes[None, :]
-    scalar = -(2 * params.u1 / 3) * 2 * (1 + np.cos(th) * np.cos(zp))
-    z_coef = (
-        -(2 * params.u1 / 3) * np.sin(th) * np.sin(zp)
-        - params.gyro / 2 * params.b_parallel
-    )
-    x_coef = -params.gyro / 2 * params.b_perp
+    scalar, z_coef, x_coef = _bipotential(params, thetas[:, None], z_primes[None, :])
     # closed-form eigenvalues of scalar*I + z_coef*sigma_z + x_coef*sigma_x
     split = np.hypot(z_coef, x_coef)
     return DensityMap(thetas, z_primes, scalar - split, scalar + split)
@@ -157,8 +139,8 @@ def schedule_check(times, thetas, gap: float, params: LatticeParams,
         raise NonMonotoneTime("time samples must be strictly increasing")
     if gap <= 0:
         raise RangeError("gap must be > 0")
-    depth = np.array([modulation_depth(params.u1, th) for th in thetas])
-    separation = np.unwrap(np.array([separation_phase(th) for th in thetas]))
+    depth = modulation_depth(params.u1, thetas)
+    separation = np.unwrap(separation_phase(thetas))
     depth_rate = np.abs(np.gradient(depth, times))
     separation_rate = np.abs(np.gradient(separation, times))
     threshold = threshold_factor * gap / hbar

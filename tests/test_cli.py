@@ -249,6 +249,14 @@ class TestExitCodes:
     def test_bad_parameters_are_exit_2(self, tmp_path, args):
         assert run(args + ["--out", tmp_path / "x"]) == 2
 
+    @pytest.mark.parametrize("subcommand", ["parity-sweep", "efficiency-sweep", "homodyne",
+                                            "lattice-map"])
+    def test_gnuplot_without_csv_is_exit_2_before_any_work(self, tmp_path, subcommand):
+        # the stubs plot the CSV table, which a JSON run does not write
+        out = tmp_path / "x"
+        assert run([subcommand, "--gnuplot", "1", "--format", "json", "--out", out]) == 2
+        assert not out.exists()
+
     def test_precondition_keeps_exit_3(self, tmp_path):
         assert run(["teleport", "--p-d", "1.5", "--out", tmp_path / "x"]) == 3
 

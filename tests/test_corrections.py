@@ -16,7 +16,6 @@ from triwell import (
     fidelity,
     inner_product,
     p_even_analytic,
-    p_even_curve,
     p_even_monte_carlo,
     parity_count_distribution,
     prepare_cat_superposition,
@@ -118,12 +117,13 @@ class TestEvenCountCurves:
             (1 + math.exp(-10.0)) / 2, abs=1e-12)
 
     def test_coherent_vacuum_limit(self):
-        values = p_even_curve("coherent", [0.0, 0.05, 0.5])
-        assert values[0][1] == 1.0
-        assert values[0][1] > values[1][1] > values[2][1] > 0.5
+        values = [p_even_analytic(AuxiliaryPrep("coherent", p)) for p in (0.0, 0.05, 0.5)]
+        assert values[0] == 1.0
+        assert values[0] > values[1] > values[2] > 0.5
 
     def test_squeezed_always_unity(self):
-        assert all(p == 1.0 for _, p in p_even_curve("squeezed_vacuum", [0, 1, 2]))
+        assert all(p_even_analytic(AuxiliaryPrep("squeezed_vacuum", r)) == 1.0
+                   for r in (0, 1, 2))
 
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ from triwell import (
     prepare_number,
     tensor,
 )
+from triwell.dynamics import josephson_collision_columns
 from triwell.fock import StateVector, mean_occupation
 
 
@@ -137,6 +138,19 @@ class TestJosephson:
         total1 = mean_occupation(out, 0) + mean_occupation(out, 1)
         assert total1 == pytest.approx(total0, abs=1e-10)
         assert norm(out) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("n_max", [8, 15])
+    def test_collision_columns_are_evolved_count_states(self, n_max):
+        # column n is the pair propagator applied to |n> (x) |reference>
+        cutoff = FockCutoff(n_max)
+        reference = prepare_coherent(CoherentSpec(0.3 + 0.2j), cutoff)
+        jp, kp, t = JosephsonParams(1.3), KerrParams(0.4, 0.25), 0.9
+        cols = josephson_collision_columns(cutoff, jp, kp, t, reference.amplitudes)
+        assert cols.shape == (cutoff.dim**2, cutoff.dim)
+        for n in range(cutoff.dim):
+            pair = tensor(prepare_number(n, cutoff), reference)
+            want = evolve_josephson(pair, (0, 1), jp, kp, t).amplitudes
+            assert np.abs(cols[:, n] - want).max() < 1e-12
 
 
 class TestOracle:

@@ -295,6 +295,19 @@ class TestPhaseBit:
         assert set(bit[tied].tolist()) == {0, 1}
         assert (bit[tied] == (draws[tied, 1] < 0.5)).all()
 
+    def test_top_selector_draws_a_possible_outcome(self):
+        # this readout's summed probabilities end ~6.7e-16 below 1, and its
+        # last outcomes in CDF order have probability ~1e-26 or 0
+        cutoff = FockCutoff(26)
+        disc = HomodynePhaseDiscriminator(0.0, cutoff, 1.0, JosephsonParams(1000.0),
+                                          KerrParams(1.0, 1.0))
+        signal = tensor(prepare_coherent(CoherentSpec(0.5), cutoff), prepare_number(0, cutoff))
+        prepared = disc.prepare(signal, 0)
+        assert prepared.cdf[-1] == 1.0
+        outcome, _ = prepared.draw(np.array([1 - 2**-53]), np.array([0.5]))
+        k = int(np.flatnonzero(disc.order == outcome[0])[0])
+        assert prepared.cdf[k] - prepared.cdf[k - 1] > 0
+
     def test_posterior_is_count_state(self):
         # counting the signal leaves an untouched count-state mode as it was
         cutoff = FockCutoff(52)

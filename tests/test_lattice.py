@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,6 @@ from triwell import (
     NonMonotoneTime,
     RangeError,
     density_map,
-    derived_geometry,
     potential_matrix,
     schedule_check,
 )
@@ -61,16 +61,14 @@ class TestPotentialMatrix:
 
 class TestDerivedGeometry:
     def test_depth_at_theta_zero(self):
-        geometry = derived_geometry(params(theta_l=0.0, u1=1.5))
-        assert geometry.u_p == pytest.approx(8 * 1.5 / 3, abs=1e-12)
+        assert modulation_depth(1.5, 0.0) == pytest.approx(8 * 1.5 / 3, abs=1e-12)
 
     def test_separation_at_quarter_turn(self):
-        geometry = derived_geometry(params(theta_l=math.pi / 4, k_l=2.0))
-        assert 2.0 * geometry.dz == pytest.approx(math.atan(0.5), abs=1e-12)
+        dz = separation_phase(math.pi / 4) / 2.0  # k_L = 2
+        assert 2.0 * dz == pytest.approx(math.atan(0.5), abs=1e-12)
 
     def test_separation_limit_at_half_pi(self):
-        geometry = derived_geometry(params(theta_l=math.pi / 2))
-        assert geometry.dz == pytest.approx(math.pi / 2, abs=1e-12)
+        assert separation_phase(math.pi / 2) == pytest.approx(math.pi / 2, abs=1e-12)
 
     def test_separation_monotone_on_zero_pi(self):
         thetas = np.linspace(1e-3, math.pi - 1e-3, 200)
@@ -89,6 +87,18 @@ class TestDerivedGeometry:
 
 
 class TestDensityMap:
+    def test_bands_are_potential_eigenvalues(self):
+        p = params(k_l=1.3, b_perp=0.3, b_parallel=0.2, gyro=1.7)
+        thetas = np.linspace(0.1, 3.0, 7)
+        z_primes = np.linspace(-1.0, 5.0, 11)
+        grid = density_map(p, thetas, z_primes)
+        for i, theta in enumerate(thetas):
+            for j, zp in enumerate(z_primes):
+                mat = potential_matrix(zp / (2 * p.k_l), dataclasses.replace(p, theta_l=theta))
+                lower, upper = np.linalg.eigvalsh(mat)
+                assert abs(grid.band_lower[i, j] - lower) < 1e-12
+                assert abs(grid.band_upper[i, j] - upper) < 1e-12
+
     def test_exact_crossings_without_transverse_field(self):
         p = params(theta_l=math.pi / 2, b_perp=0.0)
         grid = density_map(p, [math.pi / 2], np.linspace(0, 2 * math.pi, 201))
@@ -151,14 +161,22 @@ class TestScheduleCheck:
         assert fast.max_rate == pytest.approx(2 * slow.max_rate, rel=1e-9)
 
     def test_violation_indices(self):
+        # d theta/dt = 0.1 against a threshold of 0.1: only some samples
+        # violate, each rate misses some of them, and no rate is within 1e-3
+        # of the threshold
         thetas = np.linspace(math.pi / 2, 5 * math.pi / 2, 101)
-        report = schedule_check(np.linspace(0, 0.5, 101), thetas, 1.0, params())
+        times = np.linspace(0, 20 * math.pi, 101)
+        report = schedule_check(times, thetas, 1.0, params())
+        depth_rate = np.abs(np.gradient(
+            [(4 / 3) * math.sqrt(3 * math.cos(th) ** 2 + 1) for th in thetas], times))
+        separation_rate = np.abs(np.gradient(np.unwrap(
+            [math.atan2(math.sin(th), 2 * math.cos(th)) for th in thetas]), times))
+        bad = (depth_rate > 0.1) | (separation_rate > 0.1)
+        assert report.threshold == pytest.approx(0.1)
+        assert 0 < bad.sum() < bad.size
+        assert (bad != (depth_rate > 0.1)).any() and (bad != (separation_rate > 0.1)).any()
+        assert report.violations == tuple(np.flatnonzero(bad).tolist())
         assert not report.passed
-        assert report.violations[0] == int(np.flatnonzero(
-            np.abs(np.gradient(
-                [modulation_depth(1.0, th) for th in thetas],
-                np.linspace(0, 0.5, 101))) > report.threshold
-        )[0]) or report.violations[0] >= 0
 
     def test_non_monotone_time(self):
         with pytest.raises(NonMonotoneTime):
