@@ -79,7 +79,8 @@ COMMON = (
     Option("format", str, "csv", "table format", ("csv", "json")),
     Option("seed", int, 0, "run seed"),
     Option("jobs", int, 1, "validated (>= 1) but unused: every subcommand runs in one process"),
-    Option("gnuplot", _parse_bool, False, "also write gnuplot script stubs (csv format only)"),
+    Option("gnuplot", _parse_bool, False,
+           "also write gnuplot script stubs (csv format; not channel or teleport)"),
 )
 
 SCHEMAS = {
@@ -152,6 +153,9 @@ SCHEMAS = {
 }
 
 
+_PLOTTED = ("parity-sweep", "efficiency-sweep", "homodyne", "lattice-map")  # write .gp stubs
+
+
 def _dest(name: str) -> str:
     return name.replace("-", "_")
 
@@ -202,6 +206,8 @@ def resolve_options(subcommand: str, args: argparse.Namespace) -> dict:
             values[name] = _parse_with(opt, raw)
     if values["jobs"] < 1:
         raise ConfigError(f"'jobs' must be >= 1, got {values['jobs']}")
+    if values["gnuplot"] and subcommand not in _PLOTTED:
+        raise ConfigError(f"'gnuplot' writes stubs only for {', '.join(_PLOTTED)}")
     if values["gnuplot"] and values["format"] != "csv":
         raise ConfigError("'gnuplot' stubs plot the CSV tables; it needs format csv")
     return values

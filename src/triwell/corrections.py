@@ -63,6 +63,7 @@ from .fock import (
     quadrature_eigensystem,
     tensor,
 )
+from .rng import inverse_cdf
 
 AUX_KINDS = ("number", "coherent", "squeezed_vacuum")
 AUX_MAX_LEAKAGE = 1e-8
@@ -157,11 +158,6 @@ def parity_count_distribution(central: StateVector, aux: AuxiliaryPrep,
     return number_distribution(aux.prepare(_work_cutoff(central, cutoff)), 0)
 
 
-def sample_counts(cdf: np.ndarray, u):
-    """Inverse-CDF count draw(s) from an unnormalized CDF for uniform(s) ``u``."""
-    return np.minimum(np.searchsorted(cdf, u * cdf[-1], side="right"), len(cdf) - 1)
-
-
 def parity_flip(central: StateVector) -> StateVector:
     """|n> -> (-1)^n |n>, the collision's action for an even count: |b> -> |-b>."""
     return apply_mode_phases(central, 0, (-1.0) ** np.arange(central.dim))
@@ -191,8 +187,8 @@ def p_even_monte_carlo(aux: AuxiliaryPrep, central: StateVector,
     """Estimate P_even by Born sampling the post-collision auxiliary counts."""
     if trials < 1:
         raise RangeError("trials must be >= 1")
-    cdf = np.cumsum(parity_count_distribution(central, aux, lam, kp, cutoff))
-    draws = sample_counts(cdf, rng.random(trials))
+    cdf = inverse_cdf(parity_count_distribution(central, aux, lam, kp, cutoff))
+    draws = np.searchsorted(cdf, rng.random(trials), side="right")
     hits = float(np.mean(draws % 2 == 0))
     return ParityMonteCarlo(hits, math.sqrt(max(hits * (1 - hits), 1e-12) / trials),
                             trials)

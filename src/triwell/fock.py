@@ -37,6 +37,7 @@ from .errors import (
     ShapeMismatch,
     ZeroProbabilityBranch,
 )
+from .rng import MIN_OUTCOME_PROBABILITY
 
 DEFAULT_MAX_LEAKAGE = 1e-10
 
@@ -122,13 +123,8 @@ class StateVector:
         """Amplitudes reshaped to one axis per mode (read-only view)."""
         return self.amplitudes.reshape((self.dim,) * self.modes)
 
-    def replace_amplitudes(self, amplitudes: np.ndarray, leakage=None) -> "StateVector":
-        return StateVector(
-            self.modes,
-            self.cutoff,
-            amplitudes,
-            self.leakage if leakage is None else leakage,
-        )
+    def replace_amplitudes(self, amplitudes: np.ndarray) -> "StateVector":
+        return StateVector(self.modes, self.cutoff, amplitudes, self.leakage)
 
 
 def norm(state: StateVector) -> float:
@@ -283,7 +279,7 @@ def project_number(state: StateVector, mode: int, outcome: int):
         raise ShapeMismatch(f"outcome {outcome} outside basis 0..{state.cutoff.n_max}")
     sliced = np.take(state.tensor_view(), outcome, axis=mode)
     prob = float(np.vdot(sliced, sliced).real)
-    if prob < 1e-14:
+    if prob < MIN_OUTCOME_PROBABILITY:
         raise ZeroProbabilityBranch(
             f"outcome |{outcome}> on mode {mode} has probability {prob:.3e}"
         )

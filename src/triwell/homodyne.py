@@ -39,10 +39,12 @@ counts atoms in both wells (exact joint Born sampling, no Gaussian
 approximation): outcome ``m_c * dim + m_b`` has its row of the pair
 propagator and the value (m_c - m_b) / (2 |r|), ordered by value and ties by
 count. A discriminator's one entry point is ``prepare(state, mode)``. The
-prepared distribution holds ``probs[o] = |rows[o] . state|^2`` and their CDF
-along ``order``; it gives the exact bit probabilities, array draws
-``draw(u_select, u_tie) -> (outcome, bit)`` that read the tie-breaker only
-on a zero value, and ``posterior(o)`` on request.
+prepared distribution holds ``probs[o] = |rows[o] . state|^2`` and their
+``rng.inverse_cdf`` along ``order``, in which outcomes below
+``MIN_OUTCOME_PROBABILITY`` have zero width; it gives the exact bit
+probabilities, array draws ``draw(u_select, u_tie) -> (outcome, bit)`` that
+read the tie-breaker only on a zero value, and ``posterior(o)`` for every
+outcome a draw can give.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from .fock import (
     prepare_coherent,
     tensor,
 )
+from .rng import MIN_OUTCOME_PROBABILITY, inverse_cdf
 
 EPSILON_N_LIMIT = 0.1
 EPSILON_N_WARN = 0.02
@@ -260,10 +263,7 @@ class _PreparedReadout:
                 f"probability {1.0 - self.total:.3g} of the signal lies outside "
                 "the span of the readout rows"
             )
-        cumulative = np.cumsum(probs[disc.order])
-        # normalised by its own last entry, so it ends at exactly 1 and every
-        # selector u < 1 lands on an outcome of positive probability
-        self.cdf = cumulative / cumulative[-1]
+        self.cdf = inverse_cdf(probs[disc.order])
 
     @property
     def bit_probabilities(self):
@@ -275,7 +275,7 @@ class _PreparedReadout:
     def posterior(self, outcome: int) -> StateVector:
         """Conditional state of the unmeasured modes after ``outcome``."""
         state, prob = self.state, self.probs[outcome]
-        if prob < 1e-14:
+        if prob < MIN_OUTCOME_PROBABILITY:
             raise ZeroProbabilityBranch(f"readout outcome {outcome} has probability {prob:.3e}")
         conditional = self.disc.rows[outcome] @ self.view / math.sqrt(prob)
         return StateVector(state.modes - 1, state.cutoff, conditional, state.leakage)

@@ -22,10 +22,12 @@ pre-measurement state -- and scores against A|b> + B|-b> built from the
 channel amplitude b (the teleported amplitude is the channel's, not the
 target's gamma).
 
-Randomness: a run reads one stream, ``substream(seed)``, as 4 * trials + 2
-uniforms. Trial i reads uniforms 4i..4i+5 (two per Bell stage, then up to
-two for its corrections), exactly the first six of ``substream(seed, i)``;
-neighbouring windows share two uniforms (ROADMAP item 1).
+Randomness: a run reads one block, ``substream(seed).random((trials, 6))``,
+and trial i reads row i only, one fixed column per draw whatever its branch:
+columns 0-1 are the first Bell stage (selector, tie-breaker), 2-3 the second,
+4 the displacement success and 5 the auxiliary count. Outcome and count
+draws are ``rng.inverse_cdf`` draws, so none selects an outcome below
+``MIN_OUTCOME_PROBABILITY``.
 
 Scoring: the receiver's correction depends only on the two bits and the
 auxiliary count, and the parity collision acts on mode 3 as an exact sign.
@@ -50,7 +52,6 @@ from .corrections import (
     displacement_offset,
     parity_count_distribution,
     parity_flip,
-    sample_counts,
     virtual_displacement,
 )
 from .dynamics import (
@@ -71,7 +72,7 @@ from .fock import (
     tensor,
 )
 from .homodyne import HomodynePhaseDiscriminator, IdealPhaseDiscriminator
-from .rng import substream
+from .rng import inverse_cdf, substream
 
 BACKENDS = ("ideal", "homodyne")
 
@@ -268,7 +269,7 @@ class _Receiver:
     @cached_property
     def count_cdf(self) -> np.ndarray:
         """Auxiliary count CDF, built (and its conditions checked) on first use."""
-        return np.cumsum(parity_count_distribution(
+        return inverse_cdf(parity_count_distribution(
             self.reference, self.config.aux, self.config.cross_species,
             self.config.parity_kerr(), self.config.cutoff,
         ))
@@ -285,19 +286,20 @@ class _Receiver:
         """Draw each row's corrections from its two uniforms ``u`` and score it.
 
         Displacement success is a Bernoulli(p_d) draw on the first uniform
-        (hardware mastering); parity success is the auxiliary count, read from
-        the first uniform or from the second after a displacement draw, being
-        even. A row is corrected when every drawn correction succeeded; either
-        way its fidelity is scored against the normalized A|b> + B|-b>
-        reference, modulo global phase. ``mode3(first, second)`` is called once
-        per distinct (stage outcomes, displaced, flipped) row. Returns the
-        run's columns.
+        (hardware mastering); parity success is the auxiliary count, a Born
+        draw on the second uniform, being even. Both uniforms belong to every
+        row, and each draw counts only where the branch needs its correction.
+        A row is corrected when every drawn correction succeeded; either way
+        its fidelity is scored against the normalized A|b> + B|-b> reference,
+        modulo global phase. ``mode3(first, second)`` is called once per
+        distinct (stage outcomes, displaced, flipped) row. Returns the run's
+        columns.
         """
         displacing, parity = _NEEDS[branch].T
         success = (u[:, 0] < self.config.p_d) & self.can_displace
         aux_m = np.zeros(len(branch), int)
         if parity.any():  # the count CDF (and its conditions) only when needed
-            aux_m = sample_counts(self.count_cdf, np.where(displacing, u[:, 1], u[:, 0]))
+            aux_m = np.searchsorted(self.count_cdf, u[:, 1], side="right")
         # one integer key per row for (first, second, displaced, flipped)
         width = int(second.max()) + 1
         flipped = parity & (aux_m % 2 == 0)
@@ -329,7 +331,6 @@ def correct_and_score(mode3: StateVector, outcome: MeasurementOutcome,
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     """Run ``config.trials`` seeded trials; deterministic given the seed."""
     bell = BellMeasurement(build_protocol_state(config), config)
-    u = substream(config.seed).random(4 * config.trials + 2)
-    rows = np.lib.stride_tricks.sliding_window_view(u, 6)[::4]  # trial i: u[4i:4i+6]
+    u = substream(config.seed).random((config.trials, 6))  # trial i: row i
     return ProtocolResult(_Receiver(config).draw_and_score(
-        *bell.draw(rows[:, :4]), rows[:, 4:], bell.posterior))
+        *bell.draw(u[:, :4]), u[:, 4:], bell.posterior))

@@ -1,31 +1,46 @@
-"""Reproducible random streams.
+"""Reproducible random streams and the one Born-draw rule.
 
 All sampling in the package goes through counter-based Philox streams, so a
-run is a pure function of its seed.
+run is a pure function of its seed. The stream id goes in the key and the
+position in the counter (Salmon et al., SC'11): ``substream(seed, *path)``
+keys Philox from ``SeedSequence(seed, spawn_key=path)``, so distinct paths,
+a path and its prefixes included, are unrelated streams rather than shifted
+windows of one counter sequence. A run lays its draws out as one block, one
+row per trial and one fixed column per draw.
+
+Every Born draw is ``np.searchsorted(inverse_cdf(probs), u, side="right")``
+for a uniform ``u`` in [0, 1). Outcomes below ``MIN_OUTCOME_PROBABILITY``
+have zero width, so no uniform selects one; the same floor is where
+``posterior`` and ``project_number`` refuse to renormalise a branch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-_MASK64 = (1 << 64) - 1
+#: outcomes below this probability are never drawn and have no posterior
+MIN_OUTCOME_PROBABILITY = 1e-14
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
     """Return the generator for a (seed, path) pair.
 
-    ``path`` may hold up to three non-negative indices (e.g. grid point and
-    trial number). Distinct paths are not independent: the path fills the
-    Philox counter words, and word 0 is the one the generator increments, so
-    uniforms 5..8 of ``substream(s, i)`` are uniforms 1..4 of
-    ``substream(s, i + 1)`` (ROADMAP item 1).
+    ``path`` holds non-negative indices (e.g. a grid point). The seed is
+    taken modulo 2**128, so a negative seed is a valid seed.
     """
-    if len(path) > 3:
-        raise ValueError("substream path supports at most 3 indices")
-    counter = [0, 0, 0, 0]
-    for slot, idx in enumerate(path):
-        if idx < 0:
-            raise ValueError("substream indices must be non-negative")
-        counter[slot] = int(idx) & _MASK64
-    bitgen = np.random.Philox(key=int(seed) & ((1 << 128) - 1), counter=counter)
-    return np.random.Generator(bitgen)
+    if any(idx < 0 for idx in path):
+        raise ValueError("substream indices must be non-negative")
+    key = np.random.SeedSequence(int(seed) & (2**128 - 1), spawn_key=path)
+    return np.random.Generator(np.random.Philox(key))
+
+
+def inverse_cdf(probs) -> np.ndarray:
+    """CDF of ``probs`` for the draw ``np.searchsorted(cdf, u, side="right")``.
+
+    Entries below ``MIN_OUTCOME_PROBABILITY`` count as 0, and the cumulative
+    sum is divided by its own last entry, so it ends at exactly 1 and every
+    ``u`` in [0, 1) selects an outcome of at least the floor's probability.
+    """
+    probs = np.asarray(probs, dtype=float)
+    cumulative = np.cumsum(np.where(probs < MIN_OUTCOME_PROBABILITY, 0.0, probs))
+    return cumulative / cumulative[-1]

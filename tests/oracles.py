@@ -3,14 +3,16 @@
 import numpy as np
 
 from triwell import AuxiliaryPrep, CrossSpeciesParams, FockCutoff, KerrParams, StateVector
-from triwell.corrections import parity_count_distribution, parity_flip, sample_counts
+from triwell.corrections import parity_count_distribution, parity_flip
 from triwell.fock import pad_cutoff
+from triwell.rng import inverse_cdf
 
 
 def parity_operation(central: StateVector, aux: AuxiliaryPrep,
                      lam: CrossSpeciesParams, kp: KerrParams, cutoff: FockCutoff,
-                     rng: np.random.Generator):
-    """Collide, count the auxiliary, and condition the central mode.
+                     u: float):
+    """Collide, count the auxiliary (a Born draw on the uniform ``u``), and
+    condition the central mode.
 
     Returns ``(m, conditional, success)`` with ``success`` iff m is even; on
     success the conditional state is the parity-flipped input. On failure the
@@ -19,7 +21,7 @@ def parity_operation(central: StateVector, aux: AuxiliaryPrep,
     protocol). The conditional lives on the basis of the count distribution.
     """
     marginal = parity_count_distribution(central, aux, lam, kp, cutoff)
-    m = int(sample_counts(np.cumsum(marginal), rng.random()))
+    m = int(np.searchsorted(inverse_cdf(marginal), u, side="right"))
     conditional = pad_cutoff(central, FockCutoff(len(marginal) - 1))
     if m % 2 == 0:
         conditional = parity_flip(conditional)

@@ -250,12 +250,20 @@ class TestExitCodes:
         assert run(args + ["--out", tmp_path / "x"]) == 2
 
     @pytest.mark.parametrize("subcommand", ["parity-sweep", "efficiency-sweep", "homodyne",
-                                            "lattice-map"])
+                                            "lattice-map", "channel", "teleport"])
     def test_gnuplot_without_csv_is_exit_2_before_any_work(self, tmp_path, subcommand):
         # the stubs plot the CSV table, which a JSON run does not write
         out = tmp_path / "x"
         assert run([subcommand, "--gnuplot", "1", "--format", "json", "--out", out]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize("subcommand", ["channel", "teleport"])
+    def test_gnuplot_without_a_stub_is_exit_2_before_any_work(self, tmp_path, subcommand):
+        # these subcommands plot nothing, so the flag would be silently ignored
+        out = tmp_path / "x"
+        assert run([subcommand, "--gnuplot", "1", "--out", out]) == 2
+        assert not out.exists()
+        assert run([subcommand, "--gnuplot", "0", "--out", out]) == 0
 
     def test_precondition_keeps_exit_3(self, tmp_path):
         assert run(["teleport", "--p-d", "1.5", "--out", tmp_path / "x"]) == 3

@@ -49,7 +49,7 @@ class TestParity:
         for trial in range(5):
             m, conditional, success = parity_operation(
                 central, AuxiliaryPrep("number", 0), LAM, KP, cutoff,
-                substream(21, trial))
+                substream(21, trial).random())
             assert m == 0 and success
             assert fidelity(conditional, flipped) >= 1 - 1e-6
 
@@ -57,7 +57,7 @@ class TestParity:
         cutoff = FockCutoff(30)
         central = cat(1.0, 1.0, 2.0j, cutoff)
         m, conditional, success = parity_operation(
-            central, AuxiliaryPrep("number", 3), LAM, KP, cutoff, substream(4))
+            central, AuxiliaryPrep("number", 3), LAM, KP, cutoff, substream(4).random())
         assert m == 3 and not success
         assert fidelity(conditional, central) >= 1 - 1e-10
 

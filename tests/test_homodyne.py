@@ -26,6 +26,7 @@ from triwell import (
     tensor,
 )
 from triwell.fock import quadrature_expectation
+from triwell.rng import MIN_OUTCOME_PROBABILITY
 from triwell.homodyne import (
     HomodynePhaseDiscriminator,
     IdealPhaseDiscriminator,
@@ -295,18 +296,30 @@ class TestPhaseBit:
         assert set(bit[tied].tolist()) == {0, 1}
         assert (bit[tied] == (draws[tied, 1] < 0.5)).all()
 
-    def test_top_selector_draws_a_possible_outcome(self):
+    @staticmethod
+    def tail_readout():
         # this readout's summed probabilities end ~6.7e-16 below 1, and its
         # last outcomes in CDF order have probability ~1e-26 or 0
         cutoff = FockCutoff(26)
         disc = HomodynePhaseDiscriminator(0.0, cutoff, 1.0, JosephsonParams(1000.0),
                                           KerrParams(1.0, 1.0))
         signal = tensor(prepare_coherent(CoherentSpec(0.5), cutoff), prepare_number(0, cutoff))
-        prepared = disc.prepare(signal, 0)
+        return disc, disc.prepare(signal, 0)
+
+    def test_top_selector_draws_a_possible_outcome(self):
+        disc, prepared = self.tail_readout()
         assert prepared.cdf[-1] == 1.0
         outcome, _ = prepared.draw(np.array([1 - 2**-53]), np.array([0.5]))
         k = int(np.flatnonzero(disc.order == outcome[0])[0])
         assert prepared.cdf[k] - prepared.cdf[k - 1] > 0
+
+    def test_top_selector_draws_an_outcome_with_a_posterior(self):
+        # outcomes below the probability floor have zero width in the CDF, so
+        # every draw has a posterior
+        _, prepared = self.tail_readout()
+        (outcome,), _ = prepared.draw(np.array([1 - 2**-53]), np.array([0.5]))
+        assert prepared.probs[outcome] >= MIN_OUTCOME_PROBABILITY
+        assert prepared.posterior(int(outcome)).modes == 1
 
     def test_posterior_is_count_state(self):
         # counting the signal leaves an untouched count-state mode as it was

@@ -76,7 +76,7 @@ def test_conditional_is_the_exact_sign(central, aux):
 @given(central=central_states, aux=auxiliaries, seed=st.integers(0, 2**32 - 1))
 def test_parity_operation_matches_the_collision(central, aux, seed):
     m, conditional, success = parity_operation(central, aux, LAM, KP, CUTOFF,
-                                               substream(seed))
+                                               substream(seed).random())
     assert success == (m % 2 == 0)
     joint = parity_collision(central, aux.prepare(CUTOFF), LAM, KP)
     _, oracle = project_number(joint, 0, m)

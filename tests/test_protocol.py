@@ -337,29 +337,31 @@ class TestRunProtocol:
         bell = BellMeasurement(build_protocol_state(config), config)
         reference = reference_state(config)
         seen = set()
-        for trial, rec in enumerate(result.records):
-            rng = substream(config.seed, trial)
-            outcome, state = bell.sample(rng)
+        # trial i reads row i: Bell stages, displacement success, auxiliary count
+        draws = substream(config.seed).random((config.trials, 6))
+        for rec, u in zip(result.records, draws):
+            (first,), (second,), (branch,) = (a.tolist() for a in bell.draw(u[None, :4]))
+            state = bell.posterior(first, second)
             p_d_success = aux_m = None
             corrected = True
-            if outcome.branch in (1, 3):
-                p_d_success = bool(rng.random() < config.p_d)
+            if branch in (1, 3):
+                p_d_success = bool(u[4] < config.p_d)
                 corrected = p_d_success
                 if p_d_success:
                     state = virtual_displacement(state, config.beta.amplitude)
-            if outcome.branch in (2, 3):
+            if branch in (2, 3):
                 aux_m, state, even = parity_operation(
                     state, config.aux, config.cross_species, config.parity_kerr(),
-                    config.cutoff, rng)
+                    config.cutoff, u[5])
                 corrected = corrected and even
-            assert rec.outcome.branch == outcome.branch
-            assert rec.outcome.raw == outcome.raw
+            assert rec.outcome.branch == branch
+            assert rec.outcome.raw == (first, second)
             assert rec.outcome.aux_m == aux_m
             assert rec.p_d_success == p_d_success
             assert rec.corrected == corrected
             assert rec.fidelity == pytest.approx(fidelity(state, reference), abs=1e-12)
             assert_python_types(rec)
-            seen.add((outcome.branch, p_d_success, None if aux_m is None else aux_m % 2))
+            seen.add((branch, p_d_success, None if aux_m is None else aux_m % 2))
         # every branch, and both outcomes of each correction, occurred
         assert {key[0] for key in seen} == {0, 1, 2, 3}
         assert {key[1] for key in seen} == {None, True, False}
@@ -387,6 +389,23 @@ class TestRunProtocol:
         assert run_protocol(config).summary["trials"] == 200
         assert main(["teleport", "--trials", "200", "--p-d", "0.7", "--aux-kind", "coherent",
                      "--aux-parameter", "2", "--out", str(tmp_path / "tp")]) == 0
+
+    def test_corrections_are_independent_of_the_next_trial(self):
+        # the next trial's stage-1 outcome, given this trial's displacement
+        # draw, against its pooled rate; a draw shared between neighbouring
+        # trials would couple them
+        config = make_config(
+            target=SuperpositionSpec(0.6, 0.8, 2.0), p_d=0.7, trials=20_000, seed=11,
+            aux=AuxiliaryPrep("coherent", 2.0),
+        )
+        columns = run_protocol(config).columns
+        following = columns["stage1"][1:] == 1
+        displaced = columns["p_d_success"][:-1]
+        pooled = following.mean()
+        for outcome in (True, False):
+            given = following[displaced == outcome]
+            stderr = math.sqrt(pooled * (1 - pooled) / len(given))
+            assert abs(given.mean() - pooled) <= 5 * stderr, outcome
 
     def test_success_rate_tracks_total_efficiency(self):
         trials = 4000

@@ -1,0 +1,53 @@
+"""The random layer: one keyed stream per path and one inverse-CDF rule."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from triwell import rng
+
+PATHS = [(), (0,), (1,), (0, 1), (1, 0)]
+
+
+def test_same_seed_and_path_give_the_same_stream():
+    for path in PATHS:
+        first = rng.substream(7, *path).random(1000)
+        assert np.array_equal(first, rng.substream(7, *path).random(1000))
+
+
+def test_distinct_paths_share_no_value():
+    # a path, its prefixes and its permutations are keyed apart; a shared
+    # counter would repeat a run of values at some offset
+    draws = {path: rng.substream(7, *path).random(100_000) for path in PATHS}
+    for one, two in itertools.combinations(PATHS, 2):
+        assert np.intersect1d(draws[one], draws[two]).size == 0, (one, two)
+
+
+def test_negative_path_index_is_rejected():
+    with pytest.raises(ValueError):
+        rng.substream(7, 0, -1)
+
+
+def test_negative_seed_is_a_valid_seed():
+    # the seed is taken modulo 2**128, as `--seed -1` relies on
+    assert np.array_equal(rng.substream(-1).random(8), rng.substream(2**128 - 1).random(8))
+
+
+@pytest.mark.parametrize("where", [0, 2, 4])  # first, middle, last
+def test_sub_floor_outcome_is_never_drawn(where):
+    probs = np.insert([0.25, 0.5, 0.125, 0.125], where, 0.1 * rng.MIN_OUTCOME_PROBABILITY)
+    cdf = rng.inverse_cdf(probs)
+    assert cdf[-1] == 1.0
+    assert cdf[where] == (cdf[where - 1] if where else 0.0)
+    # both ends of [0, 1) and every step of the CDF below 1
+    u = np.concatenate(([0.0, 1 - 2**-53], cdf[cdf < 1]))
+    drawn = np.searchsorted(cdf, u, side="right")
+    assert where not in drawn.tolist()
+    assert set(drawn.tolist()) == set(range(len(probs))) - {where}
+
+
+def test_outcome_at_the_floor_keeps_its_width():
+    cdf = rng.inverse_cdf([rng.MIN_OUTCOME_PROBABILITY, 1.0])
+    assert 0 < cdf[0] < cdf[1] == 1.0
+    assert np.searchsorted(cdf, 0.0, side="right") == 0
