@@ -239,9 +239,7 @@ def _config_echo(values: dict) -> dict:
 
 
 def _versions() -> dict:
-    import scipy
-
-    return {"triwell": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
+    return {"triwell": __version__, "numpy": np.__version__}
 
 
 @contextlib.contextmanager

@@ -216,14 +216,20 @@ def virtual_displacement(central: StateVector, beta: complex, l: int = 0) -> Sta
     if central.modes != 1:
         raise ShapeMismatch("virtual displacement acts on a single-mode state")
     delta = displacement_offset(complex(beta), l)
+    warn_large_offset(delta, beta)
+    return displace(central, 0, delta)
+
+
+def warn_large_offset(delta: float, beta: complex) -> None:
+    """Warn (at the caller's caller) when |delta| exceeds 0.2 |beta|, outside
+    the small-offset regime the correction is designed for."""
     if abs(delta) > DISPLACEMENT_RATIO_WARN * abs(beta):
         warnings.warn(
             f"|delta|/|beta| = {abs(delta) / abs(beta):.3g} exceeds "
             f"{DISPLACEMENT_RATIO_WARN}: branch overlap penalty exp(-delta^2) "
             f"= {math.exp(-delta**2):.3g} is significant",
-            stacklevel=2,
+            stacklevel=3,
         )
-    return displace(central, 0, delta)
 
 
 def displacement_linearization_error(delta: float, cutoff: FockCutoff) -> float:

@@ -379,13 +379,18 @@ def displace(state: StateVector, mode: int, delta: complex) -> StateVector:
     if delta == 0:
         return state
     out = apply_mode_matrix(state, mode, _displacement_matrix(complex(delta), state.dim))
-    top_mass = float(number_distribution(out, mode)[-1])
+    check_displaced_top_shell(float(number_distribution(out, mode)[-1]))
+    return out
+
+
+def check_displaced_top_shell(top_mass: float) -> None:
+    """Raise ``CutoffTooSmall`` when a displacement left more than
+    ``DEFAULT_MAX_LEAKAGE`` on the n_max shell (no headroom)."""
     if top_mass > DEFAULT_MAX_LEAKAGE:
         raise CutoffTooSmall(
             f"displacement left probability {top_mass:.3e} on the n_max shell "
             f"(bound {DEFAULT_MAX_LEAKAGE:.1e}); increase the cutoff"
         )
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,15 @@ propagator and the value (m_c - m_b) / (2 |r|), ordered by value and ties by
 count. A discriminator's one entry point is ``prepare(state, mode)``. The
 prepared distribution holds ``probs[o] = |rows[o] . state|^2`` and their
 ``rng.inverse_cdf`` along ``order``, in which outcomes below
-``MIN_OUTCOME_PROBABILITY`` have zero width; it gives the exact bit
-probabilities, array draws ``draw(u_select, u_tie) -> (outcome, bit)`` that
-read the tie-breaker only on a zero value, and ``posterior(o)`` for every
-outcome a draw can give.
+``MIN_OUTCOME_PROBABILITY`` have zero width. The array shapes pick how
+``probs`` is computed: from the measured mode's reduced density matrix,
+``Re(rows[o] rho rows[o]^H)`` clipped at 0, when the outcome amplitudes
+would cost more (the homodyne first stage), else as one ``|rows @ view|^2``
+row sum. It gives the exact bit probabilities, array draws
+``draw(u_select, u_tie) -> (outcome, bit)`` that read the tie-breaker only on
+a zero value, the unnormalised ``conditionals(outcomes)`` of the other
+modes, and ``posterior(o)``, their normalised state, for every outcome a draw
+can give.
 """
 
 from __future__ import annotations
@@ -248,14 +253,19 @@ class _PreparedReadout:
         self.disc = disc
         self.state = state
         d = state.dim
-        self.view = np.moveaxis(state.tensor_view(), mode, 0).reshape(d, -1)
+        self.view = view = np.moveaxis(state.tensor_view(), mode, 0).reshape(d, -1)
         rows = disc.rows
-        # d outcome rows at a time: the whole (d*d, rest) homodyne product
-        # would be 45 MB at n_max 40 and is only ever summed
-        probs = np.empty(len(rows))
-        for start in range(0, len(rows), d):
-            block = np.abs(rows[start:start + d] @ self.view)
-            probs[start:start + d] = np.einsum("ij,ij->i", block, block)
+        n_rows, rest = len(rows), view.shape[1]
+        if n_rows * rest > d * rest + n_rows * d:
+            # the (n_rows, rest) amplitudes cost more than the measured mode's
+            # reduced density matrix: probs[o] = Re(rows[o] rho rows[o]^H),
+            # summed over the interleaved real and imaginary parts
+            rho = view @ view.conj().T
+            probs = np.einsum("ij,ij->i", (rows @ rho).view(float), rows.view(float))
+            probs = np.maximum(probs, 0.0)
+        else:
+            amplitudes = np.abs(rows @ view)
+            probs = np.einsum("ij,ij->i", amplitudes, amplitudes)
         self.probs = probs
         self.total = probs.sum()
         if 1.0 - self.total > MAX_SUPPORT_LEFTOVER:
@@ -272,12 +282,16 @@ class _PreparedReadout:
         p_plus = probs[values > 0].sum() + probs[values == 0].sum() / 2
         return float(p_plus), float(1 - p_plus)
 
+    def conditionals(self, outcomes: np.ndarray) -> np.ndarray:
+        """Unnormalised amplitudes of the unmeasured modes, one row per outcome."""
+        return self.disc.rows[outcomes] @ self.view
+
     def posterior(self, outcome: int) -> StateVector:
         """Conditional state of the unmeasured modes after ``outcome``."""
         state, prob = self.state, self.probs[outcome]
         if prob < MIN_OUTCOME_PROBABILITY:
             raise ZeroProbabilityBranch(f"readout outcome {outcome} has probability {prob:.3e}")
-        conditional = self.disc.rows[outcome] @ self.view / math.sqrt(prob)
+        conditional = self.conditionals(outcome) / math.sqrt(prob)
         return StateVector(state.modes - 1, state.cutoff, conditional, state.leakage)
 
     def draw(self, u_select: np.ndarray, u_tie: np.ndarray) -> tuple:

@@ -33,8 +33,12 @@ Scoring: the receiver's correction depends only on the two bits and the
 auxiliary count, and the parity collision acts on mode 3 as an exact sign.
 So a run draws every trial at once, preparing the second Bell stage once per
 distinct first-stage outcome, and scores each distinct (stage outcomes,
-displaced, flipped) combination once. Trials stay named columns from the draw
-to the summary; ``ProtocolResult.records`` builds per-trial objects when read.
+displaced, flipped) combination once, without building states: the fidelity
+after a correction G is |<G^dag ref|post>|^2, so one product of the
+unnormalised mode-3 amplitudes ``post`` with the receiver's probe matrix
+gives every correction's overlap, and the rows' own norms normalise it.
+Trials stay named columns from the draw to the summary;
+``ProtocolResult.records`` builds per-trial objects when read.
 """
 
 from __future__ import annotations
@@ -51,8 +55,7 @@ from .corrections import (
     AuxiliaryPrep,
     displacement_offset,
     parity_count_distribution,
-    parity_flip,
-    virtual_displacement,
+    warn_large_offset,
 )
 from .dynamics import (
     CrossSpeciesParams,
@@ -67,7 +70,8 @@ from .fock import (
     CoherentSpec,
     StateVector,
     SuperpositionSpec,
-    fidelity,
+    _displacement_matrix,
+    check_displaced_top_shell,
     prepare_cat_superposition,
     tensor,
 )
@@ -206,7 +210,8 @@ class BellMeasurement:
     """Sequential two-mode phase discrimination on a three-mode protocol state.
 
     Each stage consumes two uniforms (selector and tie-breaker) regardless of
-    backend, keeping matched-seed runs aligned between backends.
+    backend, keeping matched-seed runs aligned between backends. Stages with
+    the same amplitude share one discriminator.
     """
 
     def __init__(self, state: StateVector, config: ProtocolConfig):
@@ -214,19 +219,17 @@ class BellMeasurement:
             raise ValueError("Bell measurement expects the three-mode protocol state")
         gamma = config.target.gamma
         alpha = config.alpha.amplitude
-        if config.measurement_backend == "ideal":
-            self.stages = (
-                IdealPhaseDiscriminator(gamma, config.cutoff),
-                IdealPhaseDiscriminator(alpha, config.cutoff),
-            )
-        else:
-            ref = config.reference_magnitude
-            self.stages = tuple(
-                HomodynePhaseDiscriminator(cmath.phase(amp), config.cutoff,
-                                           abs(amp) if ref is None else ref,
-                                           config.josephson, config.kerr)
-                for amp in (gamma, alpha)
-            )
+        ref = config.reference_magnitude
+
+        def discriminator(amp):
+            if config.measurement_backend == "ideal":
+                return IdealPhaseDiscriminator(amp, config.cutoff)
+            return HomodynePhaseDiscriminator(cmath.phase(amp), config.cutoff,
+                                              abs(amp) if ref is None else ref,
+                                              config.josephson, config.kerr)
+
+        built = {amp: discriminator(amp) for amp in dict.fromkeys((gamma, alpha))}
+        self.stages = (built[gamma], built[alpha])
         self._first = self.stages[0].prepare(state, 0)
         self._second = {}  # prepared second stage per stage-1 outcome index
 
@@ -243,28 +246,46 @@ class BellMeasurement:
             second[rows], bit2[rows] = self._second[key].draw(u[rows, 2], u[rows, 3])
         return first, second, 2 * (bit1 ^ bit2) + 1 - bit2
 
-    def posterior(self, first: int, second: int) -> StateVector:
-        """Conditional mode-3 state after the stage outcomes ``first``, ``second``."""
-        return self._second[first].posterior(second)
+    def conditionals(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """Unnormalised mode-3 amplitudes after each drawn (``first``,
+        ``second``) outcome pair, one row per pair."""
+        post = np.empty((len(first), self._first.state.dim), complex)
+        for key in np.unique(first).tolist():
+            rows = first == key
+            post[rows] = self._second[key].conditionals(second[rows])
+        return post
 
     def sample(self, rng: np.random.Generator):
         """Measure both modes; returns (outcome, conditional mode-3 state)."""
         (first,), (second,), (branch,) = (a.tolist() for a in self.draw(rng.random((1, 4))))
         outcome = MeasurementOutcome(branch >> 1, branch & 1, branch, (first, second))
-        return outcome, self.posterior(first, second)
+        return outcome, self._second[first].posterior(second)
 
 
 class _Receiver:
-    """Receiver of one configuration: reference state and count CDF."""
+    """Receiver of one configuration: reference probes and count CDF.
+
+    A correction is one of four probe columns, ``2 * displaced + flipped``.
+    With P the parity sign and D the displacement, the overlap of the
+    corrected mode 3 with the reference is <ref| P^f D^s |post> =
+    <D^-s P^f ref|post>, so column j of ``probes`` holds conj(D^-s P^f ref)
+    and one product ``post @ probes`` scores every correction. With a
+    displacement, a last column D[n_max, :] reads D|post> on the top shell.
+    """
 
     def __init__(self, config: ProtocolConfig):
         self.config = config
         self.reference = reference_state(config)
+        ref = self.reference.amplitudes
+        probes = np.conj([ref, (-1.0) ** np.arange(len(ref)) * ref]).T
         try:
-            displacement_offset(complex(config.beta.amplitude), 0)
-            self.can_displace = True
+            self.delta = displacement_offset(complex(config.beta.amplitude), 0)
         except ZeroImaginaryPart:
-            self.can_displace = False  # real channel amplitude: correction unavailable
+            self.delta = None  # real channel amplitude: correction unavailable
+        else:
+            shift = _displacement_matrix(complex(self.delta), len(ref))
+            probes = np.hstack([probes, shift.T @ probes, shift[-1:].T])
+        self.probes = probes
 
     @cached_property
     def count_cdf(self) -> np.ndarray:
@@ -274,57 +295,55 @@ class _Receiver:
             self.config.parity_kerr(), self.config.cutoff,
         ))
 
-    def score(self, mode3: StateVector, displaced: bool, flipped: bool) -> float:
-        """Fidelity of mode 3 after the applied operations."""
-        if displaced:
-            mode3 = virtual_displacement(mode3, self.config.beta.amplitude, l=0)
-        if flipped:
-            mode3 = parity_flip(mode3)
-        return fidelity(mode3, self.reference)
-
-    def draw_and_score(self, first, second, branch, u, mode3) -> dict:
-        """Draw each row's corrections from its two uniforms ``u`` and score it.
+    def draw(self, first, second, branch, u) -> tuple:
+        """Draw each row's corrections from its two uniforms ``u``.
 
         Displacement success is a Bernoulli(p_d) draw on the first uniform
         (hardware mastering); parity success is the auxiliary count, a Born
         draw on the second uniform, being even. Both uniforms belong to every
         row, and each draw counts only where the branch needs its correction.
-        A row is corrected when every drawn correction succeeded; either way
-        its fidelity is scored against the normalized A|b> + B|-b> reference,
-        modulo global phase. ``mode3(first, second)`` is called once per
-        distinct (stage outcomes, displaced, flipped) row. Returns the run's
-        columns.
+        A row is corrected when every drawn correction succeeded. Returns the
+        run's columns but ``fidelity``, and each row's probe column.
         """
         displacing, parity = _NEEDS[branch].T
-        success = (u[:, 0] < self.config.p_d) & self.can_displace
+        success = (u[:, 0] < self.config.p_d) & (self.delta is not None)
         aux_m = np.zeros(len(branch), int)
         if parity.any():  # the count CDF (and its conditions) only when needed
             aux_m = np.searchsorted(self.count_cdf, u[:, 1], side="right")
-        # one integer key per row for (first, second, displaced, flipped)
-        width = int(second.max()) + 1
         flipped = parity & (aux_m % 2 == 0)
-        keys = 4 * (first * width + second) + 2 * (displacing & success) + flipped
-        table, inverse = np.unique(keys, return_inverse=True)
-        scores = np.array([self.score(mode3(*divmod(key >> 2, width)), key & 2, key & 1)
-                           for key in table.tolist()])
-        return {
+        columns = {
             "stage1": first, "stage2": second, "branch": branch,
             "p_d_success": np.where(displacing, success, None),
             "aux_m": np.where(parity, aux_m, None),
             "corrected": (success | ~displacing) & (flipped | ~parity),
-            "fidelity": scores[inverse],
         }
+        return columns, 2 * (displacing & success) + flipped
+
+    def fidelities(self, post: np.ndarray, column: np.ndarray) -> np.ndarray:
+        """Fidelity with the reference, modulo global phase, of each row of
+        ``post`` (unnormalised mode-3 amplitudes) after the corrections of its
+        probe ``column``. Raises ``CutoffTooSmall`` when a displaced row leaves
+        more than ``DEFAULT_MAX_LEAKAGE`` on the n_max shell."""
+        norms = np.einsum("ij,ij->i", post, post.conj()).real
+        mass = np.abs(post @ self.probes) ** 2 / norms[:, None]
+        displaced = column >= 2
+        if displaced.any():
+            warn_large_offset(self.delta, self.config.beta.amplitude)
+            check_displaced_top_shell(float(mass[displaced, -1].max()))
+        return mass[np.arange(len(column)), column]
 
 
 def correct_and_score(mode3: StateVector, outcome: MeasurementOutcome,
                       config: ProtocolConfig, rng: np.random.Generator) -> TrialRecord:
-    """One trial of ``_Receiver.draw_and_score``: the branch's corrections
+    """One trial of a run's receiver: the branch's corrections drawn and
     applied to ``mode3`` and scored, keeping ``outcome``'s stage outcomes."""
     if outcome.branch not in CORRECTIONS_FOR_BRANCH:
         raise ValueError(f"branch {outcome.branch} outside 0..3")
+    receiver = _Receiver(config)
     first, second = (np.array([index]) for index in outcome.raw)
-    columns = _Receiver(config).draw_and_score(first, second, np.array([outcome.branch]),
-                                               rng.random((1, 2)), lambda *_: mode3)
+    columns, column = receiver.draw(first, second, np.array([outcome.branch]),
+                                    rng.random((1, 2)))
+    columns["fidelity"] = receiver.fidelities(mode3.amplitudes[None], column)
     return ProtocolResult(columns).records[0]
 
 
@@ -332,5 +351,12 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     """Run ``config.trials`` seeded trials; deterministic given the seed."""
     bell = BellMeasurement(build_protocol_state(config), config)
     u = substream(config.seed).random((config.trials, 6))  # trial i: row i
-    return ProtocolResult(_Receiver(config).draw_and_score(
-        *bell.draw(u[:, :4]), u[:, 4:], bell.posterior))
+    receiver = _Receiver(config)
+    columns, column = receiver.draw(*bell.draw(u[:, :4]), u[:, 4:])
+    # each distinct (stage outcomes, probe column) is scored once
+    first, second = columns["stage1"], columns["stage2"]
+    width = int(second.max()) + 1
+    table, inverse = np.unique(4 * (first * width + second) + column, return_inverse=True)
+    post = bell.conditionals(*divmod(table >> 2, width))
+    columns["fidelity"] = receiver.fidelities(post, table & 3)[inverse]
+    return ProtocolResult(columns)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from triwell import (
     AuxiliaryPrep,
     CoherentSpec,
     CrossSpeciesParams,
+    CutoffTooSmall,
     FockCutoff,
     FrequencyConditionViolated,
     HamiltonianTerm,
@@ -30,8 +32,10 @@ from triwell import (
 )
 import triwell.protocol
 from triwell.cli import main
+from triwell.corrections import parity_flip
 from triwell.fock import StateVector, coherent_amplitudes
 from triwell.protocol import CORRECTIONS_FOR_BRANCH, BellMeasurement
+from triwell.rng import MIN_OUTCOME_PROBABILITY
 
 from oracles import parity_operation
 
@@ -243,6 +247,30 @@ class TestBellMeasurement:
         assert outcome.branch in (0, 1, 2, 3)
 
 
+class TestPreparedProbabilities:
+    @pytest.mark.parametrize("backend", ["ideal", "homodyne"])
+    def test_both_stages_match_direct_row_sums(self, backend):
+        # at n_max 12 the homodyne first stage takes the reduced-density-matrix
+        # form; the second stages and the ideal first stage take the product
+        config = make_config(target=SuperpositionSpec(0.6, 0.8, 1.0), alpha=CoherentSpec(1.0),
+                             beta=CoherentSpec(1.0j), cutoff=FockCutoff(12),
+                             measurement_backend=backend)
+        bell = BellMeasurement(build_protocol_state(config), config)
+        first = bell._first
+        second = bell.stages[1].prepare(first.posterior(int(np.argmax(first.probs))), 0)
+        sub_floor = 0
+        for prepared in (first, second):
+            view = prepared.state.amplitudes.reshape(config.cutoff.dim, -1)
+            direct = (np.abs(prepared.disc.rows @ view) ** 2).sum(axis=1)
+            np.testing.assert_allclose(prepared.probs, direct, rtol=0, atol=1e-15)
+            # outcomes below the floor keep zero width in the CDF
+            width = np.diff(prepared.cdf, prepend=0.0)
+            below = direct[prepared.disc.order] < MIN_OUTCOME_PROBABILITY / 2
+            assert (width[below] == 0).all()
+            sub_floor += below.sum()
+        assert (sub_floor > 0) == (backend == "homodyne")
+
+
 class TestCorrectAndScore:
     def seen_branches(self, config, seeds=400):
         state = build_protocol_state(config)
@@ -304,6 +332,27 @@ class TestCorrectAndScore:
         assert rec.outcome == MeasurementOutcome(1, 0, 2, (5, 7), aux_m=0)
         assert rec.corrections_applied == ("parity",) and rec.corrected
 
+    @pytest.mark.parametrize("branch", [0, 1, 2, 3])
+    def test_scores_the_direct_corrections(self, branch):
+        # a coherent state off both axes tells D from D^dag, which the
+        # protocol's own conditional states cannot; unequal weights make the
+        # reference parity-asymmetric
+        config = make_config(target=SuperpositionSpec(0.6, 0.8, 2.0), p_d=1.0,
+                             aux=AuxiliaryPrep("number", 0))
+        mode3 = prepare_cat_superposition(SuperpositionSpec(1.0, 0.0, 0.5 + 1.5j), config.cutoff)
+        outcome = MeasurementOutcome(branch >> 1, branch & 1, branch, (0, 0))
+        rec = correct_and_score(mode3, outcome, config, substream(4))
+        direct = mode3
+        if branch in (1, 3):
+            direct = virtual_displacement(direct, config.beta.amplitude)
+        if branch in (2, 3):
+            direct = parity_flip(direct)
+        reference = reference_state(config)
+        assert rec.corrected
+        assert rec.fidelity == pytest.approx(fidelity(direct, reference), abs=1e-12)
+        if branch:  # the correction changes the score
+            assert abs(rec.fidelity - fidelity(mode3, reference)) > 1e-3
+
     def test_p_d_zero_never_corrects_displacement_branches(self):
         config = make_config(p_d=0.0, trials=300)
         result = run_protocol(config)
@@ -322,6 +371,17 @@ class TestCorrectAndScore:
         for rec in result.records:
             if rec.outcome.branch in (1, 3):
                 assert not rec.corrected and rec.p_d_success is False
+        # still scored: each trial's posterior, flipped on an even count (the
+        # vacuum auxiliary always counts 0)
+        bell = BellMeasurement(build_protocol_state(config), config)
+        reference = reference_state(config)
+        draws = substream(config.seed).random((config.trials, 6))
+        first, second, _ = bell.draw(draws[:, :4])
+        for rec, o1, o2 in zip(result.records, first.tolist(), second.tolist()):
+            state = bell._second[o1].posterior(o2)
+            if rec.outcome.branch in (2, 3):
+                state = parity_flip(state)
+            assert rec.fidelity == pytest.approx(fidelity(state, reference), abs=1e-12)
 
 
 class TestRunProtocol:
@@ -341,7 +401,7 @@ class TestRunProtocol:
         draws = substream(config.seed).random((config.trials, 6))
         for rec, u in zip(result.records, draws):
             (first,), (second,), (branch,) = (a.tolist() for a in bell.draw(u[None, :4]))
-            state = bell.posterior(first, second)
+            state = bell._second[first].posterior(second)
             p_d_success = aux_m = None
             corrected = True
             if branch in (1, 3):
@@ -366,6 +426,25 @@ class TestRunProtocol:
         assert {key[0] for key in seen} == {0, 1, 2, 3}
         assert {key[1] for key in seen} == {None, True, False}
         assert {key[2] for key in seen} == {None, 0, 1}
+
+    def test_displacement_warning_once_per_run(self):
+        # |delta|/|beta| = 0.39 at beta = 2i; several distinct displaced rows
+        config = make_config(p_d=1.0, trials=300)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            columns = run_protocol(config).columns
+        displaced = columns["p_d_success"].astype(bool)  # None where not needed
+        pairs = set(zip(columns["stage1"][displaced].tolist(),
+                        columns["stage2"][displaced].tolist()))
+        assert len(pairs) > 1
+        assert sum("exceeds" in str(w.message) for w in caught) == 1
+
+    def test_top_shell_check_raises_without_headroom(self):
+        # n_max 22 holds every prepared state (leakage <= 1e-10), but the
+        # displaced mode-3 state leaves more than 1e-10 on the n_max shell
+        config = make_config(cutoff=FockCutoff(22), p_d=1.0, trials=200)
+        with pytest.raises(CutoffTooSmall, match="n_max shell"):
+            run_protocol(config)
 
     def test_seed_determinism(self):
         config = make_config(trials=64, p_d=0.6, aux=AuxiliaryPrep("coherent", 2.0))
