@@ -152,18 +152,6 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     return StateVector(a.modes + b.modes, a.cutoff, amps, leak)
 
 
-def pad_cutoff(state: StateVector, cutoff: FockCutoff) -> StateVector:
-    """Embed the state into a larger cutoff (exact, zero padding)."""
-    if cutoff.n_max < state.cutoff.n_max:
-        raise ShapeMismatch("pad_cutoff cannot shrink the basis")
-    if cutoff.n_max == state.cutoff.n_max:
-        return state
-    view = state.tensor_view()
-    widths = [(0, cutoff.dim - state.dim)] * state.modes
-    padded = np.pad(view, widths)
-    return StateVector(state.modes, cutoff, padded.ravel(), state.leakage)
-
-
 def _check_mode(state: StateVector, mode: int) -> None:
     if not 0 <= mode < state.modes:
         raise ShapeMismatch(f"mode {mode} out of range for {state.modes}-mode state")

@@ -38,14 +38,18 @@ couples the mode to a reference well for a quarter tunnelling period and
 counts atoms in both wells (exact joint Born sampling, no Gaussian
 approximation): outcome ``m_c * dim + m_b`` has its row of the pair
 propagator and the value (m_c - m_b) / (2 |r|), ordered by value and ties by
-count. A discriminator's one entry point is ``prepare(state, mode)``. The
-prepared distribution holds ``probs[o] = |rows[o] . state|^2`` and their
-``rng.inverse_cdf`` along ``order``, in which outcomes below
-``MIN_OUTCOME_PROBABILITY`` have zero width. The array shapes pick how
-``probs`` is computed: from the measured mode's reduced density matrix,
-``Re(rows[o] rho rows[o]^H)`` clipped at 0, when the outcome amplitudes
-would cost more (the homodyne first stage), else as one ``|rows @ view|^2``
-row sum. It gives the exact bit probabilities, array draws
+count. A discriminator's entry point is ``prepare(state, mode)``; given an
+orthonormal ``basis`` of the state's last mode it works on the state's
+coefficients over that basis instead of the full view, and
+``prepare_blocks`` prepares a stack of such coefficient blocks at once. The
+prepared distribution holds ``probs[o] = |rows[o] . state|^2`` (equal on the
+coefficients, since the basis is orthonormal) and their ``rng.inverse_cdf``
+along ``order``, in which outcomes below ``MIN_OUTCOME_PROBABILITY`` have
+zero width. The array shapes pick how ``probs`` is computed: from the
+measured mode's reduced density matrix, ``Re(rows[o] rho rows[o]^H)``
+clipped at 0, when the outcome amplitudes would cost more (the homodyne
+first stage), else as one ``|rows @ blocks|^2`` product with the blocks side
+by side. It gives the exact bit probabilities, array draws
 ``draw(u_select, u_tie) -> (outcome, bit)`` that read the tie-breaker only on
 a zero value, the unnormalised ``conditionals(outcomes)`` of the other
 modes, and ``posterior(o)``, their normalised state, for every outcome a draw
@@ -241,58 +245,77 @@ def helstrom_vectors(amplitude: complex, cutoff: FockCutoff):
     return w0, w1
 
 
+def _block_probabilities(rows, blocks: np.ndarray) -> np.ndarray:
+    """``probs[k, o] = |rows[o] @ blocks[k]|^2``, summed over the row, for a
+    stack of (d x w) coefficient blocks, by the cheaper of two forms: from
+    each block's reduced density matrix ``Re(rows[o] rho rows[o]^H)`` clipped
+    at 0 when the (n_rows x w) amplitudes cost more, else one product of the
+    rows with every block side by side."""
+    n_rows, (count, d, width) = len(rows), blocks.shape
+    if n_rows * width > d * width + n_rows * d:
+        # summed over the interleaved real and imaginary parts
+        rho = blocks @ blocks.conj().transpose(0, 2, 1)
+        probs = np.einsum("kij,ij->ki", (rows @ rho).view(float), rows.view(float))
+        return np.maximum(probs, 0.0)
+    side_by_side = blocks.transpose(1, 0, 2).reshape(d, count * width)
+    amplitudes = np.abs(rows @ side_by_side).reshape(n_rows, count, width)
+    return np.einsum("okj,okj->ko", amplitudes, amplitudes)
+
+
+@dataclass(eq=False)
 class _PreparedReadout:
     """Outcome distribution of one discrimination, ready to draw from.
 
-    Keeps only the measured-mode view and the outcome probabilities; the
-    conditional state of an outcome is built from its row when asked for,
-    so draws stay cheap.
+    Keeps the measured mode's (d x w) coefficient block ``coeff``, the
+    outcome probabilities and their CDF. With ``basis`` None a row of
+    ``coeff`` holds the other modes' amplitudes; else ``basis`` holds
+    orthonormal columns (d x r) spanning the last of them, and a row is
+    (w / r) x r coefficients over those columns, so the measured-mode view is
+    ``coeff @ basis^T`` blockwise. The conditional state of an outcome is
+    built from its row when asked for, so draws stay cheap. ``modes`` and
+    ``leakage`` are those of the conditional states.
     """
 
-    def __init__(self, disc, state: StateVector, mode: int):
-        self.disc = disc
-        self.state = state
-        d = state.dim
-        self.view = view = np.moveaxis(state.tensor_view(), mode, 0).reshape(d, -1)
-        rows = disc.rows
-        n_rows, rest = len(rows), view.shape[1]
-        if n_rows * rest > d * rest + n_rows * d:
-            # the (n_rows, rest) amplitudes cost more than the measured mode's
-            # reduced density matrix: probs[o] = Re(rows[o] rho rows[o]^H),
-            # summed over the interleaved real and imaginary parts
-            rho = view @ view.conj().T
-            probs = np.einsum("ij,ij->i", (rows @ rho).view(float), rows.view(float))
-            probs = np.maximum(probs, 0.0)
-        else:
-            amplitudes = np.abs(rows @ view)
-            probs = np.einsum("ij,ij->i", amplitudes, amplitudes)
-        self.probs = probs
-        self.total = probs.sum()
-        if 1.0 - self.total > MAX_SUPPORT_LEFTOVER:
-            raise AmbiguousSupport(
-                f"probability {1.0 - self.total:.3g} of the signal lies outside "
-                "the span of the readout rows"
-            )
-        self.cdf = inverse_cdf(probs[disc.order])
+    disc: object
+    coeff: np.ndarray
+    basis: np.ndarray | None
+    probs: np.ndarray
+    cdf: np.ndarray
+    modes: int
+    leakage: float
 
     @property
     def bit_probabilities(self):
         """Exact (P(bit=0), P(bit=1)) with ties split evenly."""
-        probs, values = self.probs / self.total, self.disc.values
+        probs, values = self.probs / self.probs.sum(), self.disc.values
         p_plus = probs[values > 0].sum() + probs[values == 0].sum() / 2
         return float(p_plus), float(1 - p_plus)
 
+    def expand(self, coefficients: np.ndarray) -> np.ndarray:
+        """Amplitudes of the unmeasured modes from rows of coefficients."""
+        if self.basis is None:
+            return coefficients
+        lead = coefficients.shape[:-1]
+        rank = self.basis.shape[1]
+        return (coefficients.reshape(-1, rank) @ self.basis.T).reshape(*lead, -1)
+
     def conditionals(self, outcomes: np.ndarray) -> np.ndarray:
         """Unnormalised amplitudes of the unmeasured modes, one row per outcome."""
-        return self.disc.rows[outcomes] @ self.view
+        return self.expand(self.disc.rows[outcomes] @ self.coeff)
+
+    def posterior_coefficients(self, outcomes) -> np.ndarray:
+        """Normalised coefficient rows of the conditional states after
+        ``outcomes``; raises ``ZeroProbabilityBranch`` below the floor."""
+        prob = self.probs[outcomes]
+        if np.any(prob < MIN_OUTCOME_PROBABILITY):
+            raise ZeroProbabilityBranch(
+                f"readout outcomes {outcomes} reach probability {np.min(prob):.3e}")
+        return (self.disc.rows[outcomes] @ self.coeff) / np.sqrt(prob)[..., None]
 
     def posterior(self, outcome: int) -> StateVector:
         """Conditional state of the unmeasured modes after ``outcome``."""
-        state, prob = self.state, self.probs[outcome]
-        if prob < MIN_OUTCOME_PROBABILITY:
-            raise ZeroProbabilityBranch(f"readout outcome {outcome} has probability {prob:.3e}")
-        conditional = self.conditionals(outcome) / math.sqrt(prob)
-        return StateVector(state.modes - 1, state.cutoff, conditional, state.leakage)
+        conditional = self.expand(self.posterior_coefficients(outcome))
+        return StateVector(self.modes, self.disc.cutoff, conditional, self.leakage)
 
     def draw(self, u_select: np.ndarray, u_tie: np.ndarray) -> tuple:
         """(outcome, bit) arrays for the uniform pairs: bit 1 for a negative
@@ -317,8 +340,40 @@ class _PreparedHomodyne(_PreparedReadout):
     """Outcome distribution of one atom-counting readout."""
 
 
-class IdealPhaseDiscriminator:
+class _Discriminator:
+    """Entry points of both backends; a backend sets ``cutoff``, ``rows``,
+    ``values``, ``order`` and its ``prepared`` class."""
+
+    def prepare(self, state: StateVector, mode: int, basis: np.ndarray | None = None):
+        """Readout of ``mode`` of ``state``. Given ``basis``, orthonormal
+        columns spanning the state's last mode (not ``mode``), it works on the
+        state's coefficients over them."""
+        d = state.dim
+        view = np.moveaxis(state.tensor_view(), mode, 0).reshape(d, -1)
+        if basis is not None:
+            view = (view.reshape(-1, d) @ basis.conj()).reshape(d, -1)
+        return self.prepare_blocks(view[None], basis, state.modes - 1, state.leakage)[0]
+
+    def prepare_blocks(self, blocks: np.ndarray, basis, modes: int, leakage: float) -> list:
+        """One readout per (d x w) coefficient block of the stack ``blocks``
+        (see ``_PreparedReadout``), with every block's probabilities from one
+        product and every CDF from one floor and cumulative sum."""
+        probs = _block_probabilities(self.rows, blocks)
+        leftover = 1.0 - probs.sum(axis=1).min()
+        if leftover > MAX_SUPPORT_LEFTOVER:
+            raise AmbiguousSupport(
+                f"probability {leftover:.3g} of the signal lies outside "
+                "the span of the readout rows"
+            )
+        cdfs = inverse_cdf(probs[:, self.order])
+        return [self.prepared(self, block, basis, block_probs, cdf, modes, leakage)
+                for block, block_probs, cdf in zip(blocks, probs, cdfs)]
+
+
+class IdealPhaseDiscriminator(_Discriminator):
     """Two-outcome minimum-error projection onto span{|a>, |-a>}."""
+
+    prepared = _PreparedIdeal
 
     def __init__(self, amplitude: complex, cutoff: FockCutoff):
         self.amplitude = amplitude
@@ -328,11 +383,8 @@ class IdealPhaseDiscriminator:
         self.values = np.array([1.0, -1.0])
         self.order = np.array([1, 0])
 
-    def prepare(self, state: StateVector, mode: int) -> _PreparedIdeal:
-        return _PreparedIdeal(self, state, mode)
 
-
-class HomodynePhaseDiscriminator:
+class HomodynePhaseDiscriminator(_Discriminator):
     """Atom-counting quadrature threshold along a given axis.
 
     The measured mode is coupled to a reference well |r| e^{i(axis+pi/2)}
@@ -340,6 +392,8 @@ class HomodynePhaseDiscriminator:
     The sample value (m_c - m_b)/(2 |r|) estimates <X_axis>; its sign is the
     phase bit. Sampling is exact Born sampling of the joint counts.
     """
+
+    prepared = _PreparedHomodyne
 
     def __init__(self, axis_phase: float, cutoff: FockCutoff, reference_magnitude: float,
                  josephson: JosephsonParams, kerr: KerrParams):
@@ -357,6 +411,3 @@ class HomodynePhaseDiscriminator:
         self.values = (m_c - m_b) / (2 * reference_magnitude)
         # stable: tied values keep the count order m_c * dim + m_b
         self.order = np.argsort(self.values, kind="stable")
-
-    def prepare(self, state: StateVector, mode: int) -> _PreparedHomodyne:
-        return _PreparedHomodyne(self, state, mode)

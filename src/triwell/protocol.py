@@ -29,10 +29,20 @@ columns 0-1 are the first Bell stage (selector, tie-breaker), 2-3 the second,
 draws are ``rng.inverse_cdf`` draws, so none selects an outcome below
 ``MIN_OUTCOME_PROBABILITY``.
 
+Bell stages: mode 3 never enters the readout, and in the state above it
+lies in span{|b>, |-b>}. Every evolution that builds the state is a
+quarter-period phase, a combination of 1 and the parity, so this holds
+exactly in truncated Fock space too. ``BellMeasurement`` therefore factors
+mode 3 out once: an orthonormal basis Z (d x r) of the row space of the
+unfolding psi[(n1, n2), n3], with r = 2 here and at most d for any state,
+and the coefficients over it. Stage 1 is prepared on the d x (d r)
+coefficient block, and stage 2 after each first-stage outcome on its
+d x r block, every block's probabilities from one product.
+
 Scoring: the receiver's correction depends only on the two bits and the
 auxiliary count, and the parity collision acts on mode 3 as an exact sign.
-So a run draws every trial at once, preparing the second Bell stage once per
-distinct first-stage outcome, and scores each distinct (stage outcomes,
+So a run draws every trial at once, grouping the trials by first-stage
+outcome with one stable sort, and scores each distinct (stage outcomes,
 displaced, flipped) combination once, without building states: the fidelity
 after a correction G is |<G^dag ref|post>|^2, so one product of the
 unnormalised mode-3 amplitudes ``post`` with the receiver's probe matrix
@@ -211,7 +221,10 @@ class BellMeasurement:
 
     Each stage consumes two uniforms (selector and tie-breaker) regardless of
     backend, keeping matched-seed runs aligned between backends. Stages with
-    the same amplitude share one discriminator.
+    the same amplitude share one discriminator. Both stages work on mode 3's
+    coefficients over ``receiver_basis``, orthonormal columns spanning the
+    row space of the unfolding psi[(n1, n2), n3]; ``discarded_weight`` is
+    the squared norm of the state outside them.
     """
 
     def __init__(self, state: StateVector, config: ProtocolConfig):
@@ -230,28 +243,61 @@ class BellMeasurement:
 
         built = {amp: discriminator(amp) for amp in dict.fromkeys((gamma, alpha))}
         self.stages = (built[gamma], built[alpha])
-        self._first = self.stages[0].prepare(state, 0)
+        # The Gram matrix's eigenvectors are a basis of mode 3. Its eigenvalues
+        # resolve weights only down to ~d eps of the largest, so each
+        # direction's weight is the norm of the coefficients over it, and the
+        # rank follows numpy's matrix_rank rule on those norms.
+        d = state.dim
+        unfolding = state.amplitudes.reshape(d * d, d)
+        basis = np.linalg.eigh(unfolding.T @ unfolding.conj())[1]
+        coefficients = unfolding @ basis.conj()
+        singular = np.linalg.norm(coefficients, axis=0)
+        kept = singular > singular.max() * max(unfolding.shape) * np.finfo(float).eps
+        self.receiver_basis = basis[:, kept]
+        # |unfolding - Phi Z^T|^2, read in the basis's other directions
+        self.discarded_weight = float(np.linalg.norm(coefficients[:, ~kept]) ** 2)
+        self._first = self.stages[0].prepare(state, 0, self.receiver_basis)
         self._second = {}  # prepared second stage per stage-1 outcome index
+
+    def _prepare_second(self, keys: list) -> None:
+        """Prepare the second stage after each stage-1 outcome of ``keys``
+        not yet prepared, all from one product."""
+        new = [key for key in keys if key not in self._second]
+        if new:
+            first = self._first
+            blocks = first.posterior_coefficients(np.array(new))
+            blocks = blocks.reshape(len(new), first.disc.cutoff.dim, -1)
+            prepared = self.stages[1].prepare_blocks(blocks, first.basis, first.modes - 1,
+                                                     first.leakage)
+            self._second.update(zip(new, prepared))
+
+    def _segments(self, first: np.ndarray) -> list:
+        """(outcome, its row indices) per distinct stage-1 outcome, from one
+        stable sort: a radix sort, on the narrowest type that holds them."""
+        narrow = first.astype(np.min_scalar_type(len(self._first.probs)))
+        order = np.argsort(narrow, kind="stable")
+        ordered = first[order]
+        starts = np.flatnonzero(np.diff(ordered, prepend=-1))  # outcomes are >= 0
+        ends = np.append(starts[1:], len(first))
+        return [(key, order[lo:hi]) for key, lo, hi in zip(ordered[starts].tolist(), starts, ends)]
 
     def draw(self, u: np.ndarray) -> tuple:
         """(stage-1 outcome, stage-2 outcome, branch) arrays for the rows of
-        ``u``: selector and tie of stage 1, then of stage 2. Stage 2 is
-        prepared and drawn once per distinct stage-1 outcome."""
+        ``u``: selector and tie of stage 1, then of stage 2. Stage 2 is drawn
+        once per distinct stage-1 outcome, on that outcome's rows."""
         first, bit1 = self._first.draw(u[:, 0], u[:, 1])
+        segments = self._segments(first)
+        self._prepare_second([key for key, _ in segments])
         second, bit2 = np.empty_like(first), np.empty_like(bit1)
-        for key in np.unique(first).tolist():
-            rows = first == key
-            if key not in self._second:
-                self._second[key] = self.stages[1].prepare(self._first.posterior(key), 0)
+        for key, rows in segments:
             second[rows], bit2[rows] = self._second[key].draw(u[rows, 2], u[rows, 3])
         return first, second, 2 * (bit1 ^ bit2) + 1 - bit2
 
     def conditionals(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Unnormalised mode-3 amplitudes after each drawn (``first``,
         ``second``) outcome pair, one row per pair."""
-        post = np.empty((len(first), self._first.state.dim), complex)
-        for key in np.unique(first).tolist():
-            rows = first == key
+        post = np.empty((len(first), self._first.disc.cutoff.dim), complex)
+        for key, rows in self._segments(first):
             post[rows] = self._second[key].conditionals(second[rows])
         return post
 

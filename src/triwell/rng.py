@@ -35,12 +35,13 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
 
 def inverse_cdf(probs) -> np.ndarray:
-    """CDF of ``probs`` for the draw ``np.searchsorted(cdf, u, side="right")``.
+    """CDF of ``probs`` for the draw ``np.searchsorted(cdf, u, side="right")``,
+    along the last axis, so a stack of distributions gives a stack of CDFs.
 
     Entries below ``MIN_OUTCOME_PROBABILITY`` count as 0, and the cumulative
     sum is divided by its own last entry, so it ends at exactly 1 and every
     ``u`` in [0, 1) selects an outcome of at least the floor's probability.
     """
     probs = np.asarray(probs, dtype=float)
-    cumulative = np.cumsum(np.where(probs < MIN_OUTCOME_PROBABILITY, 0.0, probs))
-    return cumulative / cumulative[-1]
+    cumulative = np.cumsum(np.where(probs < MIN_OUTCOME_PROBABILITY, 0.0, probs), axis=-1)
+    return cumulative / cumulative[..., -1:]

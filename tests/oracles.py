@@ -2,10 +2,22 @@
 
 import numpy as np
 
-from triwell import AuxiliaryPrep, CrossSpeciesParams, FockCutoff, KerrParams, StateVector
+from triwell import (AuxiliaryPrep, CrossSpeciesParams, FockCutoff, KerrParams, ShapeMismatch,
+                     StateVector)
 from triwell.corrections import parity_count_distribution, parity_flip
-from triwell.fock import pad_cutoff
 from triwell.rng import inverse_cdf
+
+
+def pad_cutoff(state: StateVector, cutoff: FockCutoff) -> StateVector:
+    """Embed the state into a larger cutoff (exact, zero padding)."""
+    if cutoff.n_max < state.cutoff.n_max:
+        raise ShapeMismatch("pad_cutoff cannot shrink the basis")
+    if cutoff.n_max == state.cutoff.n_max:
+        return state
+    view = state.tensor_view()
+    widths = [(0, cutoff.dim - state.dim)] * state.modes
+    padded = np.pad(view, widths)
+    return StateVector(state.modes, cutoff, padded.ravel(), state.leakage)
 
 
 def parity_operation(central: StateVector, aux: AuxiliaryPrep,

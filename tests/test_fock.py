@@ -27,7 +27,9 @@ from triwell import (
     state_to_dict,
     tensor,
 )
-from triwell.fock import coherent_amplitudes, mean_occupation, pad_cutoff
+from triwell.fock import coherent_amplitudes, mean_occupation
+
+from oracles import pad_cutoff
 
 
 def poisson_pmf(mean, n):

@@ -19,6 +19,7 @@ from triwell import (
     MeasurementOutcome,
     ProtocolConfig,
     SuperpositionSpec,
+    ZeroProbabilityBranch,
     build_protocol_state,
     correct_and_score,
     fidelity,
@@ -34,8 +35,9 @@ import triwell.protocol
 from triwell.cli import main
 from triwell.corrections import parity_flip
 from triwell.fock import StateVector, coherent_amplitudes
+from triwell.homodyne import helstrom_vectors
 from triwell.protocol import CORRECTIONS_FOR_BRANCH, BellMeasurement
-from triwell.rng import MIN_OUTCOME_PROBABILITY
+from triwell.rng import MIN_OUTCOME_PROBABILITY, inverse_cdf
 
 from oracles import parity_operation
 
@@ -255,12 +257,14 @@ class TestPreparedProbabilities:
         config = make_config(target=SuperpositionSpec(0.6, 0.8, 1.0), alpha=CoherentSpec(1.0),
                              beta=CoherentSpec(1.0j), cutoff=FockCutoff(12),
                              measurement_backend=backend)
-        bell = BellMeasurement(build_protocol_state(config), config)
+        state = build_protocol_state(config)
+        bell = BellMeasurement(state, config)
         first = bell._first
-        second = bell.stages[1].prepare(first.posterior(int(np.argmax(first.probs))), 0)
+        posterior = first.posterior(int(np.argmax(first.probs)))
+        second = bell.stages[1].prepare(posterior, 0)
         sub_floor = 0
-        for prepared in (first, second):
-            view = prepared.state.amplitudes.reshape(config.cutoff.dim, -1)
+        for prepared, measured in ((first, state), (second, posterior)):
+            view = measured.amplitudes.reshape(config.cutoff.dim, -1)
             direct = (np.abs(prepared.disc.rows @ view) ** 2).sum(axis=1)
             np.testing.assert_allclose(prepared.probs, direct, rtol=0, atol=1e-15)
             # outcomes below the floor keep zero width in the CDF
@@ -269,6 +273,88 @@ class TestPreparedProbabilities:
             assert (width[below] == 0).all()
             sub_floor += below.sum()
         assert (sub_floor > 0) == (backend == "homodyne")
+
+
+class TestReceiverFactoring:
+    """Both Bell stages work on mode 3's coefficients over an orthonormal
+    basis of its unfolding's row space, never on the full mode-3 view."""
+
+    @pytest.mark.parametrize("backend", ["ideal", "homodyne"])
+    @pytest.mark.parametrize("n_max, amplitude", [(12, 1.0), (26, 2.0), (40, 2.0)])
+    def test_protocol_state_has_receiver_rank_two(self, backend, n_max, amplitude):
+        # mode 3 lies in span{|b>, |-b>}: every collision is a quarter-period
+        # phase, a combination of 1 and the parity, also in truncated space
+        config = make_config(target=SuperpositionSpec(0.6, 0.8, amplitude),
+                             alpha=CoherentSpec(amplitude), beta=CoherentSpec(1j * amplitude),
+                             cutoff=FockCutoff(n_max), measurement_backend=backend)
+        bell = BellMeasurement(build_protocol_state(config), config)
+        assert bell.receiver_basis.shape == (config.cutoff.dim, 2)
+        assert bell.discarded_weight < 1e-25
+
+    @pytest.mark.parametrize("backend, rank", [("ideal", 4), ("homodyne", 10)])
+    def test_any_state_matches_the_unfactored_stages(self, backend, rank):
+        # a random state: the homodyne readout spans every Fock state, so all
+        # three modes are random; the ideal one reads span{|a>, |-a>} alone,
+        # so modes 1 and 2 stay in that pair and mode 3's rank is 2 x 2
+        amplitude, cutoff = 0.6, FockCutoff(9)
+        config = make_config(target=SuperpositionSpec(0.6, 0.8, amplitude),
+                             alpha=CoherentSpec(amplitude), beta=CoherentSpec(1j * amplitude),
+                             cutoff=cutoff, measurement_backend=backend)
+        d, rng = cutoff.dim, substream(41)
+        amps = rng.normal(size=(d, d, d)) + 1j * rng.normal(size=(d, d, d))
+        if backend == "ideal":
+            pair = np.array(helstrom_vectors(amplitude, cutoff))
+            amps = np.einsum("ia,jb,ijc->abc", pair, pair, amps[:2, :2])
+        state = StateVector(3, cutoff, (amps / np.linalg.norm(amps)).ravel())
+        bell = BellMeasurement(state, config)
+        assert bell.receiver_basis.shape[1] == rank
+        u = substream(43).random((2000, 4))
+        first, second, branch = bell.draw(u)
+        post = bell.conditionals(first, second)
+        direct, seconds = bell.stages[0].prepare(state, 0), {}
+        ref1, bit1 = direct.draw(u[:, 0], u[:, 1])
+        assert first.tolist() == ref1.tolist()
+        view = state.amplitudes.reshape(d, d * d)
+        for i, (o1, o2) in enumerate(zip(first.tolist(), second.tolist())):
+            if o1 not in seconds:
+                seconds[o1] = bell.stages[1].prepare(direct.posterior(o1), 0)
+            (ref2,), (bit2,) = seconds[o1].draw(u[i:i + 1, 2], u[i:i + 1, 3])
+            assert (o2, branch[i]) == (ref2, 2 * (bit1[i] ^ bit2) + 1 - bit2)
+            after_first = (bell.stages[0].rows[o1] @ view).reshape(d, d)
+            expected = bell.stages[1].rows[o2] @ after_first / np.linalg.norm(after_first)
+            np.testing.assert_allclose(post[i], expected, rtol=0, atol=1e-13)
+        assert len(seconds) > 1
+
+    @pytest.mark.parametrize("backend", ["ideal", "homodyne"])
+    def test_second_stage_posterior_is_the_unfactored_one(self, backend):
+        config = make_config(cutoff=FockCutoff(26), measurement_backend=backend)
+        bell = BellMeasurement(build_protocol_state(config), config)
+        first, second, _ = bell.draw(substream(47).random((500, 4)))
+        pairs = set(zip(first.tolist(), second.tolist()))
+        for o1 in set(first.tolist()):
+            direct = bell.stages[1].prepare(bell._first.posterior(o1), 0)
+            for o2 in {b for a, b in pairs if a == o1}:
+                np.testing.assert_allclose(bell._second[o1].posterior(o2).amplitudes,
+                                           direct.posterior(o2).amplitudes, rtol=0, atol=1e-13)
+
+    def test_stacked_second_stage_cdfs_are_the_per_key_ones(self):
+        # every stage-2 CDF comes from one floor and cumulative sum over the
+        # stacked probabilities, bit for bit the one-distribution rule
+        config = make_config(cutoff=FockCutoff(32), measurement_backend="homodyne")
+        bell = BellMeasurement(build_protocol_state(config), config)
+        bell.draw(substream(53).random((2000, 4)))
+        assert len(bell._second) > 10
+        order = bell.stages[1].order
+        for prepared in bell._second.values():
+            assert np.array_equal(prepared.cdf, inverse_cdf(prepared.probs[order]))
+
+    def test_second_stage_refuses_a_sub_floor_first_outcome(self):
+        config = make_config(cutoff=FockCutoff(26), measurement_backend="homodyne")
+        bell = BellMeasurement(build_protocol_state(config), config)
+        null = int(np.argmin(bell._first.probs))
+        assert bell._first.probs[null] < MIN_OUTCOME_PROBABILITY
+        with pytest.raises(ZeroProbabilityBranch):
+            bell._prepare_second([null])
 
 
 class TestCorrectAndScore:

@@ -51,3 +51,12 @@ def test_outcome_at_the_floor_keeps_its_width():
     cdf = rng.inverse_cdf([rng.MIN_OUTCOME_PROBABILITY, 1.0])
     assert 0 < cdf[0] < cdf[1] == 1.0
     assert np.searchsorted(cdf, 0.0, side="right") == 0
+
+
+def test_stacked_cdfs_are_the_row_cdfs_bit_for_bit():
+    probs = rng.substream(3).random((40, 200)) ** 8  # many entries below the floor
+    probs /= probs.sum(axis=1, keepdims=True)
+    stacked = rng.inverse_cdf(probs)
+    assert (probs < rng.MIN_OUTCOME_PROBABILITY).any()
+    for row, cdf in zip(probs, stacked):
+        assert np.array_equal(cdf, rng.inverse_cdf(row))
