@@ -19,7 +19,8 @@ the count distribution P(m) is exactly the auxiliary's initial number
 distribution, whatever the central state: number state n gives success
 probability 0 or 1, a coherent state of mean nb gives (1 + exp(-2 nb))/2,
 and squeezed vacuum (even-only support) gives exactly 1.
-``parity_count_distribution`` and ``parity_flip`` give that exact structure;
+``parity_count_distribution`` gives that count law, and ``run_protocol``
+applies the sign as a column of its receiver's probe matrix;
 ``parity_collision`` simulates the joint two-species evolution and is kept as
 their oracle.
 
@@ -54,7 +55,6 @@ from .fock import (
     ShapeMismatch,
     SqueezedVacuumSpec,
     StateVector,
-    apply_mode_phases,
     displace,
     number_distribution,
     prepare_coherent,
@@ -156,11 +156,6 @@ def parity_count_distribution(central: StateVector, aux: AuxiliaryPrep,
     if central.modes != 1:
         raise ShapeMismatch("the parity collision acts on a single-mode central state")
     return number_distribution(aux.prepare(_work_cutoff(central, cutoff)), 0)
-
-
-def parity_flip(central: StateVector) -> StateVector:
-    """|n> -> (-1)^n |n>, the collision's action for an even count: |b> -> |-b>."""
-    return apply_mode_phases(central, 0, (-1.0) ** np.arange(central.dim))
 
 
 def p_even_analytic(aux: AuxiliaryPrep) -> float:

@@ -148,8 +148,12 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     if a.cutoff != b.cutoff:
         raise ShapeMismatch("tensor product requires a common cutoff")
     amps = np.kron(a.amplitudes, b.amplitudes)
-    leak = 1.0 - (1.0 - a.leakage) * (1.0 - b.leakage)
-    return StateVector(a.modes + b.modes, a.cutoff, amps, leak)
+    return StateVector(a.modes + b.modes, a.cutoff, amps, joint_leakage(a, b))
+
+
+def joint_leakage(a: StateVector, b: StateVector) -> float:
+    """Leakage of the tensor product of ``a`` and ``b``."""
+    return 1.0 - (1.0 - a.leakage) * (1.0 - b.leakage)
 
 
 def _check_mode(state: StateVector, mode: int) -> None:
@@ -395,5 +399,6 @@ def state_to_dict(state: StateVector) -> dict:
 
 
 def state_from_dict(payload: dict) -> StateVector:
+    """Inverse of ``state_to_dict``; reads the CLI's ``channel_state.json``."""
     amps = np.array([complex(re, im) for re, im in payload["amplitudes"]])
     return StateVector(int(payload["modes"]), FockCutoff(int(payload["n_max"])), amps)

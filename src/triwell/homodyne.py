@@ -38,10 +38,10 @@ couples the mode to a reference well for a quarter tunnelling period and
 counts atoms in both wells (exact joint Born sampling, no Gaussian
 approximation): outcome ``m_c * dim + m_b`` has its row of the pair
 propagator and the value (m_c - m_b) / (2 |r|), ordered by value and ties by
-count. A discriminator's entry point is ``prepare(state, mode)``; given an
-orthonormal ``basis`` of the state's last mode it works on the state's
-coefficients over that basis instead of the full view, and
-``prepare_blocks`` prepares a stack of such coefficient blocks at once. The
+count. A discriminator's entry point is ``prepare(state, mode)``, on the
+state's full view; ``prepare_blocks`` prepares a stack of coefficient
+blocks at once, each over an orthonormal ``basis`` of the unmeasured modes'
+last mode, as the protocol's Bell stages do. The
 prepared distribution holds ``probs[o] = |rows[o] . state|^2`` (equal on the
 coefficients, since the basis is orthonormal) and their ``rng.inverse_cdf``
 along ``order``, in which outcomes below ``MIN_OUTCOME_PROBABILITY`` have
@@ -344,15 +344,10 @@ class _Discriminator:
     """Entry points of both backends; a backend sets ``cutoff``, ``rows``,
     ``values``, ``order`` and its ``prepared`` class."""
 
-    def prepare(self, state: StateVector, mode: int, basis: np.ndarray | None = None):
-        """Readout of ``mode`` of ``state``. Given ``basis``, orthonormal
-        columns spanning the state's last mode (not ``mode``), it works on the
-        state's coefficients over them."""
-        d = state.dim
-        view = np.moveaxis(state.tensor_view(), mode, 0).reshape(d, -1)
-        if basis is not None:
-            view = (view.reshape(-1, d) @ basis.conj()).reshape(d, -1)
-        return self.prepare_blocks(view[None], basis, state.modes - 1, state.leakage)[0]
+    def prepare(self, state: StateVector, mode: int):
+        """Readout of ``mode`` of ``state``."""
+        view = np.moveaxis(state.tensor_view(), mode, 0).reshape(state.dim, -1)
+        return self.prepare_blocks(view[None], None, state.modes - 1, state.leakage)[0]
 
     def prepare_blocks(self, blocks: np.ndarray, basis, modes: int, leakage: float) -> list:
         """One readout per (d x w) coefficient block of the stack ``blocks``

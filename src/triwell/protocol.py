@@ -30,14 +30,19 @@ draws are ``rng.inverse_cdf`` draws, so none selects an outcome below
 ``MIN_OUTCOME_PROBABILITY``.
 
 Bell stages: mode 3 never enters the readout, and in the state above it
-lies in span{|b>, |-b>}. Every evolution that builds the state is a
-quarter-period phase, a combination of 1 and the parity, so this holds
-exactly in truncated Fock space too. ``BellMeasurement`` therefore factors
-mode 3 out once: an orthonormal basis Z (d x r) of the row space of the
-unfolding psi[(n1, n2), n3], with r = 2 here and at most d for any state,
-and the coefficients over it. Stage 1 is prepared on the d x (d r)
-coefficient block, and stage 2 after each first-stage outcome on its
-d x r block, every block's probabilities from one product.
+lies in span{|b>, |-b>}. The cross-collision and the readout touch modes 1
+and 2 only, so mode 3 is fixed once the channel is made, and its row space
+is the channel's own. A run therefore factors mode 3 out at the channel
+(``protocol_factors``): an orthonormal basis Z (d x r) of the row space of
+the channel's d x d amplitude matrix, r = 2 here, and the channel's
+coefficients over it. The target cat and the three diagonal quarter-period
+collisions act on those as one (d, d) phase array, giving the d x d x r
+coefficients of psi[(n1, n2), n3] without forming the d^3 state;
+``build_protocol_state`` is their expansion. ``BellMeasurement`` factors any
+other three-mode state the same way, from the unfolding psi[(n1, n2), n3]
+(rank at most d). Stage 1 is prepared on the d x (d r) coefficient block,
+and stage 2 after each first-stage outcome on its d x r block, every block's
+probabilities from one product.
 
 Scoring: the receiver's correction depends only on the two bits and the
 auxiliary count, and the parity collision acts on mode 3 as an exact sign.
@@ -57,6 +62,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +77,8 @@ from .dynamics import (
     CrossSpeciesParams,
     JosephsonParams,
     KerrParams,
-    evolve_cross_kerr,
-    evolve_self_kerr,
+    cross_kerr_phases,
+    kerr_phases,
 )
 from .errors import FrequencyConditionViolated, RangeError, ZeroImaginaryPart
 from .fock import (
@@ -82,8 +88,8 @@ from .fock import (
     SuperpositionSpec,
     _displacement_matrix,
     check_displaced_top_shell,
+    joint_leakage,
     prepare_cat_superposition,
-    tensor,
 )
 from .homodyne import HomodynePhaseDiscriminator, IdealPhaseDiscriminator
 from .rng import inverse_cdf, substream
@@ -193,19 +199,62 @@ class ProtocolResult:
         ]
 
 
-def build_protocol_state(config: ProtocolConfig) -> StateVector:
-    """Three-mode protocol state: target (mode 0), channel (modes 1, 2)."""
+class ReceiverFactors(NamedTuple):
+    """A three-mode state with mode 3 factored out: psi[n1, n2, n3] =
+    sum_k coefficients[n1, n2, k] basis[n3, k], the basis orthonormal, and
+    ``discarded_weight`` the squared norm of the state outside its columns."""
+
+    coefficients: np.ndarray
+    basis: np.ndarray
+    discarded_weight: float
+    leakage: float
+
+
+def _row_space(unfolding: np.ndarray) -> tuple:
+    """(coefficients, basis, discarded weight) of the rows of ``unfolding``
+    (n x d) over an orthonormal basis of its row space.
+
+    The Gram matrix's eigenvectors are a basis of the last mode. Its
+    eigenvalues resolve weights only down to ~d eps of the largest, so each
+    direction's weight is the norm of the coefficients over it, and the rank
+    follows numpy's matrix_rank rule on those norms, at the scale of a
+    d^2 x d unfolding whatever n is.
+    """
+    d = unfolding.shape[1]
+    basis = np.linalg.eigh(unfolding.T @ unfolding.conj())[1]
+    coefficients = unfolding @ basis.conj()
+    singular = np.linalg.norm(coefficients, axis=0)
+    kept = singular > singular.max() * d * d * np.finfo(float).eps
+    # |unfolding - coefficients basis^T|^2, read in the basis's other directions
+    discarded = float(np.linalg.norm(coefficients[:, ~kept]) ** 2)
+    return coefficients[:, kept], basis[:, kept], discarded
+
+
+def protocol_factors(config: ProtocolConfig) -> ReceiverFactors:
+    """The protocol state, target (mode 1) and channel (modes 2, 3), with
+    the receiver's mode 3 factored out at the channel: the target cat and the
+    collisions that follow are one (d, d) phase array on the channel's
+    coefficients."""
     if channel_family_index(config.kerr) != 0:
         raise FrequencyConditionViolated(
             "protocol state generation requires e0 = kappa (family index 0)"
         )
     target = prepare_cat_superposition(config.target, config.cutoff)
     chan = generate_channel(config.alpha, config.beta, config.kerr, config.cutoff)
-    state = tensor(target, chan)
-    t = math.pi / (2 * config.kerr.kappa)
-    state = evolve_self_kerr(state, 0, config.kerr, t)
-    state = evolve_self_kerr(state, 1, config.kerr, t)
-    return evolve_cross_kerr(state, (0, 1), config.kerr.kappa, t)
+    d, t = config.cutoff.dim, math.pi / (2 * config.kerr.kappa)
+    coefficients, basis, discarded = _row_space(chan.amplitudes.reshape(d, d))
+    self_kerr = kerr_phases(d, config.kerr, t)
+    phases = (np.outer(target.amplitudes * self_kerr, self_kerr)
+              * cross_kerr_phases(d, config.kerr.kappa, t))
+    return ReceiverFactors(phases[:, :, None] * coefficients, basis, discarded,
+                           joint_leakage(target, chan))
+
+
+def build_protocol_state(config: ProtocolConfig) -> StateVector:
+    """Three-mode protocol state, the expansion of ``protocol_factors``."""
+    factors = protocol_factors(config)
+    amplitudes = factors.coefficients @ factors.basis.T
+    return StateVector(3, config.cutoff, amplitudes.ravel(), factors.leakage)
 
 
 def reference_state(config: ProtocolConfig) -> StateVector:
@@ -221,15 +270,21 @@ class BellMeasurement:
 
     Each stage consumes two uniforms (selector and tie-breaker) regardless of
     backend, keeping matched-seed runs aligned between backends. Stages with
-    the same amplitude share one discriminator. Both stages work on mode 3's
-    coefficients over ``receiver_basis``, orthonormal columns spanning the
-    row space of the unfolding psi[(n1, n2), n3]; ``discarded_weight`` is
+    the same amplitude share one discriminator. ``state`` is the protocol
+    state's ``ReceiverFactors`` or a three-mode state, factored here the same
+    way. Both stages work on mode 3's coefficients over ``receiver_basis``,
+    orthonormal columns spanning mode 3's row space; ``discarded_weight`` is
     the squared norm of the state outside them.
     """
 
-    def __init__(self, state: StateVector, config: ProtocolConfig):
-        if state.modes != 3:
-            raise ValueError("Bell measurement expects the three-mode protocol state")
+    def __init__(self, state: StateVector | ReceiverFactors, config: ProtocolConfig):
+        if isinstance(state, StateVector):
+            if state.modes != 3:
+                raise ValueError("Bell measurement expects the three-mode protocol state")
+            d = state.dim
+            coefficients, basis, discarded = _row_space(state.amplitudes.reshape(d * d, d))
+            state = ReceiverFactors(coefficients.reshape(d, d, -1), basis, discarded,
+                                    state.leakage)
         gamma = config.target.gamma
         alpha = config.alpha.amplitude
         ref = config.reference_magnitude
@@ -243,20 +298,10 @@ class BellMeasurement:
 
         built = {amp: discriminator(amp) for amp in dict.fromkeys((gamma, alpha))}
         self.stages = (built[gamma], built[alpha])
-        # The Gram matrix's eigenvectors are a basis of mode 3. Its eigenvalues
-        # resolve weights only down to ~d eps of the largest, so each
-        # direction's weight is the norm of the coefficients over it, and the
-        # rank follows numpy's matrix_rank rule on those norms.
-        d = state.dim
-        unfolding = state.amplitudes.reshape(d * d, d)
-        basis = np.linalg.eigh(unfolding.T @ unfolding.conj())[1]
-        coefficients = unfolding @ basis.conj()
-        singular = np.linalg.norm(coefficients, axis=0)
-        kept = singular > singular.max() * max(unfolding.shape) * np.finfo(float).eps
-        self.receiver_basis = basis[:, kept]
-        # |unfolding - Phi Z^T|^2, read in the basis's other directions
-        self.discarded_weight = float(np.linalg.norm(coefficients[:, ~kept]) ** 2)
-        self._first = self.stages[0].prepare(state, 0, self.receiver_basis)
+        self.receiver_basis, self.discarded_weight = state.basis, state.discarded_weight
+        block = state.coefficients.reshape(len(state.basis), -1)  # d x (d r)
+        self._first = self.stages[0].prepare_blocks(block[None], state.basis, modes=2,
+                                                    leakage=state.leakage)[0]
         self._second = {}  # prepared second stage per stage-1 outcome index
 
     def _prepare_second(self, keys: list) -> None:
@@ -395,7 +440,7 @@ def correct_and_score(mode3: StateVector, outcome: MeasurementOutcome,
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     """Run ``config.trials`` seeded trials; deterministic given the seed."""
-    bell = BellMeasurement(build_protocol_state(config), config)
+    bell = BellMeasurement(protocol_factors(config), config)
     u = substream(config.seed).random((config.trials, 6))  # trial i: row i
     receiver = _Receiver(config)
     columns, column = receiver.draw(*bell.draw(u[:, :4]), u[:, 4:])

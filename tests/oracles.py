@@ -1,11 +1,33 @@
 """Reference implementations the tests compare the package against."""
 
+import math
+
 import numpy as np
 
 from triwell import (AuxiliaryPrep, CrossSpeciesParams, FockCutoff, KerrParams, ShapeMismatch,
-                     StateVector)
-from triwell.corrections import parity_count_distribution, parity_flip
+                     StateVector, evolve_cross_kerr, evolve_self_kerr, generate_channel,
+                     prepare_cat_superposition, tensor)
+from triwell.corrections import parity_count_distribution
+from triwell.fock import apply_mode_phases
 from triwell.rng import inverse_cdf
+
+
+def protocol_state_by_evolution(config) -> StateVector:
+    """The three-mode protocol state built in full: target (x) channel, then
+    the self-collisions of modes 0 and 1 and their cross-collision for a
+    quarter period, each on the d^3 amplitudes."""
+    target = prepare_cat_superposition(config.target, config.cutoff)
+    chan = generate_channel(config.alpha, config.beta, config.kerr, config.cutoff)
+    state = tensor(target, chan)
+    t = math.pi / (2 * config.kerr.kappa)
+    state = evolve_self_kerr(state, 0, config.kerr, t)
+    state = evolve_self_kerr(state, 1, config.kerr, t)
+    return evolve_cross_kerr(state, (0, 1), config.kerr.kappa, t)
+
+
+def parity_flip(central: StateVector) -> StateVector:
+    """|n> -> (-1)^n |n>, the collision's action for an even count: |b> -> |-b>."""
+    return apply_mode_phases(central, 0, (-1.0) ** np.arange(central.dim))
 
 
 def pad_cutoff(state: StateVector, cutoff: FockCutoff) -> StateVector:

@@ -23,9 +23,9 @@ from triwell import (
     project_number,
     substream,
 )
-from triwell.corrections import parity_collision, parity_flip
+from triwell.corrections import parity_collision
 
-from oracles import parity_operation
+from oracles import parity_flip, parity_operation
 
 CUTOFF = FockCutoff(16)
 LAM = CrossSpeciesParams(0.5)

@@ -33,13 +33,12 @@ from triwell import (
 )
 import triwell.protocol
 from triwell.cli import main
-from triwell.corrections import parity_flip
 from triwell.fock import StateVector, coherent_amplitudes
 from triwell.homodyne import helstrom_vectors
-from triwell.protocol import CORRECTIONS_FOR_BRANCH, BellMeasurement
+from triwell.protocol import CORRECTIONS_FOR_BRANCH, BellMeasurement, _row_space, protocol_factors
 from triwell.rng import MIN_OUTCOME_PROBABILITY, inverse_cdf
 
-from oracles import parity_operation
+from oracles import parity_flip, parity_operation, protocol_state_by_evolution
 
 
 def four_branch_state(a_w, b_w, gamma, alpha, beta, cutoff):
@@ -355,6 +354,67 @@ class TestReceiverFactoring:
         assert bell._first.probs[null] < MIN_OUTCOME_PROBABILITY
         with pytest.raises(ZeroProbabilityBranch):
             bell._prepare_second([null])
+
+
+FACTOR_CASES = {
+    "unbalanced": lambda amp: dict(target=SuperpositionSpec(0.6, 0.8j, amp),
+                                   beta=CoherentSpec(1j * amp)),
+    "vacuum-target": lambda amp: dict(target=SuperpositionSpec(1.0, 0.0, 0.0),
+                                      beta=CoherentSpec(1j * amp)),
+    "real-beta": lambda amp: dict(target=SuperpositionSpec(0.6, 0.8, amp),
+                                  beta=CoherentSpec(amp)),
+}
+
+
+class TestProtocolFactors:
+    """A run factors mode 3 out at the channel and never forms the d^3
+    state; the full evolution in ``oracles`` is the ground truth."""
+
+    @pytest.mark.parametrize("backend", ["ideal", "homodyne"])
+    @pytest.mark.parametrize("case", FACTOR_CASES)
+    @pytest.mark.parametrize("n_max, amplitude", [(12, 1.0), (26, 2.0), (40, 2.0)])
+    def test_factors_expand_to_the_evolved_state(self, n_max, amplitude, case, backend):
+        config = make_config(alpha=CoherentSpec(amplitude), cutoff=FockCutoff(n_max),
+                             measurement_backend=backend, **FACTOR_CASES[case](amplitude))
+        oracle = protocol_state_by_evolution(config)
+        expanded = build_protocol_state(config)
+        np.testing.assert_allclose(expanded.amplitudes, oracle.amplitudes, rtol=0, atol=1e-14)
+        assert expanded.leakage == oracle.leakage
+        # rank, discarded weight and leakage are those of the full state's factoring
+        d = config.cutoff.dim
+        factors = protocol_factors(config)
+        _, basis, discarded = _row_space(oracle.amplitudes.reshape(d * d, d))
+        assert factors.basis.shape == basis.shape == (d, 2)
+        assert factors.discarded_weight == pytest.approx(discarded, rel=0, abs=1e-28)
+        assert factors.leakage == oracle.leakage
+        if case != "vacuum-target":  # the readout needs a target amplitude
+            bell, full = BellMeasurement(factors, config), BellMeasurement(oracle, config)
+            assert bell.receiver_basis.shape == full.receiver_basis.shape
+            assert bell.discarded_weight == pytest.approx(full.discarded_weight, rel=0, abs=1e-28)
+            assert bell._first.leakage == full._first.leakage
+
+    @pytest.mark.parametrize("backend, cutoff", [("ideal", 26), ("homodyne", 40)])
+    def test_run_builds_no_three_mode_state(self, backend, cutoff, monkeypatch):
+        config = make_config(target=SuperpositionSpec(0.6, 0.8, 2.0), cutoff=FockCutoff(cutoff),
+                             measurement_backend=backend, p_d=0.7, trials=300,
+                             aux=AuxiliaryPrep("coherent", 2.0))
+        expected = run_protocol(config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run built the d^3 protocol state")
+
+        post_init = StateVector.__post_init__
+
+        def checked(state):
+            if state.modes >= 3:
+                refuse()
+            post_init(state)
+
+        monkeypatch.setattr(triwell.protocol, "build_protocol_state", refuse)
+        monkeypatch.setattr(StateVector, "__post_init__", checked)
+        with pytest.raises(AssertionError):
+            triwell.protocol.build_protocol_state(config)
+        assert run_protocol(config) == expected
 
 
 class TestCorrectAndScore:
