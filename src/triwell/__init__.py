@@ -75,9 +75,7 @@ from .fock import (
 )
 from .homodyne import (
     PerturbativeInit,
-    QuadratureEstimate,
     SchwingerRecord,
-    estimate_quadrature,
     initial_schwinger,
     perturbative_sx,
     simulate_sx,

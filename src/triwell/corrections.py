@@ -60,7 +60,6 @@ from .fock import (
     prepare_coherent,
     prepare_number,
     prepare_squeezed_vacuum,
-    quadrature_eigensystem,
     tensor,
 )
 from .rng import inverse_cdf
@@ -225,19 +224,3 @@ def warn_large_offset(delta: float, beta: complex) -> None:
             f"= {math.exp(-delta**2):.3g} is significant",
             stacklevel=3,
         )
-
-
-def displacement_linearization_error(delta: float, cutoff: FockCutoff) -> float:
-    """Spectral-norm gap between exp(i delta X) and 1 + i delta X, X = a + a^dag.
-
-    Diagnostic only: quantifies the quality of the small-offset linearization
-    sometimes quoted for the displacement hardware; the protocol always
-    applies the exact operator. Note X here is twice the X_0 quadrature of
-    the (a e^{-i phi} + a^dag e^{i phi})/2 convention used elsewhere.
-    """
-    d = cutoff.dim
-    lower = np.diag(np.sqrt(np.arange(1, d)), -1)
-    x_op = lower + lower.T
-    x, w = quadrature_eigensystem(d)
-    gap = (w * np.exp(1j * delta * x)) @ w.T - (np.eye(d) + 1j * delta * x_op)
-    return float(np.linalg.norm(gap, 2))

@@ -160,14 +160,28 @@ def josephson_collision_columns(cutoff: FockCutoff, jp: JosephsonParams,
 
     Used by the measurement model: the (dim^2, dim) map from a signal mode
     onto the coupled signal+reference pair after tunnelling for time t.
+    Within the sector of total number N, column n is fed by the one input
+    |n, N - n> with weight reference[N - n], so the sector's block of the
+    columns is U_N diag(reference[N - ns]) for its signal counts ns: one
+    product (V e^{-i lambda t}) @ (V^H reference[N - ns]) per sector, with
+    every sector's phases from one exponential. The block's rows |ns, N - ns>
+    are every (dim - 1)-th flat index and its columns ns are contiguous, so
+    it is written through one strided slice.
     """
     d = cutoff.dim
     if reference.shape != (d,):
         raise ShapeMismatch("reference vector has the wrong dimension")
+    sectors = _josephson_sectors(d, jp.omega, kp.e0_over_hbar, kp.kappa)
+    phases = np.exp(-1j * t * np.concatenate([vals for _, vals, _ in sectors]))
     cols = np.zeros((d * d, d), dtype=np.complex128)
-    for n in range(d):
-        cols[n * d:(n + 1) * d, n] = reference
-    return _propagate_sectors(cols, d, jp, kp, t)
+    start = 0
+    for idx, vals, vecs in sectors:
+        stop = start + len(vals)
+        ns, rest = np.divmod(idx, d)
+        cols[idx[0]:idx[-1] + 1:d - 1, ns[0]:ns[-1] + 1] = (
+            (vecs * phases[start:stop]) @ (vecs.conj().T * reference[rest]))
+        start = stop
+    return cols
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,9 @@ first stage), else as one ``|rows @ blocks|^2`` product with the blocks side
 by side. It gives the exact bit probabilities, array draws
 ``draw(u_select, u_tie) -> (outcome, bit)`` that read the tie-breaker only on
 a zero value, the unnormalised ``conditionals(outcomes)`` of the other
-modes, and ``posterior(o)``, their normalised state, for every outcome a draw
-can give.
+modes (``coefficients(outcomes)`` over ``basis`` before their expansion),
+and ``posterior(o)``, their normalised state, for every outcome a draw can
+give.
 """
 
 from __future__ import annotations
@@ -112,15 +113,6 @@ class PerturbativeInit:
     def __post_init__(self):
         if self.epsilon < 0:
             raise ValueError("epsilon must be >= 0")
-
-
-@dataclass(frozen=True)
-class QuadratureEstimate:
-    """Quadrature readout: value estimates <X_{reference_phase - pi/2}>."""
-
-    value: float
-    reference_phase: float
-    reference_magnitude: float
 
 
 def _pair_schwinger(joint: StateVector, t: float) -> SchwingerRecord:
@@ -191,29 +183,6 @@ def perturbative_sx(init: PerturbativeInit, total_number: float, omega: float,
     return complex(
         (x0 + eps * t * (n2 * z0 * y0 - 1j * x0)) * cos_t
         - (y0 - eps * t * (n2 * z0 * x0 + 1j * y0)) * sin_t
-    )
-
-
-def estimate_quadrature(signal: StateVector, beta: CoherentSpec, jp: JosephsonParams,
-                        kp: KerrParams) -> QuadratureEstimate:
-    """Readout at t = pi/(2 omega): (half population difference) / |beta|.
-
-    Estimates <X_{theta - pi/2}> of the signal, theta = arg(beta).
-    """
-    if jp.omega <= 0:
-        raise ValidityDomainExceeded("quadrature readout needs omega > 0")
-    eps = kp.kappa / jp.omega
-    total = mean_occupation(signal, 0) + abs(beta.amplitude) ** 2
-    if eps * total > EPSILON_N_LIMIT:
-        raise ValidityDomainExceeded(
-            f"epsilon*N = {eps * total:.3g} > {EPSILON_N_LIMIT}: quadrature readout invalid"
-        )
-    record = simulate_sx(signal, beta, jp, kp, [math.pi / (2 * jp.omega)])[0]
-    magnitude = abs(beta.amplitude)
-    return QuadratureEstimate(
-        value=record.raw_half_diff / magnitude,
-        reference_phase=cmath.phase(beta.amplitude),
-        reference_magnitude=magnitude,
     )
 
 
@@ -299,9 +268,13 @@ class _PreparedReadout:
         rank = self.basis.shape[1]
         return (coefficients.reshape(-1, rank) @ self.basis.T).reshape(*lead, -1)
 
+    def coefficients(self, outcomes: np.ndarray) -> np.ndarray:
+        """Unnormalised coefficient rows of the unmeasured modes, one per outcome."""
+        return self.disc.rows[outcomes] @ self.coeff
+
     def conditionals(self, outcomes: np.ndarray) -> np.ndarray:
         """Unnormalised amplitudes of the unmeasured modes, one row per outcome."""
-        return self.expand(self.disc.rows[outcomes] @ self.coeff)
+        return self.expand(self.coefficients(outcomes))
 
     def posterior_coefficients(self, outcomes) -> np.ndarray:
         """Normalised coefficient rows of the conditional states after
@@ -310,7 +283,7 @@ class _PreparedReadout:
         if np.any(prob < MIN_OUTCOME_PROBABILITY):
             raise ZeroProbabilityBranch(
                 f"readout outcomes {outcomes} reach probability {np.min(prob):.3e}")
-        return (self.disc.rows[outcomes] @ self.coeff) / np.sqrt(prob)[..., None]
+        return self.coefficients(outcomes) / np.sqrt(prob)[..., None]
 
     def posterior(self, outcome: int) -> StateVector:
         """Conditional state of the unmeasured modes after ``outcome``."""

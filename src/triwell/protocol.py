@@ -49,9 +49,12 @@ auxiliary count, and the parity collision acts on mode 3 as an exact sign.
 So a run draws every trial at once, grouping the trials by first-stage
 outcome with one stable sort, and scores each distinct (stage outcomes,
 displaced, flipped) combination once, without building states: the fidelity
-after a correction G is |<G^dag ref|post>|^2, so one product of the
-unnormalised mode-3 amplitudes ``post`` with the receiver's probe matrix
-gives every correction's overlap, and the rows' own norms normalise it.
+after a correction G is |<G^dag ref|post>|^2, and ``post = c Z^T`` for the
+row's r coefficients ``c = rows2[o2] C`` over the receiver basis Z. So the
+receiver's probe matrix is projected once, ``Z^T probes`` (r columns of
+probes), one product ``c @ (Z^T probes)`` gives every correction's overlap,
+and the norms |c|^2, equal to |post|^2 since Z is orthonormal, normalise it;
+no row is expanded to d amplitudes.
 Trials stay named columns from the draw to the summary;
 ``ProtocolResult.records`` builds per-trial objects when read.
 """
@@ -104,8 +107,6 @@ CORRECTIONS_FOR_BRANCH = {
     2: ("parity",),
     3: ("displacement", "parity"),
 }
-_NEEDS = np.array([[op in CORRECTIONS_FOR_BRANCH[b] for op in ("displacement", "parity")]
-                   for b in range(4)])  # per branch: (needs displacement, needs parity)
 
 
 @dataclass(frozen=True)
@@ -338,13 +339,18 @@ class BellMeasurement:
             second[rows], bit2[rows] = self._second[key].draw(u[rows, 2], u[rows, 3])
         return first, second, 2 * (bit1 ^ bit2) + 1 - bit2
 
+    def coefficients(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """Unnormalised mode-3 coefficients over ``receiver_basis`` after each
+        drawn (``first``, ``second``) outcome pair, one row per pair."""
+        coeff = np.empty((len(first), self.receiver_basis.shape[1]), complex)
+        for key, rows in self._segments(first):
+            coeff[rows] = self._second[key].coefficients(second[rows])
+        return coeff
+
     def conditionals(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Unnormalised mode-3 amplitudes after each drawn (``first``,
         ``second``) outcome pair, one row per pair."""
-        post = np.empty((len(first), self._first.disc.cutoff.dim), complex)
-        for key, rows in self._segments(first):
-            post[rows] = self._second[key].conditionals(second[rows])
-        return post
+        return self._first.expand(self.coefficients(first, second))
 
     def sample(self, rng: np.random.Generator):
         """Measure both modes; returns (outcome, conditional mode-3 state)."""
@@ -360,8 +366,9 @@ class _Receiver:
     With P the parity sign and D the displacement, the overlap of the
     corrected mode 3 with the reference is <ref| P^f D^s |post> =
     <D^-s P^f ref|post>, so column j of ``probes`` holds conj(D^-s P^f ref)
-    and one product ``post @ probes`` scores every correction. With a
-    displacement, a last column D[n_max, :] reads D|post> on the top shell.
+    and one product ``post @ probes`` scores every correction; for post =
+    c Z^T that is ``c @ (Z^T probes)``. With a displacement, a last column
+    D[n_max, :] reads D|post> on the top shell.
     """
 
     def __init__(self, config: ProtocolConfig):
@@ -396,27 +403,34 @@ class _Receiver:
         A row is corrected when every drawn correction succeeded. Returns the
         run's columns but ``fidelity``, and each row's probe column.
         """
-        displacing, parity = _NEEDS[branch].T
+        # branch bits: 1 needs the displacement, 2 the parity (CORRECTIONS_FOR_BRANCH)
+        displacing, parity = (branch & 1).astype(bool), (branch >> 1).astype(bool)
         success = (u[:, 0] < self.config.p_d) & (self.delta is not None)
         aux_m = np.zeros(len(branch), int)
         if parity.any():  # the count CDF (and its conditions) only when needed
             aux_m = np.searchsorted(self.count_cdf, u[:, 1], side="right")
-        flipped = parity & (aux_m % 2 == 0)
+        flipped = parity & ((aux_m & 1) == 0)
+        p_d_success, counts = np.full(len(branch), None), np.full(len(branch), None)
+        p_d_success[displacing] = success[displacing]
+        counts[parity] = aux_m[parity]
         columns = {
             "stage1": first, "stage2": second, "branch": branch,
-            "p_d_success": np.where(displacing, success, None),
-            "aux_m": np.where(parity, aux_m, None),
+            "p_d_success": p_d_success, "aux_m": counts,
             "corrected": (success | ~displacing) & (flipped | ~parity),
         }
         return columns, 2 * (displacing & success) + flipped
 
-    def fidelities(self, post: np.ndarray, column: np.ndarray) -> np.ndarray:
-        """Fidelity with the reference, modulo global phase, of each row of
-        ``post`` (unnormalised mode-3 amplitudes) after the corrections of its
-        probe ``column``. Raises ``CutoffTooSmall`` when a displaced row leaves
-        more than ``DEFAULT_MAX_LEAKAGE`` on the n_max shell."""
-        norms = np.einsum("ij,ij->i", post, post.conj()).real
-        mass = np.abs(post @ self.probes) ** 2 / norms[:, None]
+    def fidelities(self, coefficients: np.ndarray, basis: np.ndarray,
+                   column: np.ndarray) -> np.ndarray:
+        """Fidelity with the reference, modulo global phase, of each row c of
+        ``coefficients`` after the corrections of its probe ``column``. A row
+        holds unnormalised mode-3 coefficients over ``basis``, orthonormal
+        columns (d x r; the identity for amplitudes), so c @ (basis^T probes)
+        gives the overlaps and |c|^2 the norms. Raises ``CutoffTooSmall``
+        when a displaced row leaves more than ``DEFAULT_MAX_LEAKAGE`` on the
+        n_max shell."""
+        norms = np.einsum("ij,ij->i", coefficients, coefficients.conj()).real
+        mass = np.abs(coefficients @ (basis.T @ self.probes)) ** 2 / norms[:, None]
         displaced = column >= 2
         if displaced.any():
             warn_large_offset(self.delta, self.config.beta.amplitude)
@@ -434,7 +448,7 @@ def correct_and_score(mode3: StateVector, outcome: MeasurementOutcome,
     first, second = (np.array([index]) for index in outcome.raw)
     columns, column = receiver.draw(first, second, np.array([outcome.branch]),
                                     rng.random((1, 2)))
-    columns["fidelity"] = receiver.fidelities(mode3.amplitudes[None], column)
+    columns["fidelity"] = receiver.fidelities(mode3.amplitudes[None], np.eye(mode3.dim), column)
     return ProtocolResult(columns).records[0]
 
 
@@ -448,6 +462,6 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     first, second = columns["stage1"], columns["stage2"]
     width = int(second.max()) + 1
     table, inverse = np.unique(4 * (first * width + second) + column, return_inverse=True)
-    post = bell.conditionals(*divmod(table >> 2, width))
-    columns["fidelity"] = receiver.fidelities(post, table & 3)[inverse]
+    coeff = bell.coefficients(*divmod(table >> 2, width))
+    columns["fidelity"] = receiver.fidelities(coeff, bell.receiver_basis, table & 3)[inverse]
     return ProtocolResult(columns)

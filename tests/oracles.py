@@ -1,14 +1,21 @@
 """Reference implementations the tests compare the package against."""
 
+import cmath
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from triwell import (AuxiliaryPrep, CrossSpeciesParams, FockCutoff, KerrParams, ShapeMismatch,
-                     StateVector, evolve_cross_kerr, evolve_self_kerr, generate_channel,
-                     prepare_cat_superposition, tensor)
+from triwell import (AuxiliaryPrep, CoherentSpec, CrossSpeciesParams, FockCutoff,
+                     JosephsonParams, KerrParams, ShapeMismatch, StateVector,
+                     ValidityDomainExceeded, evolve_cross_kerr, evolve_self_kerr,
+                     generate_channel, prepare_cat_superposition, simulate_sx, substream,
+                     tensor)
 from triwell.corrections import parity_count_distribution
-from triwell.fock import apply_mode_phases
+from triwell.dynamics import _propagate_sectors
+from triwell.fock import apply_mode_phases, mean_occupation, quadrature_eigensystem
+from triwell.homodyne import EPSILON_N_LIMIT
+from triwell.protocol import BellMeasurement, ProtocolResult, _Receiver, protocol_factors
 from triwell.rng import inverse_cdf
 
 
@@ -60,3 +67,78 @@ def parity_operation(central: StateVector, aux: AuxiliaryPrep,
     if m % 2 == 0:
         conditional = parity_flip(conditional)
     return m, conditional, m % 2 == 0
+
+
+def collision_columns_by_propagation(cutoff: FockCutoff, jp: JosephsonParams, kp: KerrParams,
+                                     t: float, reference: np.ndarray) -> np.ndarray:
+    """Columns U(t) (|n> (x) |reference>) of the pair propagator, each input
+    written out in full, (dim^2, dim) and mostly zero, and propagated sector
+    by sector."""
+    d = cutoff.dim
+    cols = np.zeros((d * d, d), dtype=np.complex128)
+    for n in range(d):
+        cols[n * d:(n + 1) * d, n] = reference
+    return _propagate_sectors(cols, d, jp, kp, t)
+
+
+def run_scored_in_full(config) -> ProtocolResult:
+    """``run_protocol`` with every trial scored on its d-wide conditional
+    mode-3 amplitudes ``post``: |post @ probes|^2 over the rows' own norms,
+    trial by trial."""
+    bell = BellMeasurement(protocol_factors(config), config)
+    u = substream(config.seed).random((config.trials, 6))
+    receiver = _Receiver(config)
+    columns, column = receiver.draw(*bell.draw(u[:, :4]), u[:, 4:])
+    post = bell.conditionals(columns["stage1"], columns["stage2"])
+    overlaps = np.abs(np.sum(post * receiver.probes.T[column], axis=1)) ** 2
+    columns["fidelity"] = overlaps / np.sum(np.abs(post) ** 2, axis=1)
+    return ProtocolResult(columns)
+
+
+def displacement_linearization_error(delta: float, cutoff: FockCutoff) -> float:
+    """Spectral-norm gap between exp(i delta X) and 1 + i delta X, X = a + a^dag.
+
+    Quantifies the small-offset linearization sometimes quoted for the
+    displacement hardware; the protocol always applies the exact operator.
+    X here is twice the X_0 quadrature of the (a e^{-i phi} + a^dag e^{i phi})/2
+    convention used elsewhere.
+    """
+    d = cutoff.dim
+    lower = np.diag(np.sqrt(np.arange(1, d)), -1)
+    x_op = lower + lower.T
+    x, w = quadrature_eigensystem(d)
+    gap = (w * np.exp(1j * delta * x)) @ w.T - (np.eye(d) + 1j * delta * x_op)
+    return float(np.linalg.norm(gap, 2))
+
+
+@dataclass(frozen=True)
+class QuadratureEstimate:
+    """Quadrature readout: value estimates <X_{reference_phase - pi/2}>."""
+
+    value: float
+    reference_phase: float
+    reference_magnitude: float
+
+
+def estimate_quadrature(signal: StateVector, beta: CoherentSpec, jp: JosephsonParams,
+                        kp: KerrParams) -> QuadratureEstimate:
+    """Readout at t = pi/(2 omega): (half population difference) / |beta|.
+
+    Estimates <X_{theta - pi/2}> of the signal, theta = arg(beta); refuses
+    above the perturbative domain epsilon * N = 0.1.
+    """
+    if jp.omega <= 0:
+        raise ValidityDomainExceeded("quadrature readout needs omega > 0")
+    eps = kp.kappa / jp.omega
+    total = mean_occupation(signal, 0) + abs(beta.amplitude) ** 2
+    if eps * total > EPSILON_N_LIMIT:
+        raise ValidityDomainExceeded(
+            f"epsilon*N = {eps * total:.3g} > {EPSILON_N_LIMIT}: quadrature readout invalid"
+        )
+    record = simulate_sx(signal, beta, jp, kp, [math.pi / (2 * jp.omega)])[0]
+    magnitude = abs(beta.amplitude)
+    return QuadratureEstimate(
+        value=record.raw_half_diff / magnitude,
+        reference_phase=cmath.phase(beta.amplitude),
+        reference_magnitude=magnitude,
+    )

@@ -24,13 +24,10 @@ from triwell import (
     total_efficiency,
     virtual_displacement,
 )
-from triwell.corrections import (
-    displacement_linearization_error,
-    displacement_offset,
-)
+from triwell.corrections import displacement_offset
 from triwell.fock import StateVector, coherent_amplitudes
 
-from oracles import parity_operation
+from oracles import displacement_linearization_error, parity_operation
 
 KAPPA = 1.0
 LAM = CrossSpeciesParams(KAPPA / 2)

@@ -29,8 +29,9 @@ from triwell import (
     project_number,
     tensor,
 )
-from triwell.corrections import displacement_linearization_error
 from triwell.fock import _displacement_matrix
+
+from oracles import displacement_linearization_error
 
 TOL = 1e-12
 

@@ -24,6 +24,8 @@ from triwell import (
 from triwell.dynamics import josephson_collision_columns
 from triwell.fock import StateVector, mean_occupation
 
+from oracles import collision_columns_by_propagation
+
 
 def random_state(rng, modes, cutoff):
     amps = rng.normal(size=cutoff.dim**modes) + 1j * rng.normal(size=cutoff.dim**modes)
@@ -151,6 +153,20 @@ class TestJosephson:
             pair = tensor(prepare_number(n, cutoff), reference)
             want = evolve_josephson(pair, (0, 1), jp, kp, t).amplitudes
             assert np.abs(cols[:, n] - want).max() < 1e-12
+
+    @pytest.mark.parametrize("n_max", [10, 26, 40])
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    @pytest.mark.parametrize("axis", [0.0, 0.7])
+    def test_collision_columns_equal_the_propagated_inputs(self, n_max, kappa, axis):
+        # the readout's reference, on its axis (axis 0) and off it
+        magnitude = 0.7 if n_max == 10 else 2.0
+        cutoff = FockCutoff(n_max)
+        reference = prepare_coherent(CoherentSpec(magnitude * np.exp(1j * (axis + math.pi / 2))),
+                                     cutoff).amplitudes
+        jp, kp, t = JosephsonParams(1000.0), KerrParams(1.0, kappa), math.pi / 2000.0
+        cols = josephson_collision_columns(cutoff, jp, kp, t, reference)
+        want = collision_columns_by_propagation(cutoff, jp, kp, t, reference)
+        assert np.abs(cols - want).max() <= 1e-15
 
 
 class TestOracle:

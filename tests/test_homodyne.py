@@ -14,7 +14,6 @@ from triwell import (
     SuperpositionSpec,
     ValidityDomainExceeded,
     ZeroProbabilityBranch,
-    estimate_quadrature,
     initial_schwinger,
     norm,
     perturbative_sx,
@@ -33,6 +32,8 @@ from triwell.homodyne import (
     _PreparedReadout,
     helstrom_vectors,
 )
+
+from oracles import estimate_quadrature
 
 
 class TestSimulateSx:

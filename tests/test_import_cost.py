@@ -4,7 +4,8 @@ scipy is a test-only dependency. Importing ``scipy.linalg`` costs ~0.3 s and
 ~20 MB in every fresh process, and even the top-level ``scipy`` import costs
 ~15 ms. The pytest process has scipy loaded by other tests, so the check
 runs in a fresh interpreter: import the CLI, draw displaced branches,
-evaluate the linearization diagnostic, run one CLI subcommand, then inspect
+evaluate the linearization diagnostic (``oracles``, on the package's
+quadrature eigensystem), run one CLI subcommand, then inspect
 ``sys.modules``.
 """
 
@@ -13,7 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 SCRIPT = """
 import sys
@@ -21,7 +23,7 @@ import sys
 import triwell.cli
 from triwell import (CoherentSpec, CrossSpeciesParams, FockCutoff, JosephsonParams,
                      KerrParams, ProtocolConfig, SuperpositionSpec, run_protocol)
-from triwell.corrections import displacement_linearization_error
+from oracles import displacement_linearization_error
 
 config = ProtocolConfig(
     target=SuperpositionSpec(1.0, 1.0, 2.0), alpha=CoherentSpec(2.0),
@@ -40,7 +42,7 @@ assert not loaded, loaded
 
 def test_no_code_path_loads_scipy(tmp_path):
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), str(TESTS), env.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path / "out")],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

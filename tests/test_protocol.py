@@ -34,11 +34,12 @@ from triwell import (
 import triwell.protocol
 from triwell.cli import main
 from triwell.fock import StateVector, coherent_amplitudes
-from triwell.homodyne import helstrom_vectors
-from triwell.protocol import CORRECTIONS_FOR_BRANCH, BellMeasurement, _row_space, protocol_factors
+from triwell.homodyne import _PreparedReadout, helstrom_vectors
+from triwell.protocol import (CORRECTIONS_FOR_BRANCH, BellMeasurement, _Receiver, _row_space,
+                              protocol_factors)
 from triwell.rng import MIN_OUTCOME_PROBABILITY, inverse_cdf
 
-from oracles import parity_flip, parity_operation, protocol_state_by_evolution
+from oracles import parity_flip, parity_operation, protocol_state_by_evolution, run_scored_in_full
 
 
 def four_branch_state(a_w, b_w, gamma, alpha, beta, cutoff):
@@ -415,6 +416,57 @@ class TestProtocolFactors:
         with pytest.raises(AssertionError):
             triwell.protocol.build_protocol_state(config)
         assert run_protocol(config) == expected
+
+
+class TestScoringAtReceiverRank:
+    """A run scores each distinct row from its r coefficients over the
+    receiver basis, never from the d-wide conditional amplitudes."""
+
+    @pytest.mark.parametrize("backend, cutoff", [("ideal", 26), ("homodyne", 32)])
+    @pytest.mark.parametrize("seed", [3, 29, 71])
+    def test_run_matches_scoring_in_full(self, backend, cutoff, seed):
+        config = make_config(target=SuperpositionSpec(0.6, 0.8, 2.0), cutoff=FockCutoff(cutoff),
+                             measurement_backend=backend, p_d=0.7, trials=2000, seed=seed,
+                             aux=AuxiliaryPrep("coherent", 2.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the displacement-ratio warning
+            columns = run_protocol(config).columns
+        full = run_scored_in_full(config).columns
+        for name in ("stage1", "stage2", "branch", "p_d_success", "aux_m", "corrected"):
+            assert columns[name].tolist() == full[name].tolist(), name
+        assert np.abs(columns["fidelity"] - full["fidelity"]).max() <= 1e-13
+        # displaced rows, alone and with the parity sign, were scored
+        displaced = columns["p_d_success"] == True  # noqa: E712 (None elsewhere)
+        assert set(columns["branch"][displaced].tolist()) == {1, 3}
+
+    @pytest.mark.parametrize("backend, cutoff", [("ideal", 26), ("homodyne", 40)])
+    def test_run_expands_no_conditional(self, backend, cutoff, monkeypatch):
+        config = make_config(target=SuperpositionSpec(0.6, 0.8, 2.0), cutoff=FockCutoff(cutoff),
+                             measurement_backend=backend, p_d=0.7, trials=300,
+                             aux=AuxiliaryPrep("coherent", 2.0))
+        expected = run_protocol(config)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the run expanded coefficients to d amplitudes")
+
+        monkeypatch.setattr(_PreparedReadout, "expand", refuse)
+        bell = BellMeasurement(protocol_factors(config), config)
+        first, second, _ = bell.draw(substream(7).random((10, 4)))
+        with pytest.raises(AssertionError):
+            bell.conditionals(first, second)
+        assert run_protocol(config) == expected
+
+    def test_branch_bits_pick_the_corrections(self):
+        config = make_config(p_d=0.5, aux=AuxiliaryPrep("coherent", 2.0))
+        branch = np.tile(np.arange(4), 50)
+        zeros = np.zeros(len(branch), int)
+        columns, _ = _Receiver(config).draw(zeros, zeros, branch,
+                                            substream(5).random((len(branch), 2)))
+        for b, ops in CORRECTIONS_FOR_BRANCH.items():
+            rows = branch == b
+            assert all((v is None) != ("displacement" in ops)
+                       for v in columns["p_d_success"][rows])
+            assert all((m is None) != ("parity" in ops) for m in columns["aux_m"][rows])
 
 
 class TestCorrectAndScore:
