@@ -10,21 +10,25 @@ frequency satisfies e0 = (j+1) kappa for an integer j the result is
 a family of nearly orthonormal channels indexed by j (periodic mod 4). The
 branch overlap makes the family Gram matrix deviate from the identity by
 terms of order exp(-|alpha|^2).
+
+At the quarter period the cross phase exp(-i pi n2 n3) is exactly the sign
+(-1)^(n2 n3), in truncated space too. With a and b the self-collided
+amplitudes of the two wells, row n2 of the channel is therefore
+
+    a[n2] (even(b) + (-1)^n2 odd(b)),
+
+a sum of two products. ``channel_factors`` returns it in that form: the
+normalised even and odd parts of b are an exact orthonormal basis of the
+second well, and ``generate_channel`` is their expansion.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynamics import KerrParams, evolve_cross_kerr, evolve_self_kerr
+from .dynamics import KerrParams, kerr_phases
 from .errors import FrequencyConditionViolated, ShapeMismatch
-from .fock import (
-    CoherentSpec,
-    FockCutoff,
-    StateVector,
-    prepare_coherent,
-    tensor,
-)
+from .fock import CoherentSpec, FockCutoff, StateVector, joint_leakage, prepare_coherent
 
 FREQUENCY_RTOL = 1e-9
 
@@ -43,15 +47,31 @@ def channel_family_index(params: KerrParams) -> int:
     return j
 
 
+def channel_factors(alpha: CoherentSpec, beta: CoherentSpec, params: KerrParams,
+                    cutoff: FockCutoff) -> tuple:
+    """(coefficients d x r, basis d x r, leakage) of the channel: psi[n2, n3]
+    = sum_k coefficients[n2, k] basis[n3, k], the basis the normalised even
+    and odd parts of the second well's self-collided amplitudes. A zero part
+    is dropped, so beta = 0 gives r = 1."""
+    channel_family_index(params)
+    first, second = prepare_coherent(alpha, cutoff), prepare_coherent(beta, cutoff)
+    phases = kerr_phases(cutoff.dim, params, np.pi / (2 * params.kappa))
+    a, b = first.amplitudes * phases, second.amplitudes * phases
+    n = np.arange(cutoff.dim)
+    parts = [np.where(n % 2 == k, b, 0) for k in (0, 1)]
+    weights = [np.linalg.norm(part) for part in parts]
+    kept = [k for k in (0, 1) if weights[k] > 0]
+    basis = np.stack([parts[k] / weights[k] for k in kept], axis=1)
+    coefficients = np.stack([a * (-1.0) ** (k * n) * weights[k] for k in kept], axis=1)
+    return coefficients, basis, joint_leakage(first.leakage, second.leakage)
+
+
 def generate_channel(alpha: CoherentSpec, beta: CoherentSpec, params: KerrParams,
                      cutoff: FockCutoff) -> StateVector:
-    """Collide |alpha>(x)|beta> for t = pi/(2 kappa); returns the channel state."""
-    channel_family_index(params)
-    state = tensor(prepare_coherent(alpha, cutoff), prepare_coherent(beta, cutoff))
-    t = np.pi / (2 * params.kappa)
-    state = evolve_self_kerr(state, 0, params, t)
-    state = evolve_self_kerr(state, 1, params, t)
-    return evolve_cross_kerr(state, (0, 1), params.kappa, t)
+    """Collide |alpha>(x)|beta> for t = pi/(2 kappa); returns the channel state,
+    the expansion of ``channel_factors``."""
+    coefficients, basis, leakage = channel_factors(alpha, beta, params, cutoff)
+    return StateVector(2, cutoff, (coefficients @ basis.T).ravel(), leakage)
 
 
 def channel_entanglement(state: StateVector) -> float:

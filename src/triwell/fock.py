@@ -148,12 +148,12 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
     if a.cutoff != b.cutoff:
         raise ShapeMismatch("tensor product requires a common cutoff")
     amps = np.kron(a.amplitudes, b.amplitudes)
-    return StateVector(a.modes + b.modes, a.cutoff, amps, joint_leakage(a, b))
+    return StateVector(a.modes + b.modes, a.cutoff, amps, joint_leakage(a.leakage, b.leakage))
 
 
-def joint_leakage(a: StateVector, b: StateVector) -> float:
-    """Leakage of the tensor product of ``a`` and ``b``."""
-    return 1.0 - (1.0 - a.leakage) * (1.0 - b.leakage)
+def joint_leakage(a: float, b: float) -> float:
+    """Leakage of the tensor product of two states of leakages ``a`` and ``b``."""
+    return 1.0 - (1.0 - a) * (1.0 - b)
 
 
 def _check_mode(state: StateVector, mode: int) -> None:

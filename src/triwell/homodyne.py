@@ -39,9 +39,9 @@ counts atoms in both wells (exact joint Born sampling, no Gaussian
 approximation): outcome ``m_c * dim + m_b`` has its row of the pair
 propagator and the value (m_c - m_b) / (2 |r|), ordered by value and ties by
 count. A discriminator's entry point is ``prepare(state, mode)``, on the
-state's full view; ``prepare_blocks`` prepares a stack of coefficient
-blocks at once, each over an orthonormal ``basis`` of the unmeasured modes'
-last mode, as the protocol's Bell stages do. The
+state's full view over the identity basis; ``prepare_blocks`` prepares a
+stack of coefficient blocks at once, each over an orthonormal ``basis`` of
+the unmeasured modes' last mode, as the protocol's Bell stages do. The
 prepared distribution holds ``probs[o] = |rows[o] . state|^2`` (equal on the
 coefficients, since the basis is orthonormal) and their ``rng.inverse_cdf``
 along ``order``, in which outcomes below ``MIN_OUTCOME_PROBABILITY`` have
@@ -51,10 +51,9 @@ clipped at 0, when the outcome amplitudes would cost more (the homodyne
 first stage), else as one ``|rows @ blocks|^2`` product with the blocks side
 by side. It gives the exact bit probabilities, array draws
 ``draw(u_select, u_tie) -> (outcome, bit)`` that read the tie-breaker only on
-a zero value, the unnormalised ``conditionals(outcomes)`` of the other
-modes (``coefficients(outcomes)`` over ``basis`` before their expansion),
-and ``posterior(o)``, their normalised state, for every outcome a draw can
-give.
+a zero value, the unnormalised ``coefficients(outcomes)`` of the other modes
+over ``basis``, and ``posterior(o)``, their normalised state, for every
+outcome a draw can give.
 """
 
 from __future__ import annotations
@@ -236,9 +235,9 @@ class _PreparedReadout:
     """Outcome distribution of one discrimination, ready to draw from.
 
     Keeps the measured mode's (d x w) coefficient block ``coeff``, the
-    outcome probabilities and their CDF. With ``basis`` None a row of
-    ``coeff`` holds the other modes' amplitudes; else ``basis`` holds
-    orthonormal columns (d x r) spanning the last of them, and a row is
+    outcome probabilities and their CDF. ``basis`` holds orthonormal columns
+    (d x r) of the last unmeasured mode (the identity when ``coeff`` holds
+    amplitudes; ``eye(1)`` when no mode is left), and a row of ``coeff`` is
     (w / r) x r coefficients over those columns, so the measured-mode view is
     ``coeff @ basis^T`` blockwise. The conditional state of an outcome is
     built from its row when asked for, so draws stay cheap. ``modes`` and
@@ -247,7 +246,7 @@ class _PreparedReadout:
 
     disc: object
     coeff: np.ndarray
-    basis: np.ndarray | None
+    basis: np.ndarray
     probs: np.ndarray
     cdf: np.ndarray
     modes: int
@@ -262,8 +261,6 @@ class _PreparedReadout:
 
     def expand(self, coefficients: np.ndarray) -> np.ndarray:
         """Amplitudes of the unmeasured modes from rows of coefficients."""
-        if self.basis is None:
-            return coefficients
         lead = coefficients.shape[:-1]
         rank = self.basis.shape[1]
         return (coefficients.reshape(-1, rank) @ self.basis.T).reshape(*lead, -1)
@@ -271,10 +268,6 @@ class _PreparedReadout:
     def coefficients(self, outcomes: np.ndarray) -> np.ndarray:
         """Unnormalised coefficient rows of the unmeasured modes, one per outcome."""
         return self.disc.rows[outcomes] @ self.coeff
-
-    def conditionals(self, outcomes: np.ndarray) -> np.ndarray:
-        """Unnormalised amplitudes of the unmeasured modes, one row per outcome."""
-        return self.expand(self.coefficients(outcomes))
 
     def posterior_coefficients(self, outcomes) -> np.ndarray:
         """Normalised coefficient rows of the conditional states after
@@ -318,9 +311,11 @@ class _Discriminator:
     ``values``, ``order`` and its ``prepared`` class."""
 
     def prepare(self, state: StateVector, mode: int):
-        """Readout of ``mode`` of ``state``."""
+        """Readout of ``mode`` of ``state``, over the identity of its last
+        unmeasured mode."""
         view = np.moveaxis(state.tensor_view(), mode, 0).reshape(state.dim, -1)
-        return self.prepare_blocks(view[None], None, state.modes - 1, state.leakage)[0]
+        basis = np.eye(state.dim if state.modes > 1 else 1)
+        return self.prepare_blocks(view[None], basis, state.modes - 1, state.leakage)[0]
 
     def prepare_blocks(self, blocks: np.ndarray, basis, modes: int, leakage: float) -> list:
         """One readout per (d x w) coefficient block of the stack ``blocks``

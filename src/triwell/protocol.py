@@ -31,18 +31,18 @@ draws are ``rng.inverse_cdf`` draws, so none selects an outcome below
 
 Bell stages: mode 3 never enters the readout, and in the state above it
 lies in span{|b>, |-b>}. The cross-collision and the readout touch modes 1
-and 2 only, so mode 3 is fixed once the channel is made, and its row space
-is the channel's own. A run therefore factors mode 3 out at the channel
-(``protocol_factors``): an orthonormal basis Z (d x r) of the row space of
-the channel's d x d amplitude matrix, r = 2 here, and the channel's
+and 2 only, so mode 3 is fixed once the channel is made. A run therefore
+factors mode 3 out at the channel (``protocol_factors``): the channel's
+closed form (``channel.channel_factors``) gives an exact orthonormal basis
+Z (d x r) of mode 3, the even and odd parts of its self-collided
+amplitudes (r = 2, or 1 for a vacuum channel amplitude), and the channel's
 coefficients over it. The target cat and the three diagonal quarter-period
 collisions act on those as one (d, d) phase array, giving the d x d x r
 coefficients of psi[(n1, n2), n3] without forming the d^3 state;
-``build_protocol_state`` is their expansion. ``BellMeasurement`` factors any
-other three-mode state the same way, from the unfolding psi[(n1, n2), n3]
-(rank at most d). Stage 1 is prepared on the d x (d r) coefficient block,
-and stage 2 after each first-stage outcome on its d x r block, every block's
-probabilities from one product.
+``build_protocol_state`` is their expansion. ``BellMeasurement`` reads any
+other three-mode state over the identity basis (r = d). Stage 1 is prepared
+on the d x (d r) coefficient block, and stage 2 after each first-stage
+outcome on its d x r block, every block's probabilities from one product.
 
 Scoring: the receiver's correction depends only on the two bits and the
 auxiliary count, and the parity collision acts on mode 3 as an exact sign.
@@ -69,7 +69,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import channel_family_index, generate_channel
+from .channel import channel_factors, channel_family_index
 from .corrections import (
     AuxiliaryPrep,
     displacement_offset,
@@ -202,33 +202,11 @@ class ProtocolResult:
 
 class ReceiverFactors(NamedTuple):
     """A three-mode state with mode 3 factored out: psi[n1, n2, n3] =
-    sum_k coefficients[n1, n2, k] basis[n3, k], the basis orthonormal, and
-    ``discarded_weight`` the squared norm of the state outside its columns."""
+    sum_k coefficients[n1, n2, k] basis[n3, k], the basis orthonormal."""
 
     coefficients: np.ndarray
     basis: np.ndarray
-    discarded_weight: float
     leakage: float
-
-
-def _row_space(unfolding: np.ndarray) -> tuple:
-    """(coefficients, basis, discarded weight) of the rows of ``unfolding``
-    (n x d) over an orthonormal basis of its row space.
-
-    The Gram matrix's eigenvectors are a basis of the last mode. Its
-    eigenvalues resolve weights only down to ~d eps of the largest, so each
-    direction's weight is the norm of the coefficients over it, and the rank
-    follows numpy's matrix_rank rule on those norms, at the scale of a
-    d^2 x d unfolding whatever n is.
-    """
-    d = unfolding.shape[1]
-    basis = np.linalg.eigh(unfolding.T @ unfolding.conj())[1]
-    coefficients = unfolding @ basis.conj()
-    singular = np.linalg.norm(coefficients, axis=0)
-    kept = singular > singular.max() * d * d * np.finfo(float).eps
-    # |unfolding - coefficients basis^T|^2, read in the basis's other directions
-    discarded = float(np.linalg.norm(coefficients[:, ~kept]) ** 2)
-    return coefficients[:, kept], basis[:, kept], discarded
 
 
 def protocol_factors(config: ProtocolConfig) -> ReceiverFactors:
@@ -241,14 +219,14 @@ def protocol_factors(config: ProtocolConfig) -> ReceiverFactors:
             "protocol state generation requires e0 = kappa (family index 0)"
         )
     target = prepare_cat_superposition(config.target, config.cutoff)
-    chan = generate_channel(config.alpha, config.beta, config.kerr, config.cutoff)
+    coefficients, basis, leakage = channel_factors(config.alpha, config.beta, config.kerr,
+                                                   config.cutoff)
     d, t = config.cutoff.dim, math.pi / (2 * config.kerr.kappa)
-    coefficients, basis, discarded = _row_space(chan.amplitudes.reshape(d, d))
     self_kerr = kerr_phases(d, config.kerr, t)
     phases = (np.outer(target.amplitudes * self_kerr, self_kerr)
               * cross_kerr_phases(d, config.kerr.kappa, t))
-    return ReceiverFactors(phases[:, :, None] * coefficients, basis, discarded,
-                           joint_leakage(target, chan))
+    return ReceiverFactors(phases[:, :, None] * coefficients, basis,
+                           joint_leakage(target.leakage, leakage))
 
 
 def build_protocol_state(config: ProtocolConfig) -> StateVector:
@@ -272,20 +250,16 @@ class BellMeasurement:
     Each stage consumes two uniforms (selector and tie-breaker) regardless of
     backend, keeping matched-seed runs aligned between backends. Stages with
     the same amplitude share one discriminator. ``state`` is the protocol
-    state's ``ReceiverFactors`` or a three-mode state, factored here the same
-    way. Both stages work on mode 3's coefficients over ``receiver_basis``,
-    orthonormal columns spanning mode 3's row space; ``discarded_weight`` is
-    the squared norm of the state outside them.
+    state's ``ReceiverFactors`` or a three-mode state, read over the identity
+    basis of mode 3. Both stages work on mode 3's coefficients over
+    ``receiver_basis``, its orthonormal columns.
     """
 
     def __init__(self, state: StateVector | ReceiverFactors, config: ProtocolConfig):
         if isinstance(state, StateVector):
             if state.modes != 3:
                 raise ValueError("Bell measurement expects the three-mode protocol state")
-            d = state.dim
-            coefficients, basis, discarded = _row_space(state.amplitudes.reshape(d * d, d))
-            state = ReceiverFactors(coefficients.reshape(d, d, -1), basis, discarded,
-                                    state.leakage)
+            state = ReceiverFactors(state.tensor_view(), np.eye(state.dim), state.leakage)
         gamma = config.target.gamma
         alpha = config.alpha.amplitude
         ref = config.reference_magnitude
@@ -299,7 +273,7 @@ class BellMeasurement:
 
         built = {amp: discriminator(amp) for amp in dict.fromkeys((gamma, alpha))}
         self.stages = (built[gamma], built[alpha])
-        self.receiver_basis, self.discarded_weight = state.basis, state.discarded_weight
+        self.receiver_basis = state.basis
         block = state.coefficients.reshape(len(state.basis), -1)  # d x (d r)
         self._first = self.stages[0].prepare_blocks(block[None], state.basis, modes=2,
                                                     leakage=state.leakage)[0]

@@ -9,7 +9,7 @@ import numpy as np
 from triwell import (AuxiliaryPrep, CoherentSpec, CrossSpeciesParams, FockCutoff,
                      JosephsonParams, KerrParams, ShapeMismatch, StateVector,
                      ValidityDomainExceeded, evolve_cross_kerr, evolve_self_kerr,
-                     generate_channel, prepare_cat_superposition, simulate_sx, substream,
+                     prepare_cat_superposition, prepare_coherent, simulate_sx, substream,
                      tensor)
 from triwell.corrections import parity_count_distribution
 from triwell.dynamics import _propagate_sectors
@@ -19,12 +19,25 @@ from triwell.protocol import BellMeasurement, ProtocolResult, _Receiver, protoco
 from triwell.rng import inverse_cdf
 
 
+def channel_by_evolution(alpha: CoherentSpec, beta: CoherentSpec, params: KerrParams,
+                         cutoff: FockCutoff) -> StateVector:
+    """The channel built in full: |alpha> (x) |beta>, then the self-collisions
+    of both wells and their cross-collision for a quarter period, each on the
+    d^2 amplitudes."""
+    state = tensor(prepare_coherent(alpha, cutoff), prepare_coherent(beta, cutoff))
+    t = math.pi / (2 * params.kappa)
+    state = evolve_self_kerr(state, 0, params, t)
+    state = evolve_self_kerr(state, 1, params, t)
+    return evolve_cross_kerr(state, (0, 1), params.kappa, t)
+
+
 def protocol_state_by_evolution(config) -> StateVector:
-    """The three-mode protocol state built in full: target (x) channel, then
-    the self-collisions of modes 0 and 1 and their cross-collision for a
-    quarter period, each on the d^3 amplitudes."""
+    """The three-mode protocol state built in full: target (x) channel, the
+    channel itself evolved in full, then the self-collisions of modes 0 and 1
+    and their cross-collision for a quarter period, each on the d^3
+    amplitudes."""
     target = prepare_cat_superposition(config.target, config.cutoff)
-    chan = generate_channel(config.alpha, config.beta, config.kerr, config.cutoff)
+    chan = channel_by_evolution(config.alpha, config.beta, config.kerr, config.cutoff)
     state = tensor(target, chan)
     t = math.pi / (2 * config.kerr.kappa)
     state = evolve_self_kerr(state, 0, config.kerr, t)

@@ -21,8 +21,13 @@ from triwell import (
     prepare_coherent,
     tensor,
 )
+from triwell.channel import channel_factors
 from triwell.dynamics import evolve_cross_kerr, evolve_self_kerr
 from triwell.fock import StateVector, coherent_amplitudes
+
+from oracles import channel_by_evolution
+
+BETA_PHASES = {"complex": 0.6 + 0.8j, "real": 1.0, "zero": 0.0}
 
 
 def family_member(j, alpha, beta, cutoff):
@@ -78,6 +83,31 @@ class TestGeneration:
         ]
         ref = oracle_evolve(initial, terms, t)
         assert np.abs(state.amplitudes - ref.amplitudes).max() < 1e-9
+
+    @pytest.mark.parametrize("beta", BETA_PHASES)
+    @pytest.mark.parametrize("n_max, amplitude", [(12, 1.0), (26, 2.0), (40, 2.0)])
+    @pytest.mark.parametrize("j", [0, 1, 2, 3])
+    def test_closed_form_matches_the_evolved_channel(self, j, n_max, amplitude, beta):
+        # the quarter-period cross phase is the sign (-1)^(n2 n3), exactly
+        cutoff, kp = FockCutoff(n_max), KerrParams((j + 1) * 1.0, 1.0)
+        alpha, beta = CoherentSpec(amplitude), CoherentSpec(amplitude * BETA_PHASES[beta])
+        state = generate_channel(alpha, beta, kp, cutoff)
+        oracle = channel_by_evolution(alpha, beta, kp, cutoff)
+        np.testing.assert_allclose(state.amplitudes, oracle.amplitudes, rtol=0, atol=1e-14)
+        assert state.leakage == oracle.leakage
+
+    @pytest.mark.parametrize("beta", BETA_PHASES)
+    def test_basis_is_orthonormal_and_spans_both_branches(self, beta):
+        cutoff, amplitude = FockCutoff(26), 2.0 * BETA_PHASES[beta]
+        _, basis, _ = channel_factors(CoherentSpec(2.0), CoherentSpec(amplitude),
+                                      KerrParams(1.0, 1.0), cutoff)
+        assert basis.shape == (cutoff.dim, 1 if amplitude == 0 else 2)
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(basis.shape[1]),
+                                   rtol=0, atol=1e-14)
+        for sign in (1, -1):
+            branch = prepare_coherent(CoherentSpec(sign * amplitude), cutoff).amplitudes
+            outside = branch - basis @ (basis.conj().T @ branch)
+            assert np.linalg.norm(outside) < 1e-14
 
     def test_linearity_in_the_input(self):
         # a superposition input evolves to the superposition of the outputs

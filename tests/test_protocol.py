@@ -35,8 +35,7 @@ import triwell.protocol
 from triwell.cli import main
 from triwell.fock import StateVector, coherent_amplitudes
 from triwell.homodyne import _PreparedReadout, helstrom_vectors
-from triwell.protocol import (CORRECTIONS_FOR_BRANCH, BellMeasurement, _Receiver, _row_space,
-                              protocol_factors)
+from triwell.protocol import CORRECTIONS_FOR_BRANCH, BellMeasurement, _Receiver, protocol_factors
 from triwell.rng import MIN_OUTCOME_PROBABILITY, inverse_cdf
 
 from oracles import parity_flip, parity_operation, protocol_state_by_evolution, run_scored_in_full
@@ -275,9 +274,17 @@ class TestPreparedProbabilities:
         assert (sub_floor > 0) == (backend == "homodyne")
 
 
+def weight_outside(state: StateVector, basis: np.ndarray) -> float:
+    """Squared norm of the three-mode ``state`` outside the mode-3 columns of
+    the orthonormal ``basis``."""
+    d = state.dim
+    unfolding = state.amplitudes.reshape(d * d, d)
+    return float(np.linalg.norm(unfolding - (unfolding @ basis.conj()) @ basis.T) ** 2)
+
+
 class TestReceiverFactoring:
     """Both Bell stages work on mode 3's coefficients over an orthonormal
-    basis of its unfolding's row space, never on the full mode-3 view."""
+    basis of mode 3, never on the full mode-3 view."""
 
     @pytest.mark.parametrize("backend", ["ideal", "homodyne"])
     @pytest.mark.parametrize("n_max, amplitude", [(12, 1.0), (26, 2.0), (40, 2.0)])
@@ -287,15 +294,16 @@ class TestReceiverFactoring:
         config = make_config(target=SuperpositionSpec(0.6, 0.8, amplitude),
                              alpha=CoherentSpec(amplitude), beta=CoherentSpec(1j * amplitude),
                              cutoff=FockCutoff(n_max), measurement_backend=backend)
-        bell = BellMeasurement(build_protocol_state(config), config)
-        assert bell.receiver_basis.shape == (config.cutoff.dim, 2)
-        assert bell.discarded_weight < 1e-25
+        basis = BellMeasurement(protocol_factors(config), config).receiver_basis
+        assert basis.shape == (config.cutoff.dim, 2)
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2), rtol=0, atol=1e-14)
+        assert weight_outside(protocol_state_by_evolution(config), basis) < 1e-25
 
-    @pytest.mark.parametrize("backend, rank", [("ideal", 4), ("homodyne", 10)])
-    def test_any_state_matches_the_unfactored_stages(self, backend, rank):
+    @pytest.mark.parametrize("backend", ["ideal", "homodyne"])
+    def test_any_state_matches_the_unfactored_stages(self, backend):
         # a random state: the homodyne readout spans every Fock state, so all
         # three modes are random; the ideal one reads span{|a>, |-a>} alone,
-        # so modes 1 and 2 stay in that pair and mode 3's rank is 2 x 2
+        # so modes 1 and 2 stay in that pair
         amplitude, cutoff = 0.6, FockCutoff(9)
         config = make_config(target=SuperpositionSpec(0.6, 0.8, amplitude),
                              alpha=CoherentSpec(amplitude), beta=CoherentSpec(1j * amplitude),
@@ -307,7 +315,7 @@ class TestReceiverFactoring:
             amps = np.einsum("ia,jb,ijc->abc", pair, pair, amps[:2, :2])
         state = StateVector(3, cutoff, (amps / np.linalg.norm(amps)).ravel())
         bell = BellMeasurement(state, config)
-        assert bell.receiver_basis.shape[1] == rank
+        assert np.array_equal(bell.receiver_basis, np.eye(d))
         u = substream(43).random((2000, 4))
         first, second, branch = bell.draw(u)
         post = bell.conditionals(first, second)
@@ -364,6 +372,8 @@ FACTOR_CASES = {
                                       beta=CoherentSpec(1j * amp)),
     "real-beta": lambda amp: dict(target=SuperpositionSpec(0.6, 0.8, amp),
                                   beta=CoherentSpec(amp)),
+    "vacuum-beta": lambda amp: dict(target=SuperpositionSpec(0.6, 0.8, amp),
+                                    beta=CoherentSpec(0.0)),
 }
 
 
@@ -381,17 +391,16 @@ class TestProtocolFactors:
         expanded = build_protocol_state(config)
         np.testing.assert_allclose(expanded.amplitudes, oracle.amplitudes, rtol=0, atol=1e-14)
         assert expanded.leakage == oracle.leakage
-        # rank, discarded weight and leakage are those of the full state's factoring
+        # the basis holds the full state (rank 1 for a vacuum channel
+        # amplitude), and the leakage is the full state's
         d = config.cutoff.dim
         factors = protocol_factors(config)
-        _, basis, discarded = _row_space(oracle.amplitudes.reshape(d * d, d))
-        assert factors.basis.shape == basis.shape == (d, 2)
-        assert factors.discarded_weight == pytest.approx(discarded, rel=0, abs=1e-28)
+        assert factors.basis.shape == (d, 1 if case == "vacuum-beta" else 2)
+        assert weight_outside(oracle, factors.basis) < 1e-25
         assert factors.leakage == oracle.leakage
         if case != "vacuum-target":  # the readout needs a target amplitude
             bell, full = BellMeasurement(factors, config), BellMeasurement(oracle, config)
-            assert bell.receiver_basis.shape == full.receiver_basis.shape
-            assert bell.discarded_weight == pytest.approx(full.discarded_weight, rel=0, abs=1e-28)
+            np.testing.assert_allclose(bell._first.probs, full._first.probs, rtol=0, atol=1e-14)
             assert bell._first.leakage == full._first.leakage
 
     @pytest.mark.parametrize("backend, cutoff", [("ideal", 26), ("homodyne", 40)])
