@@ -13,16 +13,22 @@ terms of order exp(-|alpha|^2).
 
 At the quarter period the cross phase exp(-i pi n2 n3) is exactly the sign
 (-1)^(n2 n3), in truncated space too. With a and b the self-collided
-amplitudes of the two wells, row n2 of the channel is therefore
+amplitudes of the two wells, split into parity parts a_j and b_k, the
+channel is therefore
 
-    a[n2] (even(b) + (-1)^n2 odd(b)),
+    sum_{j,k} (-1)^(jk) a_j (x) b_k,
 
-a sum of two products. ``channel_factors`` returns it in that form: the
-normalised even and odd parts of b are an exact orthonormal basis of the
-second well, and ``generate_channel`` is their expansion.
+at most four products. ``channel_factors`` returns it in that form: the
+normalised parity parts of each well are an exact orthonormal basis of it
+(``parity_basis``), the channel is the core C[j, k] = |a_j| |b_k| (-1)^(jk)
+over the two bases, and ``generate_channel`` is its expansion. The
+self-collision phases stay inside the bases, so every family member j
+factors this way.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,31 +53,46 @@ def channel_family_index(params: KerrParams) -> int:
     return j
 
 
+class ParityBasis(NamedTuple):
+    """The nonzero even and odd parts of one mode's amplitudes: column k of
+    ``basis`` (d x r) is the part of parity ``parities[k]`` over its norm
+    ``norms[k]``, so the columns are orthonormal."""
+
+    parities: np.ndarray
+    norms: np.ndarray
+    basis: np.ndarray
+
+
+def parity_basis(amplitudes: np.ndarray) -> ParityBasis:
+    """``amplitudes`` split by parity, a zero part dropped (r = 1 or 2)."""
+    n = np.arange(len(amplitudes))
+    parts = [np.where(n % 2 == p, amplitudes, 0) for p in (0, 1)]
+    norms = np.array([np.linalg.norm(part) for part in parts])
+    parities = np.flatnonzero(norms)
+    return ParityBasis(parities, norms[parities],
+                       np.stack([parts[p] / norms[p] for p in parities], axis=1))
+
+
 def channel_factors(alpha: CoherentSpec, beta: CoherentSpec, params: KerrParams,
                     cutoff: FockCutoff) -> tuple:
-    """(coefficients d x r, basis d x r, leakage) of the channel: psi[n2, n3]
-    = sum_k coefficients[n2, k] basis[n3, k], the basis the normalised even
-    and odd parts of the second well's self-collided amplitudes. A zero part
-    is dropped, so beta = 0 gives r = 1."""
+    """(core, (first, second), leakage) of the channel: psi[n2, n3] =
+    sum_jk core[j, k] first.basis[n2, j] second.basis[n3, k], over the
+    ``parity_basis`` of each well's self-collided amplitudes. beta = 0 gives
+    a core of one column."""
     channel_family_index(params)
     first, second = prepare_coherent(alpha, cutoff), prepare_coherent(beta, cutoff)
     phases = kerr_phases(cutoff.dim, params, np.pi / (2 * params.kappa))
-    a, b = first.amplitudes * phases, second.amplitudes * phases
-    n = np.arange(cutoff.dim)
-    parts = [np.where(n % 2 == k, b, 0) for k in (0, 1)]
-    weights = [np.linalg.norm(part) for part in parts]
-    kept = [k for k in (0, 1) if weights[k] > 0]
-    basis = np.stack([parts[k] / weights[k] for k in kept], axis=1)
-    coefficients = np.stack([a * (-1.0) ** (k * n) * weights[k] for k in kept], axis=1)
-    return coefficients, basis, joint_leakage(first.leakage, second.leakage)
+    a, b = (parity_basis(well.amplitudes * phases) for well in (first, second))
+    core = np.outer(a.norms, b.norms) * (-1.0) ** np.outer(a.parities, b.parities)
+    return core, (a, b), joint_leakage(first.leakage, second.leakage)
 
 
 def generate_channel(alpha: CoherentSpec, beta: CoherentSpec, params: KerrParams,
                      cutoff: FockCutoff) -> StateVector:
     """Collide |alpha>(x)|beta> for t = pi/(2 kappa); returns the channel state,
     the expansion of ``channel_factors``."""
-    coefficients, basis, leakage = channel_factors(alpha, beta, params, cutoff)
-    return StateVector(2, cutoff, (coefficients @ basis.T).ravel(), leakage)
+    core, (first, second), leakage = channel_factors(alpha, beta, params, cutoff)
+    return StateVector(2, cutoff, (first.basis @ core @ second.basis.T).ravel(), leakage)
 
 
 def channel_entanglement(state: StateVector) -> float:

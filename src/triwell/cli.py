@@ -15,6 +15,7 @@ Exit codes: 0 ok, 2 config error, 3 physics precondition violated,
 from __future__ import annotations
 
 import argparse
+import cmath
 import configparser
 import contextlib
 import dataclasses
@@ -218,6 +219,8 @@ def _parse_with(opt: Option, raw: str):
         value = opt.parse(raw)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad value for {opt.name!r}: {raw!r} ({exc})") from exc
+    if isinstance(value, (float, complex)) and not cmath.isfinite(value):
+        raise ConfigError(f"{opt.name!r} must be finite, got {raw!r}")
     if opt.choices and value not in opt.choices:
         raise ConfigError(f"{opt.name!r} must be one of {opt.choices}, got {value!r}")
     return value

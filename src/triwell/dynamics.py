@@ -84,11 +84,6 @@ def evolve_self_kerr(state: StateVector, mode: int, params: KerrParams,
     return apply_mode_phases(state, mode, kerr_phases(state.dim, params, t))
 
 
-def cross_kerr_phases(dim: int, rate: float, t: float) -> np.ndarray:
-    m = np.arange(dim)
-    return np.exp(-1j * 2.0 * rate * t * np.outer(m, m))
-
-
 def evolve_cross_kerr(state: StateVector, modes: tuple, rate: float,
                       t: float) -> StateVector:
     """Cross-collision phases exp(-i 2 rate m n t) on a mode pair.
@@ -102,9 +97,11 @@ def evolve_cross_kerr(state: StateVector, modes: tuple, rate: float,
     if t < 0:
         raise ValueError("t must be >= 0")
     d = state.dim
+    m = np.arange(d)
+    phases = np.exp(-1j * 2.0 * rate * t * np.outer(m, m))
     view = np.moveaxis(state.tensor_view(), (i, j), (0, 1))
     shape = (d, d) + (1,) * (state.modes - 2)
-    out = np.moveaxis(view * cross_kerr_phases(d, rate, t).reshape(shape), (0, 1), (i, j))
+    out = np.moveaxis(view * phases.reshape(shape), (0, 1), (i, j))
     return state.replace_amplitudes(out.ravel())
 
 

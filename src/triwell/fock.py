@@ -167,11 +167,16 @@ def _check_mode(state: StateVector, mode: int) -> None:
 
 def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
     """Untruncated-normalized coefficients exp(-|a|^2/2) a^n / sqrt(n!)."""
+    try:
+        weight = math.exp(-abs(alpha) ** 2 / 2)
+    except OverflowError:  # |a|^2 past float range: no cutoff holds the state
+        raise CutoffTooSmall(f"coherent amplitude {abs(alpha):.3e}: |a|^2 overflows") from None
     c = np.zeros(dim, dtype=np.complex128)
     c[0] = 1.0
-    for n in range(1, dim):
-        c[n] = c[n - 1] * alpha / math.sqrt(n)
-    return c * math.exp(-abs(alpha) ** 2 / 2)
+    with np.errstate(over="ignore", invalid="ignore"):  # NaN past float range
+        for n in range(1, dim):
+            c[n] = c[n - 1] * alpha / math.sqrt(n)
+    return c * weight
 
 
 def _finalize_preparation(raw: np.ndarray, exact_sq: float, cutoff: FockCutoff,
@@ -179,13 +184,13 @@ def _finalize_preparation(raw: np.ndarray, exact_sq: float, cutoff: FockCutoff,
     """Renormalize ``raw``; its leakage is the share of ``exact_sq``, the
     untruncated squared norm, that the cutoff dropped."""
     kept = float(np.vdot(raw, raw).real)
-    leakage = max(0.0, 1.0 - kept / exact_sq)
-    if leakage > max_leakage:
+    leakage = 1.0 - kept / exact_sq
+    if not leakage <= max_leakage:  # a NaN, from amplitudes past float range, too
         raise CutoffTooSmall(
             f"{what}: truncation leakage {leakage:.3e} exceeds bound {max_leakage:.1e} "
             f"at n_max={cutoff.n_max}"
         )
-    return StateVector(1, cutoff, raw / math.sqrt(kept), leakage)
+    return StateVector(1, cutoff, raw / math.sqrt(kept), max(0.0, leakage))
 
 
 def prepare_coherent(spec: CoherentSpec, cutoff: FockCutoff,

@@ -39,20 +39,19 @@ counts atoms in both wells (exact joint Born sampling, no Gaussian
 approximation): outcome ``m_c * dim + m_b`` has its row of the pair
 propagator and the value (m_c - m_b) / (2 |r|), ordered by value and ties by
 count. A discriminator's entry point is ``prepare(state, mode)``, on the
-state's full view over the identity basis; ``prepare_blocks`` prepares a
-stack of coefficient blocks at once, each over an orthonormal ``basis`` of
-the unmeasured modes' last mode, as the protocol's Bell stages do. The
-prepared distribution holds ``probs[o] = |rows[o] . state|^2`` (equal on the
-coefficients, since the basis is orthonormal) and their ``rng.inverse_cdf``
-along ``order``, in which outcomes below ``MIN_OUTCOME_PROBABILITY`` have
-zero width. The array shapes pick how ``probs`` is computed: from the
-measured mode's reduced density matrix, ``Re(rows[o] rho rows[o]^H)``
-clipped at 0, when the outcome amplitudes would cost more (the homodyne
-first stage), else as one ``|rows @ blocks|^2`` product with the blocks side
-by side. It gives the exact bit probabilities, array draws
+state's full view over the identity basis of every mode; ``prepare_blocks``
+prepares a stack of coefficient blocks at once, read through the rows over
+an orthonormal basis of the measured mode and with one orthonormal basis
+per unmeasured mode, as the protocol's Bell stages do on the parity bases of
+their core. The prepared distribution holds
+``probs[o] = |rows[o] . state|^2`` (equal on the coefficients, since the
+bases are orthonormal), computed from the measured mode's reduced density
+matrix as ``Re(rows[o] rho rows[o]^H)`` clipped at 0, and their
+``rng.inverse_cdf`` along ``order``, in which outcomes below ``MIN_OUTCOME_PROBABILITY`` have
+zero width. It gives the exact bit probabilities, array draws
 ``draw(u_select, u_tie) -> (outcome, bit)`` that read the tie-breaker only on
 a zero value, the unnormalised ``coefficients(outcomes)`` of the other modes
-over ``basis``, and ``posterior(o)``, their normalised state, for every
+over their bases, and ``posterior(o)``, their normalised state, for every
 outcome a draw can give.
 """
 
@@ -215,41 +214,34 @@ def helstrom_vectors(amplitude: complex, cutoff: FockCutoff):
 
 def _block_probabilities(rows, blocks: np.ndarray) -> np.ndarray:
     """``probs[k, o] = |rows[o] @ blocks[k]|^2``, summed over the row, for a
-    stack of (d x w) coefficient blocks, by the cheaper of two forms: from
-    each block's reduced density matrix ``Re(rows[o] rho rows[o]^H)`` clipped
-    at 0 when the (n_rows x w) amplitudes cost more, else one product of the
-    rows with every block side by side."""
-    n_rows, (count, d, width) = len(rows), blocks.shape
-    if n_rows * width > d * width + n_rows * d:
-        # summed over the interleaved real and imaginary parts
-        rho = blocks @ blocks.conj().transpose(0, 2, 1)
-        probs = np.einsum("kij,ij->ki", (rows @ rho).view(float), rows.view(float))
-        return np.maximum(probs, 0.0)
-    side_by_side = blocks.transpose(1, 0, 2).reshape(d, count * width)
-    amplitudes = np.abs(rows @ side_by_side).reshape(n_rows, count, width)
-    return np.einsum("okj,okj->ko", amplitudes, amplitudes)
+    stack of (r x w) coefficient blocks, from each block's reduced density
+    matrix: ``Re(rows[o] rho rows[o]^H)`` clipped at 0."""
+    rho = blocks @ blocks.conj().transpose(0, 2, 1)
+    # summed over the interleaved real and imaginary parts
+    probs = np.einsum("kij,ij->ki", (rows @ rho).view(float), rows.view(float))
+    return np.maximum(probs, 0.0)
 
 
 @dataclass(eq=False)
 class _PreparedReadout:
     """Outcome distribution of one discrimination, ready to draw from.
 
-    Keeps the measured mode's (d x w) coefficient block ``coeff``, the
-    outcome probabilities and their CDF. ``basis`` holds orthonormal columns
-    (d x r) of the last unmeasured mode (the identity when ``coeff`` holds
-    amplitudes; ``eye(1)`` when no mode is left), and a row of ``coeff`` is
-    (w / r) x r coefficients over those columns, so the measured-mode view is
-    ``coeff @ basis^T`` blockwise. The conditional state of an outcome is
-    built from its row when asked for, so draws stay cheap. ``modes`` and
-    ``leakage`` are those of the conditional states.
+    Keeps the measured mode's ``rows`` over its orthonormal basis (outcomes
+    x r), its (r x w) coefficient block ``coeff``, the outcome probabilities
+    and their CDF. ``bases`` holds one orthonormal basis (d x r_i) per
+    unmeasured mode (the identity for amplitudes), and a row of ``coeff``
+    holds the unmeasured modes' coefficients over them, ``w`` their product
+    r_1 r_2 ... . The conditional state of an outcome, one mode per basis, is
+    built from its row when asked for, so draws stay cheap. ``leakage`` is
+    that of the conditional states.
     """
 
     disc: object
+    rows: np.ndarray
     coeff: np.ndarray
-    basis: np.ndarray
+    bases: tuple
     probs: np.ndarray
     cdf: np.ndarray
-    modes: int
     leakage: float
 
     @property
@@ -262,12 +254,14 @@ class _PreparedReadout:
     def expand(self, coefficients: np.ndarray) -> np.ndarray:
         """Amplitudes of the unmeasured modes from rows of coefficients."""
         lead = coefficients.shape[:-1]
-        rank = self.basis.shape[1]
-        return (coefficients.reshape(-1, rank) @ self.basis.T).reshape(*lead, -1)
+        out = coefficients.reshape(-1, *(basis.shape[1] for basis in self.bases))
+        for basis in self.bases:  # each contracts the next coefficient axis
+            out = np.tensordot(out, basis, axes=(1, 1))
+        return out.reshape(*lead, -1)
 
     def coefficients(self, outcomes: np.ndarray) -> np.ndarray:
         """Unnormalised coefficient rows of the unmeasured modes, one per outcome."""
-        return self.disc.rows[outcomes] @ self.coeff
+        return self.rows[outcomes] @ self.coeff
 
     def posterior_coefficients(self, outcomes) -> np.ndarray:
         """Normalised coefficient rows of the conditional states after
@@ -281,7 +275,7 @@ class _PreparedReadout:
     def posterior(self, outcome: int) -> StateVector:
         """Conditional state of the unmeasured modes after ``outcome``."""
         conditional = self.expand(self.posterior_coefficients(outcome))
-        return StateVector(self.modes, self.disc.cutoff, conditional, self.leakage)
+        return StateVector(len(self.bases), self.disc.cutoff, conditional, self.leakage)
 
     def draw(self, u_select: np.ndarray, u_tie: np.ndarray) -> tuple:
         """(outcome, bit) arrays for the uniform pairs: bit 1 for a negative
@@ -311,17 +305,19 @@ class _Discriminator:
     ``values``, ``order`` and its ``prepared`` class."""
 
     def prepare(self, state: StateVector, mode: int):
-        """Readout of ``mode`` of ``state``, over the identity of its last
-        unmeasured mode."""
+        """Readout of ``mode`` of ``state``, over the identity basis of
+        every mode."""
         view = np.moveaxis(state.tensor_view(), mode, 0).reshape(state.dim, -1)
-        basis = np.eye(state.dim if state.modes > 1 else 1)
-        return self.prepare_blocks(view[None], basis, state.modes - 1, state.leakage)[0]
+        bases = (np.eye(state.dim),) * (state.modes - 1)
+        return self.prepare_blocks(self.rows, view[None], bases, state.leakage)[0]
 
-    def prepare_blocks(self, blocks: np.ndarray, basis, modes: int, leakage: float) -> list:
-        """One readout per (d x w) coefficient block of the stack ``blocks``
-        (see ``_PreparedReadout``), with every block's probabilities from one
-        product and every CDF from one floor and cumulative sum."""
-        probs = _block_probabilities(self.rows, blocks)
+    def prepare_blocks(self, rows: np.ndarray, blocks: np.ndarray, bases: tuple,
+                       leakage: float) -> list:
+        """One readout per (r x w) coefficient block of the stack ``blocks``,
+        read through ``rows``, the readout rows over the measured mode's
+        basis (see ``_PreparedReadout``), with every block's probabilities
+        from one product and every CDF from one floor and cumulative sum."""
+        probs = _block_probabilities(rows, blocks)
         leftover = 1.0 - probs.sum(axis=1).min()
         if leftover > MAX_SUPPORT_LEFTOVER:
             raise AmbiguousSupport(
@@ -329,7 +325,7 @@ class _Discriminator:
                 "the span of the readout rows"
             )
         cdfs = inverse_cdf(probs[:, self.order])
-        return [self.prepared(self, block, basis, block_probs, cdf, modes, leakage)
+        return [self.prepared(self, rows, block, bases, block_probs, cdf, leakage)
                 for block, block_probs, cdf in zip(blocks, probs, cdfs)]
 
 

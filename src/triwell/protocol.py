@@ -29,20 +29,23 @@ columns 0-1 are the first Bell stage (selector, tie-breaker), 2-3 the second,
 draws are ``rng.inverse_cdf`` draws, so none selects an outcome below
 ``MIN_OUTCOME_PROBABILITY``.
 
-Bell stages: mode 3 never enters the readout, and in the state above it
-lies in span{|b>, |-b>}. The cross-collision and the readout touch modes 1
-and 2 only, so mode 3 is fixed once the channel is made. A run therefore
-factors mode 3 out at the channel (``protocol_factors``): the channel's
-closed form (``channel.channel_factors``) gives an exact orthonormal basis
-Z (d x r) of mode 3, the even and odd parts of its self-collided
-amplitudes (r = 2, or 1 for a vacuum channel amplitude), and the channel's
-coefficients over it. The target cat and the three diagonal quarter-period
-collisions act on those as one (d, d) phase array, giving the d x d x r
-coefficients of psi[(n1, n2), n3] without forming the d^3 state;
-``build_protocol_state`` is their expansion. ``BellMeasurement`` reads any
-other three-mode state over the identity basis (r = d). Stage 1 is prepared
-on the d x (d r) coefficient block, and stage 2 after each first-stage
-outcome on its d x r block, every block's probabilities from one product.
+Bell stages: at the quarter period with e0 = kappa every self-collision
+phase is 1 on even n and -i on odd n, and every cross phase is the sign
+(-1)^(n_i n_j). So each mode stays in the span of its even and odd parts,
+and the state above is a core T (r1 x r2 x r3, each r at most 2) over one
+exact orthonormal parity basis per mode (``protocol_factors``): Z1 the
+normalised parity parts of the self-collided target, Z2 the channel's
+basis of mode 2 (``channel.channel_factors``) times mode 2's second
+self-collision phase, which is diagonal, and Z3 the channel's basis of mode
+3. The channel's core carries the 2-3 sign and the 1-2 cross-collision is
+the sign (-1)^(p1 p2) of the parities on T, so no d-wide array is formed;
+``build_protocol_state`` is the expansion. A vacuum amplitude has no odd
+part, which gives r = 1. Stage k reads its mode through ``R_k = rows_k @
+Z_k``: stage 1 is prepared on T read as r1 x (r2 r3), and stage 2 after
+each first-stage outcome o1 on its r2 x r3 block ``R_1[o1] T / sqrt(p)``,
+whose row ``R_2[o2] @ block`` holds mode 3's coefficients over Z3.
+``BellMeasurement`` reads any other three-mode state through the same code
+over the identity basis of every mode.
 
 Scoring: the receiver's correction depends only on the two bits and the
 auxiliary count, and the parity collision acts on mode 3 as an exact sign.
@@ -50,9 +53,9 @@ So a run draws every trial at once, grouping the trials by first-stage
 outcome with one stable sort, and scores each distinct (stage outcomes,
 displaced, flipped) combination once, without building states: the fidelity
 after a correction G is |<G^dag ref|post>|^2, and ``post = c Z^T`` for the
-row's r coefficients ``c = rows2[o2] C`` over the receiver basis Z. So the
-receiver's probe matrix is projected once, ``Z^T probes`` (r columns of
-probes), one product ``c @ (Z^T probes)`` gives every correction's overlap,
+row's r3 coefficients ``c = R_2[o2] @ block`` over the receiver basis Z =
+Z3. So the receiver's probe matrix is projected once, ``Z^T probes`` (r3
+rows), one product ``c @ (Z^T probes)`` gives every correction's overlap,
 and the norms |c|^2, equal to |post|^2 since Z is orthonormal, normalise it;
 no row is expanded to d amplitudes.
 Trials stay named columns from the draw to the summary;
@@ -69,20 +72,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import channel_factors, channel_family_index
+from .channel import channel_factors, channel_family_index, parity_basis
 from .corrections import (
     AuxiliaryPrep,
     displacement_offset,
     parity_count_distribution,
     warn_large_offset,
 )
-from .dynamics import (
-    CrossSpeciesParams,
-    JosephsonParams,
-    KerrParams,
-    cross_kerr_phases,
-    kerr_phases,
-)
+from .dynamics import CrossSpeciesParams, JosephsonParams, KerrParams, kerr_phases
 from .errors import FrequencyConditionViolated, RangeError, ZeroImaginaryPart
 from .fock import (
     FockCutoff,
@@ -201,39 +198,40 @@ class ProtocolResult:
 
 
 class ReceiverFactors(NamedTuple):
-    """A three-mode state with mode 3 factored out: psi[n1, n2, n3] =
-    sum_k coefficients[n1, n2, k] basis[n3, k], the basis orthonormal."""
+    """A three-mode state as a core over one orthonormal basis per mode:
+    psi[n1, n2, n3] = sum_ijk core[i, j, k] Z1[n1, i] Z2[n2, j] Z3[n3, k]
+    for ``bases`` (Z1, Z2, Z3)."""
 
-    coefficients: np.ndarray
-    basis: np.ndarray
+    core: np.ndarray
+    bases: tuple
     leakage: float
 
 
 def protocol_factors(config: ProtocolConfig) -> ReceiverFactors:
-    """The protocol state, target (mode 1) and channel (modes 2, 3), with
-    the receiver's mode 3 factored out at the channel: the target cat and the
-    collisions that follow are one (d, d) phase array on the channel's
-    coefficients."""
+    """The protocol state, target (mode 1) and channel (modes 2, 3), as a
+    core of at most 2 x 2 x 2 over the modes' parity bases: the self-collided
+    target's parity parts, the channel's bases with mode 2's second
+    self-collision phase, and the 1-2 cross-collision sign on the core."""
     if channel_family_index(config.kerr) != 0:
         raise FrequencyConditionViolated(
             "protocol state generation requires e0 = kappa (family index 0)"
         )
     target = prepare_cat_superposition(config.target, config.cutoff)
-    coefficients, basis, leakage = channel_factors(config.alpha, config.beta, config.kerr,
-                                                   config.cutoff)
-    d, t = config.cutoff.dim, math.pi / (2 * config.kerr.kappa)
-    self_kerr = kerr_phases(d, config.kerr, t)
-    phases = (np.outer(target.amplitudes * self_kerr, self_kerr)
-              * cross_kerr_phases(d, config.kerr.kappa, t))
-    return ReceiverFactors(phases[:, :, None] * coefficients, basis,
+    core, (second, third), leakage = channel_factors(config.alpha, config.beta, config.kerr,
+                                                     config.cutoff)
+    self_kerr = kerr_phases(config.cutoff.dim, config.kerr, math.pi / (2 * config.kerr.kappa))
+    first = parity_basis(target.amplitudes * self_kerr)
+    sign = (-1.0) ** np.outer(first.parities, second.parities)
+    return ReceiverFactors((first.norms[:, None] * sign)[:, :, None] * core,
+                           (first.basis, second.basis * self_kerr[:, None], third.basis),
                            joint_leakage(target.leakage, leakage))
 
 
 def build_protocol_state(config: ProtocolConfig) -> StateVector:
     """Three-mode protocol state, the expansion of ``protocol_factors``."""
-    factors = protocol_factors(config)
-    amplitudes = factors.coefficients @ factors.basis.T
-    return StateVector(3, config.cutoff, amplitudes.ravel(), factors.leakage)
+    core, (z1, z2, z3), leakage = protocol_factors(config)
+    amplitudes = np.einsum("ijk,ai,bj,ck->abc", core, z1, z2, z3)
+    return StateVector(3, config.cutoff, amplitudes.ravel(), leakage)
 
 
 def reference_state(config: ProtocolConfig) -> StateVector:
@@ -251,15 +249,16 @@ class BellMeasurement:
     backend, keeping matched-seed runs aligned between backends. Stages with
     the same amplitude share one discriminator. ``state`` is the protocol
     state's ``ReceiverFactors`` or a three-mode state, read over the identity
-    basis of mode 3. Both stages work on mode 3's coefficients over
-    ``receiver_basis``, its orthonormal columns.
+    basis of every mode. Stage k reads its mode through its rows over that
+    mode's basis, so both stages work on the core, and mode 3's coefficients
+    are over ``receiver_basis``, its orthonormal columns.
     """
 
     def __init__(self, state: StateVector | ReceiverFactors, config: ProtocolConfig):
         if isinstance(state, StateVector):
             if state.modes != 3:
                 raise ValueError("Bell measurement expects the three-mode protocol state")
-            state = ReceiverFactors(state.tensor_view(), np.eye(state.dim), state.leakage)
+            state = ReceiverFactors(state.tensor_view(), (np.eye(state.dim),) * 3, state.leakage)
         gamma = config.target.gamma
         alpha = config.alpha.amplitude
         ref = config.reference_magnitude
@@ -273,21 +272,22 @@ class BellMeasurement:
 
         built = {amp: discriminator(amp) for amp in dict.fromkeys((gamma, alpha))}
         self.stages = (built[gamma], built[alpha])
-        self.receiver_basis = state.basis
-        block = state.coefficients.reshape(len(state.basis), -1)  # d x (d r)
-        self._first = self.stages[0].prepare_blocks(block[None], state.basis, modes=2,
-                                                    leakage=state.leakage)[0]
+        self.receiver_basis = state.bases[2]
+        self._rows = [stage.rows @ basis for stage, basis in zip(self.stages, state.bases)]
+        block = state.core.reshape(len(state.core), -1)  # r1 x (r2 r3)
+        self._first = self.stages[0].prepare_blocks(self._rows[0], block[None], state.bases[1:],
+                                                    state.leakage)[0]
         self._second = {}  # prepared second stage per stage-1 outcome index
 
     def _prepare_second(self, keys: list) -> None:
         """Prepare the second stage after each stage-1 outcome of ``keys``
-        not yet prepared, all from one product."""
+        not yet prepared, each on its r2 x r3 block, all from one product."""
         new = [key for key in keys if key not in self._second]
         if new:
             first = self._first
             blocks = first.posterior_coefficients(np.array(new))
-            blocks = blocks.reshape(len(new), first.disc.cutoff.dim, -1)
-            prepared = self.stages[1].prepare_blocks(blocks, first.basis, first.modes - 1,
+            blocks = blocks.reshape(len(new), self._rows[1].shape[1], -1)
+            prepared = self.stages[1].prepare_blocks(self._rows[1], blocks, first.bases[1:],
                                                      first.leakage)
             self._second.update(zip(new, prepared))
 
@@ -324,7 +324,7 @@ class BellMeasurement:
     def conditionals(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Unnormalised mode-3 amplitudes after each drawn (``first``,
         ``second``) outcome pair, one row per pair."""
-        return self._first.expand(self.coefficients(first, second))
+        return self.coefficients(first, second) @ self.receiver_basis.T
 
     def sample(self, rng: np.random.Generator):
         """Measure both modes; returns (outcome, conditional mode-3 state)."""

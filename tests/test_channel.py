@@ -99,15 +99,17 @@ class TestGeneration:
     @pytest.mark.parametrize("beta", BETA_PHASES)
     def test_basis_is_orthonormal_and_spans_both_branches(self, beta):
         cutoff, amplitude = FockCutoff(26), 2.0 * BETA_PHASES[beta]
-        _, basis, _ = channel_factors(CoherentSpec(2.0), CoherentSpec(amplitude),
-                                      KerrParams(1.0, 1.0), cutoff)
-        assert basis.shape == (cutoff.dim, 1 if amplitude == 0 else 2)
-        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(basis.shape[1]),
-                                   rtol=0, atol=1e-14)
-        for sign in (1, -1):
-            branch = prepare_coherent(CoherentSpec(sign * amplitude), cutoff).amplitudes
-            outside = branch - basis @ (basis.conj().T @ branch)
-            assert np.linalg.norm(outside) < 1e-14
+        core, wells, _ = channel_factors(CoherentSpec(2.0), CoherentSpec(amplitude),
+                                         KerrParams(1.0, 1.0), cutoff)
+        assert core.shape == (2, 1 if amplitude == 0 else 2)
+        for well, well_amplitude, rank in zip(wells, (2.0, amplitude), core.shape):
+            basis = well.basis
+            assert basis.shape == (cutoff.dim, rank)
+            np.testing.assert_allclose(basis.conj().T @ basis, np.eye(rank), rtol=0, atol=1e-14)
+            for sign in (1, -1):
+                branch = prepare_coherent(CoherentSpec(sign * well_amplitude), cutoff).amplitudes
+                outside = branch - basis @ (basis.conj().T @ branch)
+                assert np.linalg.norm(outside) < 1e-14
 
     def test_linearity_in_the_input(self):
         # a superposition input evolves to the superposition of the outputs

@@ -245,9 +245,25 @@ class TestExitCodes:
         ["teleport", "--backend", "homodyne", "--cutoff", "40", "--reference-magnitude", "0"],
         ["teleport", "--backend", "homodyne", "--cutoff", "40", "--reference-magnitude", "-3"],
         ["homodyne", "--t-max", "-1"],
+        ["channel", "--e0", "nan"],
+        ["channel", "--alpha", "nan"],
+        ["teleport", "--beta", "nanj"],
+        ["parity-sweep", "--points", "2", "--param-max", "nan"],
+        ["teleport", "--gamma", "inf"],
+        ["teleport", "--a-weight", "nan"],
+        ["lattice-map", "--u1", "nan"],
     ])
     def test_bad_parameters_are_exit_2(self, tmp_path, args):
         assert run(args + ["--out", tmp_path / "x"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["teleport", "--gamma", "1e100"],
+        ["teleport", "--gamma", "1e200"],
+        ["channel", "--alpha", "1e30"],
+    ])
+    def test_amplitude_past_float_range_is_exit_4(self, tmp_path, args, capsys):
+        assert run(args + ["--out", tmp_path / "x"]) == 4
+        assert "numeric failure" in capsys.readouterr().err
 
     @pytest.mark.parametrize("subcommand", ["parity-sweep", "efficiency-sweep", "homodyne",
                                             "lattice-map", "channel", "teleport"])

@@ -56,6 +56,15 @@ class TestCoherent:
         with pytest.raises(CutoffTooSmall):
             prepare_coherent(CoherentSpec(2.0), FockCutoff(8))
 
+    @pytest.mark.parametrize("amplitude", [1e30, 1e100j, 1e200, -1e200j])
+    def test_amplitude_past_float_range_is_cutoff_too_small(self, amplitude):
+        # |a|^2 overflows from 1.3e154; below that the amplitudes overflow
+        # to NaN, which the leakage check refuses too
+        with pytest.raises(CutoffTooSmall):
+            prepare_coherent(CoherentSpec(amplitude), FockCutoff(26))
+        with pytest.raises(CutoffTooSmall):
+            prepare_cat_superposition(SuperpositionSpec(1.0, 1.0, amplitude), FockCutoff(26))
+
     def test_leakage_recorded(self):
         state = prepare_coherent(CoherentSpec(2.0), FockCutoff(16), max_leakage=1e-5)
         tail = 1 - sum(poisson_pmf(4.0, n) for n in range(17))

@@ -31,6 +31,7 @@ from triwell import (
     tensor,
     virtual_displacement,
 )
+import triwell.homodyne
 import triwell.protocol
 from triwell.cli import main
 from triwell.fock import StateVector, coherent_amplitudes
@@ -251,8 +252,6 @@ class TestBellMeasurement:
 class TestPreparedProbabilities:
     @pytest.mark.parametrize("backend", ["ideal", "homodyne"])
     def test_both_stages_match_direct_row_sums(self, backend):
-        # at n_max 12 the homodyne first stage takes the reduced-density-matrix
-        # form; the second stages and the ideal first stage take the product
         config = make_config(target=SuperpositionSpec(0.6, 0.8, 1.0), alpha=CoherentSpec(1.0),
                              beta=CoherentSpec(1.0j), cutoff=FockCutoff(12),
                              measurement_backend=backend)
@@ -274,12 +273,14 @@ class TestPreparedProbabilities:
         assert (sub_floor > 0) == (backend == "homodyne")
 
 
-def weight_outside(state: StateVector, basis: np.ndarray) -> float:
-    """Squared norm of the three-mode ``state`` outside the mode-3 columns of
-    the orthonormal ``basis``."""
-    d = state.dim
-    unfolding = state.amplitudes.reshape(d * d, d)
-    return float(np.linalg.norm(unfolding - (unfolding @ basis.conj()) @ basis.T) ** 2)
+def weight_outside(state: StateVector, *bases: np.ndarray) -> float:
+    """Squared norm of ``state`` outside the span of the orthonormal
+    ``bases`` of its last modes, one basis per mode (mode 3 alone for one)."""
+    inside = state.tensor_view()
+    for axis, basis in enumerate(bases, start=state.modes - len(bases)):
+        projector = basis @ basis.conj().T
+        inside = np.moveaxis(np.tensordot(projector, inside, axes=(1, axis)), 0, axis)
+    return float(np.linalg.norm(state.tensor_view() - inside) ** 2)
 
 
 class TestReceiverFactoring:
@@ -391,12 +392,16 @@ class TestProtocolFactors:
         expanded = build_protocol_state(config)
         np.testing.assert_allclose(expanded.amplitudes, oracle.amplitudes, rtol=0, atol=1e-14)
         assert expanded.leakage == oracle.leakage
-        # the basis holds the full state (rank 1 for a vacuum channel
-        # amplitude), and the leakage is the full state's
+        # each mode's basis is orthonormal, and together they hold the full
+        # state; a vacuum amplitude has no odd part, so its mode has rank 1
         d = config.cutoff.dim
         factors = protocol_factors(config)
-        assert factors.basis.shape == (d, 1 if case == "vacuum-beta" else 2)
-        assert weight_outside(oracle, factors.basis) < 1e-25
+        assert factors.core.shape == (1 if case == "vacuum-target" else 2, 2,
+                                      1 if case == "vacuum-beta" else 2)
+        for basis, rank in zip(factors.bases, factors.core.shape):
+            assert basis.shape == (d, rank)
+            np.testing.assert_allclose(basis.conj().T @ basis, np.eye(rank), rtol=0, atol=1e-14)
+        assert weight_outside(oracle, *factors.bases) < 1e-25
         assert factors.leakage == oracle.leakage
         if case != "vacuum-target":  # the readout needs a target amplitude
             bell, full = BellMeasurement(factors, config), BellMeasurement(oracle, config)
@@ -449,7 +454,9 @@ class TestScoringAtReceiverRank:
         assert set(columns["branch"][displaced].tolist()) == {1, 3}
 
     @pytest.mark.parametrize("backend, cutoff", [("ideal", 26), ("homodyne", 40)])
-    def test_run_expands_no_conditional(self, backend, cutoff, monkeypatch):
+    def test_run_reads_the_core_alone(self, backend, cutoff, monkeypatch):
+        # every Bell prepare works on a block of the 2 x 2 x 2 core, and no
+        # row is expanded to d amplitudes
         config = make_config(target=SuperpositionSpec(0.6, 0.8, 2.0), cutoff=FockCutoff(cutoff),
                              measurement_backend=backend, p_d=0.7, trials=300,
                              aux=AuxiliaryPrep("coherent", 2.0))
@@ -458,12 +465,18 @@ class TestScoringAtReceiverRank:
         def refuse(*args, **kwargs):
             raise AssertionError("the run expanded coefficients to d amplitudes")
 
+        shapes, block_probabilities = [], triwell.homodyne._block_probabilities
+
+        def recorded(rows, blocks):
+            shapes.append(blocks.shape[1:])
+            return block_probabilities(rows, blocks)
+
+        monkeypatch.setattr(triwell.homodyne, "_block_probabilities", recorded)
         monkeypatch.setattr(_PreparedReadout, "expand", refuse)
-        bell = BellMeasurement(protocol_factors(config), config)
-        first, second, _ = bell.draw(substream(7).random((10, 4)))
-        with pytest.raises(AssertionError):
-            bell.conditionals(first, second)
+        monkeypatch.setattr(BellMeasurement, "conditionals", refuse)
         assert run_protocol(config) == expected
+        assert len(shapes) == 2  # the first stage, then every second stage at once
+        assert all(rows <= 2 and width <= 4 for rows, width in shapes)
 
     def test_branch_bits_pick_the_corrections(self):
         config = make_config(p_d=0.5, aux=AuxiliaryPrep("coherent", 2.0))
