@@ -43,6 +43,9 @@ def channel_family_index(params: KerrParams) -> int:
     """Integer j >= 0 with e0 = (j+1) kappa, or FrequencyConditionViolated."""
     if params.kappa <= 0:
         raise FrequencyConditionViolated("channel generation needs kappa > 0")
+    if not np.isfinite(np.pi / (2 * params.kappa)):
+        raise FrequencyConditionViolated(
+            f"kappa = {params.kappa:.3g} has no finite quarter period pi / (2 kappa)")
     ratio = params.e0_over_hbar / params.kappa
     j = round(ratio) - 1
     scale = max(abs(params.e0_over_hbar), params.kappa)

@@ -232,15 +232,19 @@ def prepare_cat_superposition(spec: SuperpositionSpec, cutoff: FockCutoff,
                               max_leakage: float = DEFAULT_MAX_LEAKAGE) -> StateVector:
     """Normalized A|gamma> + B|-gamma>.
 
-    The normalization uses the exact overlap <gamma|-gamma> = exp(-2|gamma|^2)
-    carried by the truncated coefficients themselves.
+    The weights act as a ray: A and B are scaled by the larger of |A| and |B|
+    first, so any common factor gives the same state. The normalization uses
+    the exact overlap <gamma|-gamma> = exp(-2|gamma|^2) carried by the
+    truncated coefficients themselves.
     """
+    scale = max(abs(spec.a), abs(spec.b)) or 1.0
+    a, b = spec.a / scale, spec.b / scale
     plus = coherent_amplitudes(spec.gamma, cutoff.dim)
-    raw = spec.a * plus + spec.b * coherent_amplitudes(-spec.gamma, cutoff.dim)
+    raw = a * plus + b * coherent_amplitudes(-spec.gamma, cutoff.dim)
     # Untruncated squared norm; detects A|g> - A|g>-type cancellations exactly.
     exact_sq = (
-        abs(spec.a) ** 2 + abs(spec.b) ** 2
-        + 2 * (np.conj(spec.a) * spec.b).real * math.exp(-2 * abs(spec.gamma) ** 2)
+        abs(a) ** 2 + abs(b) ** 2
+        + 2 * (np.conj(a) * b).real * math.exp(-2 * abs(spec.gamma) ** 2)
     )
     if exact_sq < 1e-12:
         raise DegenerateSuperposition(

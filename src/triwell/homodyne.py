@@ -39,20 +39,18 @@ counts atoms in both wells (exact joint Born sampling, no Gaussian
 approximation): outcome ``m_c * dim + m_b`` has its row of the pair
 propagator and the value (m_c - m_b) / (2 |r|), ordered by value and ties by
 count. A discriminator's entry point is ``prepare(state, mode)``, on the
-state's full view over the identity basis of every mode; ``prepare_blocks``
-prepares a stack of coefficient blocks at once, read through the rows over
-an orthonormal basis of the measured mode and with one orthonormal basis
-per unmeasured mode, as the protocol's Bell stages do on the parity bases of
-their core. The prepared distribution holds
-``probs[o] = |rows[o] . state|^2`` (equal on the coefficients, since the
-bases are orthonormal), computed from the measured mode's reduced density
-matrix as ``Re(rows[o] rho rows[o]^H)`` clipped at 0, and their
-``rng.inverse_cdf`` along ``order``, in which outcomes below ``MIN_OUTCOME_PROBABILITY`` have
-zero width. It gives the exact bit probabilities, array draws
-``draw(u_select, u_tie) -> (outcome, bit)`` that read the tie-breaker only on
-a zero value, the unnormalised ``coefficients(outcomes)`` of the other modes
-over their bases, and ``posterior(o)``, their normalised state, for every
-outcome a draw can give.
+state's full view; ``prepare_blocks`` prepares a stack of coefficient blocks
+at once, read through the rows over an orthonormal basis of the measured
+mode, as the protocol's Bell stages do on the parity bases of their core. A
+prepared readout is the outcome law alone: ``probs[o] = |rows[o] . state|^2``
+(equal on the coefficients, since the bases are orthonormal), computed from
+the measured mode's reduced density matrix as ``Re(rows[o] rho rows[o]^H)``
+clipped at 0, and their ``rng.inverse_cdf`` along ``order``, in which
+outcomes below ``MIN_OUTCOME_PROBABILITY`` have zero width. It gives the
+exact bit probabilities and array draws ``draw(u_select, u_tie) -> (outcome,
+bit)`` that read the tie-breaker only on a zero value. The state left after
+an outcome is the row product ``rows[o] . state``, which the caller forms
+from its own arrays.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ from .dynamics import (
     evolve_josephson,
     josephson_collision_columns,
 )
-from .errors import AmbiguousSupport, ShapeMismatch, ValidityDomainExceeded, ZeroProbabilityBranch
+from .errors import AmbiguousSupport, ShapeMismatch, ValidityDomainExceeded
 from .fock import (
     CoherentSpec,
     FockCutoff,
@@ -80,7 +78,7 @@ from .fock import (
     prepare_coherent,
     tensor,
 )
-from .rng import MIN_OUTCOME_PROBABILITY, inverse_cdf
+from .rng import inverse_cdf
 
 EPSILON_N_LIMIT = 0.1
 EPSILON_N_WARN = 0.02
@@ -224,25 +222,12 @@ def _block_probabilities(rows, blocks: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class _PreparedReadout:
-    """Outcome distribution of one discrimination, ready to draw from.
-
-    Keeps the measured mode's ``rows`` over its orthonormal basis (outcomes
-    x r), its (r x w) coefficient block ``coeff``, the outcome probabilities
-    and their CDF. ``bases`` holds one orthonormal basis (d x r_i) per
-    unmeasured mode (the identity for amplitudes), and a row of ``coeff``
-    holds the unmeasured modes' coefficients over them, ``w`` their product
-    r_1 r_2 ... . The conditional state of an outcome, one mode per basis, is
-    built from its row when asked for, so draws stay cheap. ``leakage`` is
-    that of the conditional states.
-    """
+    """Outcome law of one discrimination, ready to draw from: the outcome
+    probabilities ``probs`` and their CDF along ``disc.order``."""
 
     disc: object
-    rows: np.ndarray
-    coeff: np.ndarray
-    bases: tuple
     probs: np.ndarray
     cdf: np.ndarray
-    leakage: float
 
     @property
     def bit_probabilities(self):
@@ -250,32 +235,6 @@ class _PreparedReadout:
         probs, values = self.probs / self.probs.sum(), self.disc.values
         p_plus = probs[values > 0].sum() + probs[values == 0].sum() / 2
         return float(p_plus), float(1 - p_plus)
-
-    def expand(self, coefficients: np.ndarray) -> np.ndarray:
-        """Amplitudes of the unmeasured modes from rows of coefficients."""
-        lead = coefficients.shape[:-1]
-        out = coefficients.reshape(-1, *(basis.shape[1] for basis in self.bases))
-        for basis in self.bases:  # each contracts the next coefficient axis
-            out = np.tensordot(out, basis, axes=(1, 1))
-        return out.reshape(*lead, -1)
-
-    def coefficients(self, outcomes: np.ndarray) -> np.ndarray:
-        """Unnormalised coefficient rows of the unmeasured modes, one per outcome."""
-        return self.rows[outcomes] @ self.coeff
-
-    def posterior_coefficients(self, outcomes) -> np.ndarray:
-        """Normalised coefficient rows of the conditional states after
-        ``outcomes``; raises ``ZeroProbabilityBranch`` below the floor."""
-        prob = self.probs[outcomes]
-        if np.any(prob < MIN_OUTCOME_PROBABILITY):
-            raise ZeroProbabilityBranch(
-                f"readout outcomes {outcomes} reach probability {np.min(prob):.3e}")
-        return self.coefficients(outcomes) / np.sqrt(prob)[..., None]
-
-    def posterior(self, outcome: int) -> StateVector:
-        """Conditional state of the unmeasured modes after ``outcome``."""
-        conditional = self.expand(self.posterior_coefficients(outcome))
-        return StateVector(len(self.bases), self.disc.cutoff, conditional, self.leakage)
 
     def draw(self, u_select: np.ndarray, u_tie: np.ndarray) -> tuple:
         """(outcome, bit) arrays for the uniform pairs: bit 1 for a negative
@@ -305,18 +264,15 @@ class _Discriminator:
     ``values``, ``order`` and its ``prepared`` class."""
 
     def prepare(self, state: StateVector, mode: int):
-        """Readout of ``mode`` of ``state``, over the identity basis of
-        every mode."""
+        """Readout of ``mode`` of ``state``, on its full view."""
         view = np.moveaxis(state.tensor_view(), mode, 0).reshape(state.dim, -1)
-        bases = (np.eye(state.dim),) * (state.modes - 1)
-        return self.prepare_blocks(self.rows, view[None], bases, state.leakage)[0]
+        return self.prepare_blocks(self.rows, view[None])[0]
 
-    def prepare_blocks(self, rows: np.ndarray, blocks: np.ndarray, bases: tuple,
-                       leakage: float) -> list:
+    def prepare_blocks(self, rows: np.ndarray, blocks: np.ndarray) -> list:
         """One readout per (r x w) coefficient block of the stack ``blocks``,
-        read through ``rows``, the readout rows over the measured mode's
-        basis (see ``_PreparedReadout``), with every block's probabilities
-        from one product and every CDF from one floor and cumulative sum."""
+        read through ``rows``, the readout rows over an orthonormal basis of
+        the measured mode, with every block's probabilities from one product
+        and every CDF from one floor and cumulative sum."""
         probs = _block_probabilities(rows, blocks)
         leftover = 1.0 - probs.sum(axis=1).min()
         if leftover > MAX_SUPPORT_LEFTOVER:
@@ -325,8 +281,7 @@ class _Discriminator:
                 "the span of the readout rows"
             )
         cdfs = inverse_cdf(probs[:, self.order])
-        return [self.prepared(self, rows, block, bases, block_probs, cdf, leakage)
-                for block, block_probs, cdf in zip(blocks, probs, cdfs)]
+        return [self.prepared(self, block_probs, cdf) for block_probs, cdf in zip(probs, cdfs)]
 
 
 class IdealPhaseDiscriminator(_Discriminator):

@@ -42,10 +42,13 @@ the sign (-1)^(p1 p2) of the parities on T, so no d-wide array is formed;
 ``build_protocol_state`` is the expansion. A vacuum amplitude has no odd
 part, which gives r = 1. Stage k reads its mode through ``R_k = rows_k @
 Z_k``: stage 1 is prepared on T read as r1 x (r2 r3), and stage 2 after
-each first-stage outcome o1 on its r2 x r3 block ``R_1[o1] T / sqrt(p)``,
-whose row ``R_2[o2] @ block`` holds mode 3's coefficients over Z3.
-``BellMeasurement`` reads any other three-mode state through the same code
-over the identity basis of every mode.
+each first-stage outcome o1 on its r2 x r3 block ``R_1[o1] T / sqrt(p1[o1])``.
+A measurement holds only T, R_1, R_2 and the stage-1 law: a draw prepares
+stage 2 for the first-stage outcomes it drew and keeps nothing, and mode 3's
+coefficients over Z3 after (o1, o2) are read straight off the core,
+``(R_1[o1] (x) R_2[o2]) T / sqrt(p1[o1])``. ``BellMeasurement`` reads any
+other three-mode state through the same code over the identity basis of
+every mode.
 
 Scoring: the receiver's correction depends only on the two bits and the
 auxiliary count, and the parity collision acts on mode 3 as an exact sign.
@@ -53,11 +56,11 @@ So a run draws every trial at once, grouping the trials by first-stage
 outcome with one stable sort, and scores each distinct (stage outcomes,
 displaced, flipped) combination once, without building states: the fidelity
 after a correction G is |<G^dag ref|post>|^2, and ``post = c Z^T`` for the
-row's r3 coefficients ``c = R_2[o2] @ block`` over the receiver basis Z =
-Z3. So the receiver's probe matrix is projected once, ``Z^T probes`` (r3
-rows), one product ``c @ (Z^T probes)`` gives every correction's overlap,
-and the norms |c|^2, equal to |post|^2 since Z is orthonormal, normalise it;
-no row is expanded to d amplitudes.
+row's r3 coefficients c over the receiver basis Z = Z3, read off the core.
+So the receiver's probe matrix is projected once, ``Z^T probes`` (r3 rows),
+one product ``c @ (Z^T probes)`` gives every correction's overlap, and the
+norms |c|^2, equal to |post|^2 since Z is orthonormal, normalise it; no row
+is expanded to d amplitudes.
 Trials stay named columns from the draw to the summary;
 ``ProtocolResult.records`` builds per-trial objects when read.
 """
@@ -80,7 +83,7 @@ from .corrections import (
     warn_large_offset,
 )
 from .dynamics import CrossSpeciesParams, JosephsonParams, KerrParams, kerr_phases
-from .errors import FrequencyConditionViolated, RangeError, ZeroImaginaryPart
+from .errors import FrequencyConditionViolated, RangeError, ZeroImaginaryPart, ZeroProbabilityBranch
 from .fock import (
     FockCutoff,
     CoherentSpec,
@@ -92,7 +95,7 @@ from .fock import (
     prepare_cat_superposition,
 )
 from .homodyne import HomodynePhaseDiscriminator, IdealPhaseDiscriminator
-from .rng import inverse_cdf, substream
+from .rng import MIN_OUTCOME_PROBABILITY, inverse_cdf, substream
 
 BACKENDS = ("ideal", "homodyne")
 
@@ -249,9 +252,11 @@ class BellMeasurement:
     backend, keeping matched-seed runs aligned between backends. Stages with
     the same amplitude share one discriminator. ``state`` is the protocol
     state's ``ReceiverFactors`` or a three-mode state, read over the identity
-    basis of every mode. Stage k reads its mode through its rows over that
-    mode's basis, so both stages work on the core, and mode 3's coefficients
-    are over ``receiver_basis``, its orthonormal columns.
+    basis of every mode. A measurement holds only the core T, each stage's
+    rows over its mode's basis, R_k = rows_k Z_k, and the stage-1 law, and
+    keeps nothing from a draw: mode 3's coefficients after (o1, o2) are
+    (R_1[o1] (x) R_2[o2]) T / sqrt(p1[o1]), over ``receiver_basis``, its
+    orthonormal columns.
     """
 
     def __init__(self, state: StateVector | ReceiverFactors, config: ProtocolConfig):
@@ -273,23 +278,24 @@ class BellMeasurement:
         built = {amp: discriminator(amp) for amp in dict.fromkeys((gamma, alpha))}
         self.stages = (built[gamma], built[alpha])
         self.receiver_basis = state.bases[2]
+        self.leakage = state.leakage
+        self._core = state.core
         self._rows = [stage.rows @ basis for stage, basis in zip(self.stages, state.bases)]
-        block = state.core.reshape(len(state.core), -1)  # r1 x (r2 r3)
-        self._first = self.stages[0].prepare_blocks(self._rows[0], block[None], state.bases[1:],
-                                                    state.leakage)[0]
-        self._second = {}  # prepared second stage per stage-1 outcome index
+        block = state.core.reshape(1, len(state.core), -1)  # one r1 x (r2 r3) block
+        self._first = self.stages[0].prepare_blocks(self._rows[0], block)[0]
 
-    def _prepare_second(self, keys: list) -> None:
-        """Prepare the second stage after each stage-1 outcome of ``keys``
-        not yet prepared, each on its r2 x r3 block, all from one product."""
-        new = [key for key in keys if key not in self._second]
-        if new:
-            first = self._first
-            blocks = first.posterior_coefficients(np.array(new))
-            blocks = blocks.reshape(len(new), self._rows[1].shape[1], -1)
-            prepared = self.stages[1].prepare_blocks(self._rows[1], blocks, first.bases[1:],
-                                                     first.leakage)
-            self._second.update(zip(new, prepared))
+    def _prepare_second(self, keys) -> list:
+        """The second stage after each stage-1 outcome of ``keys``, each on
+        its r2 x r3 block R_1[o1] T / sqrt(p1[o1]), all from one product; raises
+        ``ZeroProbabilityBranch`` for an outcome below the floor."""
+        prob = self._first.probs[keys]
+        if np.any(prob < MIN_OUTCOME_PROBABILITY):
+            raise ZeroProbabilityBranch(
+                f"stage-1 outcomes {keys} reach probability {np.min(prob):.3e}")
+        block = self._core.reshape(len(self._core), -1)
+        blocks = self._rows[0][keys] @ block / np.sqrt(prob)[:, None]
+        return self.stages[1].prepare_blocks(
+            self._rows[1], blocks.reshape(len(prob), self._core.shape[1], -1))
 
     def _segments(self, first: np.ndarray) -> list:
         """(outcome, its row indices) per distinct stage-1 outcome, from one
@@ -303,23 +309,23 @@ class BellMeasurement:
 
     def draw(self, u: np.ndarray) -> tuple:
         """(stage-1 outcome, stage-2 outcome, branch) arrays for the rows of
-        ``u``: selector and tie of stage 1, then of stage 2. Stage 2 is drawn
-        once per distinct stage-1 outcome, on that outcome's rows."""
+        ``u``: selector and tie of stage 1, then of stage 2. Stage 2 is
+        prepared for the distinct stage-1 outcomes drawn and drawn once per
+        outcome, on that outcome's rows."""
         first, bit1 = self._first.draw(u[:, 0], u[:, 1])
         segments = self._segments(first)
-        self._prepare_second([key for key, _ in segments])
+        seconds = self._prepare_second([key for key, _ in segments])
         second, bit2 = np.empty_like(first), np.empty_like(bit1)
-        for key, rows in segments:
-            second[rows], bit2[rows] = self._second[key].draw(u[rows, 2], u[rows, 3])
+        for (_, rows), readout in zip(segments, seconds):
+            second[rows], bit2[rows] = readout.draw(u[rows, 2], u[rows, 3])
         return first, second, 2 * (bit1 ^ bit2) + 1 - bit2
 
     def coefficients(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Unnormalised mode-3 coefficients over ``receiver_basis`` after each
         drawn (``first``, ``second``) outcome pair, one row per pair."""
-        coeff = np.empty((len(first), self.receiver_basis.shape[1]), complex)
-        for key, rows in self._segments(first):
-            coeff[rows] = self._second[key].coefficients(second[rows])
-        return coeff
+        r1 = self._rows[0][first] / np.sqrt(self._first.probs[first])[:, None]
+        pair = r1[:, :, None] * self._rows[1][second][:, None, :]
+        return pair.reshape(len(first), -1) @ self._core.reshape(-1, self._core.shape[2])
 
     def conditionals(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Unnormalised mode-3 amplitudes after each drawn (``first``,
@@ -328,9 +334,12 @@ class BellMeasurement:
 
     def sample(self, rng: np.random.Generator):
         """Measure both modes; returns (outcome, conditional mode-3 state)."""
-        (first,), (second,), (branch,) = (a.tolist() for a in self.draw(rng.random((1, 4))))
+        first, second, branch = self.draw(rng.random((1, 4)))
+        mode3 = self.conditionals(first, second)[0]
+        (first,), (second,), (branch,) = first.tolist(), second.tolist(), branch.tolist()
         outcome = MeasurementOutcome(branch >> 1, branch & 1, branch, (first, second))
-        return outcome, self._second[first].posterior(second)
+        return outcome, StateVector(1, self.stages[1].cutoff, mode3 / np.linalg.norm(mode3),
+                                    self.leakage)
 
 
 class _Receiver:

@@ -10,15 +10,15 @@ row per trial and one fixed column per draw.
 
 Every Born draw is ``np.searchsorted(inverse_cdf(probs), u, side="right")``
 for a uniform ``u`` in [0, 1). Outcomes below ``MIN_OUTCOME_PROBABILITY``
-have zero width, so no uniform selects one; the same floor is where
-``posterior`` and ``project_number`` refuse to renormalise a branch.
+have zero width, so no uniform selects one; the same floor is where the
+second Bell stage and ``project_number`` refuse to renormalise a branch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-#: outcomes below this probability are never drawn and have no posterior
+#: outcomes below this probability are never drawn and never renormalised
 MIN_OUTCOME_PROBABILITY = 1e-14
 
 

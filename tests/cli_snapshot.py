@@ -35,6 +35,9 @@ RUNS = {
     **{f"{sub}-defaults": [sub] for sub in ("channel", "teleport", "parity-sweep",
                                              "efficiency-sweep", "homodyne", "lattice-map")},
     "teleport-weights": ["teleport", "--a-weight", "0.6", "--b-weight", "0.8"],
+    "teleport-weights-huge": ["teleport", "--a-weight", "1e200"],
+    "teleport-weights-tiny": ["teleport", "--a-weight", "1e-7", "--b-weight", "1e-7"],
+    "teleport-kappa-subnormal": ["teleport", "--kappa", "1e-320", "--e0", "1e-320"],
     "teleport-homodyne": ["teleport", *HOMODYNE_TELEPORT],
     "teleport-real-beta": ["teleport", "--beta", "2"],
     "teleport-pd0": ["teleport", "--p-d", "0"],
@@ -50,6 +53,7 @@ RUNS = {
     "parity-sweep-gnuplot": ["parity-sweep", "--family", "all", *SMALL_SWEEP, "--gnuplot", "1"],
     "parity-sweep-leaky": ["parity-sweep", "--beta", "9", "--cutoff", "20"],
     "channel-pair": ["channel", "--alpha", "1.5", "--beta", "1j"],
+    "channel-kappa-subnormal": ["channel", "--kappa", "1e-320", "--e0", "1e-320"],
     "channel-json": ["channel", "--format", "json"],
     "channel-gnuplot": ["channel", "--gnuplot", "1"],
     "efficiency-sweep-jobs2": ["efficiency-sweep", "--jobs", "2"],

@@ -281,6 +281,31 @@ class TestExitCodes:
         assert not out.exists()
         assert run([subcommand, "--gnuplot", "0", "--out", out]) == 0
 
+    def test_weights_act_as_a_ray(self, tmp_path):
+        # A = B = 1e-7 is the state of the defaults, and |A| = 1e200 squares
+        # past float range; only the manifest's echo of the inputs differs
+        assert run(["teleport", "--a-weight", "1e200", "--out", tmp_path / "big"]) == 0
+        assert run(["teleport", "--out", tmp_path / "ones"]) == 0
+        assert run(["teleport", "--a-weight", "1e-7", "--b-weight", "1e-7",
+                    "--out", tmp_path / "small"]) == 0
+        ones, small = (read_files(tmp_path / name) for name in ("ones", "small"))
+        assert small["trials.csv"] == ones["trials.csv"]
+        assert (json.loads(small["manifest.json"])["summary"]
+                == json.loads(ones["manifest.json"])["summary"])
+
+    @pytest.mark.parametrize("weights", [["1", "-1"], ["1e-7", "-1e-7"], ["1e200", "-1e200"]])
+    def test_cancelling_weights_are_exit_3(self, tmp_path, weights, capsys):
+        assert run(["teleport", "--a-weight", weights[0], f"--b-weight={weights[1]}",
+                    "--gamma", "0", "--out", tmp_path / "x"]) == 3
+        assert "weights cancel" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["channel", "teleport"])
+    def test_subnormal_kappa_is_exit_3(self, tmp_path, subcommand, capsys):
+        # pi / (2 kappa) overflows: refused before any phase is computed
+        assert run([subcommand, "--kappa", "1e-320", "--e0", "1e-320",
+                    "--out", tmp_path / "x"]) == 3
+        assert "no finite quarter period" in capsys.readouterr().err
+
     def test_precondition_keeps_exit_3(self, tmp_path):
         assert run(["teleport", "--p-d", "1.5", "--out", tmp_path / "x"]) == 3
 

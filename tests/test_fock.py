@@ -130,6 +130,27 @@ class TestCatSuperposition:
         with pytest.raises(DegenerateSuperposition):
             prepare_cat_superposition(SuperpositionSpec(1.0, -1.0, 0.0), FockCutoff(8))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-7, 1e-300, 3.0])
+    def test_weights_act_as_a_ray(self, scale):
+        # a common factor of A and B, past float range when squared too,
+        # gives the state of the unscaled weights
+        cutoff = FockCutoff(26)
+        for a, b in ((1.0, 1.0), (0.6, 0.8j), (-2.0, 0.5)):
+            cat = prepare_cat_superposition(SuperpositionSpec(a, b, 2.0), cutoff)
+            scaled = prepare_cat_superposition(SuperpositionSpec(scale * a, scale * b, 2.0),
+                                               cutoff)
+            np.testing.assert_allclose(scaled.amplitudes, cat.amplitudes, rtol=0, atol=1e-15)
+            assert scaled.leakage == pytest.approx(cat.leakage, rel=0, abs=1e-15)
+        ones = prepare_cat_superposition(SuperpositionSpec(1.0, 1.0, 2.0), cutoff)
+        equal = prepare_cat_superposition(SuperpositionSpec(scale, scale, 2.0), cutoff)
+        assert np.array_equal(equal.amplitudes, ones.amplitudes)
+
+    @pytest.mark.parametrize("a, b, gamma", [(1e200, -1e200, 0.0), (1e-7, -1e-7, 0.0),
+                                             (0.0, 0.0, 2.0)])
+    def test_cancelling_weights_stay_degenerate_at_any_scale(self, a, b, gamma):
+        with pytest.raises(DegenerateSuperposition):
+            prepare_cat_superposition(SuperpositionSpec(a, b, gamma), FockCutoff(8))
+
 
 class TestInnerProduct:
     def test_opposite_coherent_overlap(self):

@@ -13,9 +13,7 @@ from triwell import (
     PerturbativeInit,
     SuperpositionSpec,
     ValidityDomainExceeded,
-    ZeroProbabilityBranch,
     initial_schwinger,
-    norm,
     perturbative_sx,
     prepare_cat_superposition,
     prepare_coherent,
@@ -305,10 +303,10 @@ class TestPhaseBit:
         disc = HomodynePhaseDiscriminator(0.0, cutoff, 1.0, JosephsonParams(1000.0),
                                           KerrParams(1.0, 1.0))
         signal = tensor(prepare_coherent(CoherentSpec(0.5), cutoff), prepare_number(0, cutoff))
-        return disc, disc.prepare(signal, 0)
+        return disc, signal, disc.prepare(signal, 0)
 
     def test_top_selector_draws_a_possible_outcome(self):
-        disc, prepared = self.tail_readout()
+        disc, _, prepared = self.tail_readout()
         assert prepared.cdf[-1] == 1.0
         outcome, _ = prepared.draw(np.array([1 - 2**-53]), np.array([0.5]))
         k = int(np.flatnonzero(disc.order == outcome[0])[0])
@@ -316,11 +314,12 @@ class TestPhaseBit:
 
     def test_top_selector_draws_an_outcome_with_a_posterior(self):
         # outcomes below the probability floor have zero width in the CDF, so
-        # every draw has a posterior
-        _, prepared = self.tail_readout()
+        # every draw leaves a state of at least the floor's squared norm
+        disc, signal, prepared = self.tail_readout()
         (outcome,), _ = prepared.draw(np.array([1 - 2**-53]), np.array([0.5]))
         assert prepared.probs[outcome] >= MIN_OUTCOME_PROBABILITY
-        assert prepared.posterior(int(outcome)).modes == 1
+        after = disc.rows[outcome] @ signal.amplitudes.reshape(signal.dim, -1)
+        assert np.vdot(after, after).real == pytest.approx(prepared.probs[outcome], rel=1e-9)
 
     def test_posterior_is_count_state(self):
         # counting the signal leaves an untouched count-state mode as it was
@@ -328,22 +327,28 @@ class TestPhaseBit:
         signal = prepare_coherent(CoherentSpec(1.5), cutoff)
         disc = HomodynePhaseDiscriminator(0.0, cutoff, 4.0, JosephsonParams(1.0),
                                           KerrParams(0.0, 0.0))
-        prepared = disc.prepare(tensor(signal, prepare_number(3, cutoff)), 0)
+        joint = tensor(signal, prepare_number(3, cutoff))
+        prepared = disc.prepare(joint, 0)
         (outcome,), (bit,) = prepared.draw(*substream(3, 1).random((2, 1)))
         assert bit == 0
-        posterior = prepared.posterior(int(outcome))
-        assert posterior.modes == 1
-        assert np.flatnonzero(posterior.amplitudes).tolist() == [3]
-        assert abs(posterior.amplitudes[3]) == pytest.approx(1.0, abs=1e-10)
+        posterior = disc.rows[outcome] @ joint.amplitudes.reshape(cutoff.dim, -1)
+        posterior /= math.sqrt(prepared.probs[outcome])
+        assert np.flatnonzero(posterior).tolist() == [3]
+        assert abs(posterior[3]) == pytest.approx(1.0, abs=1e-10)
 
-    def test_posterior_of_a_null_outcome_raises(self):
-        # all 26 atoms of vacuum (x) |2i> counted in the signal well: ~3e-21
+    def test_null_outcome_is_never_drawn(self):
+        # all 26 atoms of vacuum (x) |2i> counted in the signal well: ~3e-21,
+        # below the floor, so its CDF step is empty and no selector reaches it
         cutoff = FockCutoff(26)
         disc = HomodynePhaseDiscriminator(0.0, cutoff, 2.0, JosephsonParams(1.0),
                                           KerrParams(0.0, 0.0))
-        prepared = disc.prepare(tensor(prepare_number(0, cutoff), prepare_number(3, cutoff)), 0)
-        with pytest.raises(ZeroProbabilityBranch):
-            prepared.posterior(cutoff.n_max * cutoff.dim)
+        signal = tensor(prepare_number(0, cutoff), prepare_number(3, cutoff))
+        prepared = disc.prepare(signal, 0)
+        null = cutoff.n_max * cutoff.dim
+        after = disc.rows[null] @ signal.amplitudes.reshape(cutoff.dim, -1)
+        assert 0 < np.vdot(after, after).real < MIN_OUTCOME_PROBABILITY
+        k = int(np.flatnonzero(disc.order == null)[0])
+        assert prepared.cdf[k] == prepared.cdf[k - 1]
 
     def test_ambiguous_support(self):
         with pytest.raises(AmbiguousSupport):
@@ -360,9 +365,11 @@ class TestPhaseBit:
         cutoff = FockCutoff(30)
         cat = prepare_cat_superposition(SuperpositionSpec(1.0, 1.0, 2.0), cutoff)
         other = prepare_coherent(CoherentSpec(1.0j), cutoff)
-        prepared = IdealPhaseDiscriminator(2.0, cutoff).prepare(tensor(cat, other), 0)
+        disc = IdealPhaseDiscriminator(2.0, cutoff)
+        joint = tensor(cat, other)
+        prepared = disc.prepare(joint, 0)
         for outcome in (0, 1):
-            posterior = prepared.posterior(outcome)
-            assert norm(posterior) == pytest.approx(1.0, abs=1e-10)
-            assert abs(np.vdot(other.amplitudes, posterior.amplitudes)) == pytest.approx(
-                1.0, abs=1e-10)
+            posterior = disc.rows[outcome] @ joint.amplitudes.reshape(cutoff.dim, -1)
+            posterior /= math.sqrt(prepared.probs[outcome])
+            assert np.linalg.norm(posterior) == pytest.approx(1.0, abs=1e-10)
+            assert abs(np.vdot(other.amplitudes, posterior)) == pytest.approx(1.0, abs=1e-10)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -35,7 +36,7 @@ import triwell.homodyne
 import triwell.protocol
 from triwell.cli import main
 from triwell.fock import StateVector, coherent_amplitudes
-from triwell.homodyne import _PreparedReadout, helstrom_vectors
+from triwell.homodyne import helstrom_vectors
 from triwell.protocol import CORRECTIONS_FOR_BRANCH, BellMeasurement, _Receiver, protocol_factors
 from triwell.rng import MIN_OUTCOME_PROBABILITY, inverse_cdf
 
@@ -72,6 +73,19 @@ def branch_state(branch, a_w, b_w, beta, cutoff):
     }
     amps = forms[branch]
     return StateVector(1, cutoff, amps / np.linalg.norm(amps))
+
+
+def after_outcome(rows: np.ndarray, state: StateVector, outcome: int) -> StateVector:
+    """Normalised state of the other modes after ``outcome`` of the readout
+    ``rows`` on the first mode of ``state``: the row product, in full."""
+    after = rows[outcome] @ state.amplitudes.reshape(state.dim, -1)
+    return StateVector(state.modes - 1, state.cutoff, after / np.linalg.norm(after), state.leakage)
+
+
+def mode3_states(bell: BellMeasurement, first: np.ndarray, second: np.ndarray) -> list:
+    """Normalised mode-3 state after each (``first``, ``second``) outcome pair."""
+    return [StateVector(1, bell.stages[1].cutoff, row / np.linalg.norm(row))
+            for row in bell.conditionals(first, second)]
 
 
 def assert_python_types(rec):
@@ -178,9 +192,30 @@ class TestBellMeasurement:
         for i, (o1, o2, branch) in enumerate(zip(*drawn)):
             (ref1,), (bit1,) = first.draw(u[i:i + 1, 0], u[i:i + 1, 1])
             if o1 not in seconds:
-                seconds[o1] = bell.stages[1].prepare(first.posterior(o1), 0)
+                after = after_outcome(bell.stages[0].rows, state, o1)
+                seconds[o1] = bell.stages[1].prepare(after, 0)
             (ref2,), (bit2,) = seconds[o1].draw(u[i:i + 1, 2], u[i:i + 1, 3])
             assert (o1, o2, branch) == (ref1, ref2, 2 * (bit1 ^ bit2) + 1 - bit2)
+
+    @pytest.mark.parametrize("backend, cutoff", [("ideal", 26), ("homodyne", 40)])
+    def test_draws_leave_no_state(self, backend, cutoff):
+        # a draw prepares its own second stage and keeps nothing: two draws on
+        # one measurement are the same draws on fresh ones, and its attributes
+        # are the same objects with the same contents afterwards
+        config = make_config(cutoff=FockCutoff(cutoff), measurement_backend=backend)
+        factors = protocol_factors(config)
+        bell = BellMeasurement(factors, config)
+
+        def snapshot():
+            return {name: id(value) for name, value in vars(bell).items()}, pickle.dumps(vars(bell))
+
+        before = snapshot()
+        blocks = substream(59).random((2, 2000, 4))
+        drawn = [bell.draw(u) for u in blocks]
+        assert snapshot() == before
+        for got, u in zip(drawn, blocks):
+            want = BellMeasurement(factors, config).draw(u)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @pytest.mark.parametrize("branch", [0, 1, 2, 3])
     def test_conditionals_match_the_branch_forms(self, branch):
@@ -258,7 +293,7 @@ class TestPreparedProbabilities:
         state = build_protocol_state(config)
         bell = BellMeasurement(state, config)
         first = bell._first
-        posterior = first.posterior(int(np.argmax(first.probs)))
+        posterior = after_outcome(bell.stages[0].rows, state, int(np.argmax(first.probs)))
         second = bell.stages[1].prepare(posterior, 0)
         sub_floor = 0
         for prepared, measured in ((first, state), (second, posterior)):
@@ -326,7 +361,8 @@ class TestReceiverFactoring:
         view = state.amplitudes.reshape(d, d * d)
         for i, (o1, o2) in enumerate(zip(first.tolist(), second.tolist())):
             if o1 not in seconds:
-                seconds[o1] = bell.stages[1].prepare(direct.posterior(o1), 0)
+                after = after_outcome(bell.stages[0].rows, state, o1)
+                seconds[o1] = bell.stages[1].prepare(after, 0)
             (ref2,), (bit2,) = seconds[o1].draw(u[i:i + 1, 2], u[i:i + 1, 3])
             assert (o2, branch[i]) == (ref2, 2 * (bit1[i] ^ bit2) + 1 - bit2)
             after_first = (bell.stages[0].rows[o1] @ view).reshape(d, d)
@@ -337,24 +373,25 @@ class TestReceiverFactoring:
     @pytest.mark.parametrize("backend", ["ideal", "homodyne"])
     def test_second_stage_posterior_is_the_unfactored_one(self, backend):
         config = make_config(cutoff=FockCutoff(26), measurement_backend=backend)
-        bell = BellMeasurement(build_protocol_state(config), config)
+        state = build_protocol_state(config)
+        bell = BellMeasurement(state, config)
         first, second, _ = bell.draw(substream(47).random((500, 4)))
-        pairs = set(zip(first.tolist(), second.tolist()))
-        for o1 in set(first.tolist()):
-            direct = bell.stages[1].prepare(bell._first.posterior(o1), 0)
-            for o2 in {b for a, b in pairs if a == o1}:
-                np.testing.assert_allclose(bell._second[o1].posterior(o2).amplitudes,
-                                           direct.posterior(o2).amplitudes, rtol=0, atol=1e-13)
+        first, second = np.array(sorted(set(zip(first.tolist(), second.tolist())))).T
+        for o1, o2, mode3 in zip(first, second, mode3_states(bell, first, second)):
+            after = after_outcome(bell.stages[0].rows, state, o1)
+            direct = after_outcome(bell.stages[1].rows, after, o2)
+            np.testing.assert_allclose(mode3.amplitudes, direct.amplitudes, rtol=0, atol=1e-13)
 
     def test_stacked_second_stage_cdfs_are_the_per_key_ones(self):
         # every stage-2 CDF comes from one floor and cumulative sum over the
         # stacked probabilities, bit for bit the one-distribution rule
         config = make_config(cutoff=FockCutoff(32), measurement_backend="homodyne")
         bell = BellMeasurement(build_protocol_state(config), config)
-        bell.draw(substream(53).random((2000, 4)))
-        assert len(bell._second) > 10
+        first, _, _ = bell.draw(substream(53).random((2000, 4)))
+        seconds = bell._prepare_second(np.unique(first))
+        assert len(seconds) > 10
         order = bell.stages[1].order
-        for prepared in bell._second.values():
+        for prepared in seconds:
             assert np.array_equal(prepared.cdf, inverse_cdf(prepared.probs[order]))
 
     def test_second_stage_refuses_a_sub_floor_first_outcome(self):
@@ -406,7 +443,7 @@ class TestProtocolFactors:
         if case != "vacuum-target":  # the readout needs a target amplitude
             bell, full = BellMeasurement(factors, config), BellMeasurement(oracle, config)
             np.testing.assert_allclose(bell._first.probs, full._first.probs, rtol=0, atol=1e-14)
-            assert bell._first.leakage == full._first.leakage
+            assert bell.leakage == full.leakage
 
     @pytest.mark.parametrize("backend, cutoff", [("ideal", 26), ("homodyne", 40)])
     def test_run_builds_no_three_mode_state(self, backend, cutoff, monkeypatch):
@@ -472,7 +509,6 @@ class TestScoringAtReceiverRank:
             return block_probabilities(rows, blocks)
 
         monkeypatch.setattr(triwell.homodyne, "_block_probabilities", recorded)
-        monkeypatch.setattr(_PreparedReadout, "expand", refuse)
         monkeypatch.setattr(BellMeasurement, "conditionals", refuse)
         assert run_protocol(config) == expected
         assert len(shapes) == 2  # the first stage, then every second stage at once
@@ -597,8 +633,7 @@ class TestCorrectAndScore:
         reference = reference_state(config)
         draws = substream(config.seed).random((config.trials, 6))
         first, second, _ = bell.draw(draws[:, :4])
-        for rec, o1, o2 in zip(result.records, first.tolist(), second.tolist()):
-            state = bell._second[o1].posterior(o2)
+        for rec, state in zip(result.records, mode3_states(bell, first, second)):
             if rec.outcome.branch in (2, 3):
                 state = parity_flip(state)
             assert rec.fidelity == pytest.approx(fidelity(state, reference), abs=1e-12)
@@ -620,8 +655,9 @@ class TestRunProtocol:
         # trial i reads row i: Bell stages, displacement success, auxiliary count
         draws = substream(config.seed).random((config.trials, 6))
         for rec, u in zip(result.records, draws):
-            (first,), (second,), (branch,) = (a.tolist() for a in bell.draw(u[None, :4]))
-            state = bell._second[first].posterior(second)
+            drawn = bell.draw(u[None, :4])
+            (state,) = mode3_states(bell, *drawn[:2])
+            (first,), (second,), (branch,) = (a.tolist() for a in drawn)
             p_d_success = aux_m = None
             corrected = True
             if branch in (1, 3):
