@@ -180,6 +180,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_NUMERIC_FLAGS = frozenset("--" + opt.name for schema in SCHEMAS.values() for opt in schema + COMMON
+                           if opt.parse in (int, float, _parse_complex))
+
+
+def _attach_signed_values(argv: list) -> list:
+    """Join ``--opt VALUE`` into ``--opt=VALUE`` for a numeric option whose
+    value starts with '-' and parses as a number. argparse takes such a
+    token for a flag unless it is a plain decimal, so ``--b-weight -1e-7``
+    and ``--beta -2j`` would lose their value; a flag stays a flag."""
+    joined = []
+    for token in argv:
+        if joined and joined[-1] in _NUMERIC_FLAGS and token.startswith("-"):
+            try:
+                _parse_complex(token)
+            except ValueError:
+                pass
+            else:
+                joined[-1] += "=" + token
+                continue
+        joined.append(token)
+    return joined
+
+
 def _load_config_section(path: str, section: str) -> dict:
     parser = configparser.ConfigParser()
     read = parser.read(path)
@@ -454,7 +477,7 @@ CAVEATS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(sys.argv[1:] if argv is None else argv))
     started = time.perf_counter()
     try:
         values = resolve_options(args.subcommand, args)

@@ -61,14 +61,16 @@ So the receiver's probe matrix is projected once, ``Z^T probes`` (r3 rows),
 one product ``c @ (Z^T probes)`` gives every correction's overlap, and the
 norms |c|^2, equal to |post|^2 since Z is orthonormal, normalise it; no row
 is expanded to d amplitudes.
-Trials stay named columns from the draw to the summary;
-``ProtocolResult.records`` builds per-trial objects when read.
+Trials stay named columns from the draw to the summary, and a result holds
+only its columns: ``ProtocolResult.records`` is a view over them that builds
+each ``TrialRecord`` as it is read and keeps none.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -188,16 +190,44 @@ class ProtocolResult:
             "mean_fidelity": float(np.mean(fidelities)) if len(fidelities) else None,
         }
 
-    @cached_property
-    def records(self) -> list:
-        """One ``TrialRecord`` per trial, built on first access."""
-        cols = [self.columns[name].tolist() for name in
-                ("stage1", "stage2", "branch", "aux_m", "corrected", "fidelity", "p_d_success")]
-        return [
-            TrialRecord(MeasurementOutcome(b >> 1, b & 1, b, (o1, o2), m), ok, score,
-                        ("displacement",) * bool(p_d) + ("parity",) * (m is not None), p_d)
-            for o1, o2, b, m, ok, score, p_d in zip(*cols)
-        ]
+    @property
+    def records(self) -> _TrialRecords:
+        """One ``TrialRecord`` per trial: a read-only sequence over ``columns``
+        that builds each record as it is read; the result stores none."""
+        return _TrialRecords(self.columns)
+
+
+_RECORD_COLUMNS = ("stage1", "stage2", "branch", "aux_m", "corrected", "fidelity", "p_d_success")
+
+
+def _trial_record(o1, o2, b, m, ok, score, p_d) -> TrialRecord:
+    """One trial's record from its entries in ``_RECORD_COLUMNS``."""
+    return TrialRecord(MeasurementOutcome(b >> 1, b & 1, b, (o1, o2), m), ok, score,
+                       ("displacement",) * bool(p_d) + ("parity",) * (m is not None), p_d)
+
+
+class _TrialRecords(Sequence):
+    """``TrialRecord``s over a run's columns, built from plain Python values
+    (``ndarray.item`` and ``tolist``) when read and held only by the reader."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: dict):
+        self._columns = [columns[name] for name in _RECORD_COLUMNS]
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index: int) -> TrialRecord:
+        return _trial_record(*(column.item(index) for column in self._columns))
+
+    def __iter__(self):
+        return map(_trial_record, *(column.tolist() for column in self._columns))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
 
 class ReceiverFactors(NamedTuple):

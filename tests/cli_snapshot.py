@@ -38,6 +38,8 @@ RUNS = {
     "teleport-weights-huge": ["teleport", "--a-weight", "1e200"],
     "teleport-weights-tiny": ["teleport", "--a-weight", "1e-7", "--b-weight", "1e-7"],
     "teleport-kappa-subnormal": ["teleport", "--kappa", "1e-320", "--e0", "1e-320"],
+    "teleport-beta-negative": ["teleport", "--beta", "-2j"],
+    "teleport-weight-exponent": ["teleport", "--b-weight", "-1e-7"],
     "teleport-homodyne": ["teleport", *HOMODYNE_TELEPORT],
     "teleport-real-beta": ["teleport", "--beta", "2"],
     "teleport-pd0": ["teleport", "--p-d", "0"],

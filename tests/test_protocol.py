@@ -2,6 +2,7 @@ import dataclasses
 import math
 import pickle
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from triwell import (
     MeasurementOutcome,
     ProtocolConfig,
     SuperpositionSpec,
+    TrialRecord,
     ZeroProbabilityBranch,
     build_protocol_state,
     correct_and_score,
@@ -772,3 +774,75 @@ class TestRunProtocol:
             make_config(measurement_backend="tomography")
         with pytest.raises(ValueError):
             make_config(p_d=1.5)
+
+
+def records_field_by_field(columns: dict) -> list:
+    """Every trial's record built from its column entries, one field at a
+    time, the correction list read off ``CORRECTIONS_FOR_BRANCH``."""
+    records = []
+    for i in range(len(columns["branch"])):
+        branch = int(columns["branch"][i])
+        aux_m, p_d_success = columns["aux_m"][i], columns["p_d_success"][i]  # objects
+        applied = tuple(name for name in CORRECTIONS_FOR_BRANCH[branch]
+                        if name == "parity" or p_d_success)
+        outcome = MeasurementOutcome(branch >> 1, branch & 1, branch,
+                                     (int(columns["stage1"][i]), int(columns["stage2"][i])),
+                                     aux_m)
+        records.append(TrialRecord(outcome, bool(columns["corrected"][i]),
+                                   float(columns["fidelity"][i]), applied, p_d_success))
+    return records
+
+
+class TestRecordView:
+    CASES = [("ideal", 26), ("homodyne", 40)]
+
+    @staticmethod
+    def config(backend, cutoff, seed=5, trials=300):
+        return make_config(target=SuperpositionSpec(0.6, 0.8, 2.0), cutoff=FockCutoff(cutoff),
+                           measurement_backend=backend, p_d=0.7, trials=trials, seed=seed,
+                           aux=AuxiliaryPrep("coherent", 2.0))
+
+    @pytest.mark.parametrize("seed", [3, 8, 21])
+    @pytest.mark.parametrize("backend, cutoff", CASES)
+    def test_records_are_the_columns_field_by_field(self, backend, cutoff, seed):
+        result = run_protocol(self.config(backend, cutoff, seed))
+        records = list(result.records)
+        assert records == records_field_by_field(result.columns)
+        assert {rec.corrections_applied for rec in records} == {
+            (), ("displacement",), ("parity",), ("displacement", "parity")}
+        for index, rec in enumerate(records):
+            assert_python_types(rec)
+            assert result.records[index] == rec
+
+    @pytest.mark.parametrize("backend, cutoff", CASES)
+    def test_length_and_indexing(self, backend, cutoff):
+        trials = 40
+        records = run_protocol(self.config(backend, cutoff, trials=trials)).records
+        assert len(records) == trials
+        assert records[-1] == records[trials - 1] == list(records)[-1]
+        assert records[-trials] == records[0]
+        for index in (trials, -trials - 1):
+            with pytest.raises(IndexError):
+                records[index]
+
+    @pytest.mark.parametrize("backend, cutoff", CASES)
+    def test_iteration_repeats_and_equal_runs_compare_equal(self, backend, cutoff):
+        config = self.config(backend, cutoff)
+        result = run_protocol(config)
+        assert list(result.records) == list(result.records)
+        assert result.records == list(result.records)
+        assert result.records == run_protocol(config).records
+        assert result.records != run_protocol(dataclasses.replace(config, seed=6)).records
+        assert result.records != list(result.records)[:-1]
+
+    @pytest.mark.parametrize("backend, cutoff", CASES)
+    def test_result_keeps_no_record(self, backend, cutoff):
+        result = run_protocol(self.config(backend, cutoff))
+        refs = [weakref.ref(rec) for rec in result.records]
+        assert "records" not in vars(result)
+        assert set(vars(result)) <= {"columns", "summary"}
+        rec = result.records[0]
+        ref = weakref.ref(rec)
+        del rec
+        assert ref() is None
+        assert all(ref() is None for ref in refs)
