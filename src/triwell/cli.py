@@ -180,18 +180,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NUMERIC_FLAGS = frozenset("--" + opt.name for schema in SCHEMAS.values() for opt in schema + COMMON
-                           if opt.parse in (int, float, _parse_complex))
+def _option_named(flag: str, subcommand: str):
+    """The subcommand's option that ``flag`` names, in full or by a unique
+    prefix as argparse resolves it; None for anything else."""
+    options = {"--" + opt.name: opt for opt in SCHEMAS[subcommand] + COMMON}
+    names = ["--config", "--help", *options]
+    if flag in names:
+        return options.get(flag)
+    matches = [name for name in names if flag.startswith("--") and name.startswith(flag)]
+    return options.get(matches[0]) if len(matches) == 1 else None
 
 
 def _attach_signed_values(argv: list) -> list:
-    """Join ``--opt VALUE`` into ``--opt=VALUE`` for a numeric option whose
-    value starts with '-' and parses as a number. argparse takes such a
-    token for a flag unless it is a plain decimal, so ``--b-weight -1e-7``
-    and ``--beta -2j`` would lose their value; a flag stays a flag."""
+    """Join ``--opt VALUE`` into ``--opt=VALUE`` for a numeric option of the
+    subcommand whose value starts with '-' and parses as a number; ``--opt``
+    may be a unique prefix of the option's name. argparse takes such a value
+    for a flag unless it is a plain decimal, so ``--b-weight -1e-7`` and
+    ``--beta -2j`` would lose it; a flag stays a flag, and an ambiguous
+    prefix is left for argparse to refuse."""
+    subcommand = next((token for token in argv if not token.startswith("-")), None)
+    if subcommand not in SCHEMAS:
+        return argv
     joined = []
     for token in argv:
-        if joined and joined[-1] in _NUMERIC_FLAGS and token.startswith("-"):
+        option = _option_named(joined[-1], subcommand) if joined else None
+        numeric = option is not None and option.parse in (int, float, _parse_complex)
+        if numeric and token.startswith("-"):
             try:
                 _parse_complex(token)
             except ValueError:

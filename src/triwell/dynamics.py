@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,28 +110,50 @@ def evolve_cross_kerr(state: StateVector, modes: tuple, rate: float,
 # tunnelling propagator, block diagonal per total particle number
 
 
-@lru_cache(maxsize=32)
-def _josephson_sectors(dim: int, omega: float, e0: float, kappa: float):
-    """Eigensystems of the pair Hamiltonian per total-number sector.
+class _Sectors(NamedTuple):
+    """Eigensystems of the pair Hamiltonian per total-number sector N.
 
-    Yields (flat pair indices, eigenvalues, eigenvectors) per sector; the
-    flat index of |n_c, n_b> is n_c*dim + n_b.
+    ``blocks`` holds (flat pair indices, eigenvalues, eigenvectors) per
+    sector; the flat index of |n_c, n_b> is n_c*dim + n_b. The same
+    eigensystems padded to ``dim`` states per sector, for one batched
+    product over sectors: state j of sector N is |signal[N, j], rest[N, j]>,
+    ``vals`` and the real ``vecs`` are zero outside the sector, and a
+    padding state is |dim, 0>, whose flat index dim^2 is one past the last.
     """
-    sectors = []
-    for total in range(2 * (dim - 1) + 1):
+
+    blocks: list
+    signal: np.ndarray
+    rest: np.ndarray
+    vals: np.ndarray
+    vecs: np.ndarray
+
+
+@lru_cache(maxsize=32)
+def _josephson_sectors(dim: int, omega: float, e0: float, kappa: float) -> _Sectors:
+    """Eigensystems of every sector of the pair Hamiltonian, listed and padded."""
+    sectors = 2 * dim - 1
+    signal = np.full((sectors, dim), dim)
+    rest = np.zeros((sectors, dim), dtype=int)
+    vals = np.zeros((sectors, dim))
+    vecs = np.zeros((sectors, dim, dim))
+    blocks = []
+    for total in range(sectors):
         ns = np.arange(max(0, total - (dim - 1)), min(total, dim - 1) + 1)
         diag = e0 * total + kappa * (ns * (ns - 1.0) + (total - ns) * (total - ns - 1.0))
         hop = omega / 2 * np.sqrt((ns[:-1] + 1.0) * (total - ns[:-1]))
         block = np.diag(diag) + np.diag(hop, 1) + np.diag(hop, -1)
-        vals, vecs = np.linalg.eigh(block)
-        sectors.append((ns * dim + (total - ns), vals, vecs))
-    return sectors
+        size = len(ns)
+        block_vals, block_vecs = np.linalg.eigh(block)
+        blocks.append((ns * dim + (total - ns), block_vals, block_vecs))
+        vals[total, :size], vecs[total, :size, :size] = block_vals, block_vecs
+        signal[total, :size], rest[total, :size] = ns, total - ns
+    return _Sectors(blocks, signal, rest, vals, vecs)
 
 
 def _propagate_sectors(flat: np.ndarray, dim: int, jp: JosephsonParams, kp: KerrParams,
                        t: float) -> np.ndarray:
     """Apply the pair propagator in place to the columns of a (dim^2, k) array."""
-    for idx, vals, vecs in _josephson_sectors(dim, jp.omega, kp.e0_over_hbar, kp.kappa):
+    for idx, vals, vecs in _josephson_sectors(dim, jp.omega, kp.e0_over_hbar, kp.kappa).blocks:
         flat[idx, :] = (vecs * np.exp(-1j * vals * t)) @ (vecs.conj().T @ flat[idx, :])
     return flat
 
@@ -151,34 +174,38 @@ def evolve_josephson(state: StateVector, modes: tuple, jp: JosephsonParams,
 
 
 def josephson_collision_columns(cutoff: FockCutoff, jp: JosephsonParams,
-                                kp: KerrParams, t: float,
-                                reference: np.ndarray) -> np.ndarray:
-    """Columns M[:, n] = U(t) (|n> (x) |reference>) of the pair propagator.
+                                kp: KerrParams, t: float, reference: np.ndarray,
+                                basis: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Rows ``U(t) (basis (x) |reference>)`` of the pair propagator: the
+    (dim^2, r) map from a signal mode's coefficients over ``basis`` (dim x r,
+    orthonormal columns) onto the coupled signal+reference pair after
+    tunnelling for time t. The identity basis gives the d columns
+    U (|n> (x) |reference>).
 
-    Used by the measurement model: the (dim^2, dim) map from a signal mode
-    onto the coupled signal+reference pair after tunnelling for time t.
-    Within the sector of total number N, column n is fed by the one input
-    |n, N - n> with weight reference[N - n], so the sector's block of the
-    columns is U_N diag(reference[N - ns]) for its signal counts ns: one
-    product (V e^{-i lambda t}) @ (V^H reference[N - ns]) per sector, with
-    every sector's phases from one exponential. The block's rows |ns, N - ns>
-    are every (dim - 1)-th flat index and its columns ns are contiguous, so
-    it is written through one strided slice.
+    U is unitary within each total-number sector N, so a normalised signal
+    puts at most ``B_N = sum_{n+m=N} |basis[n, :]|^2 |reference[m]|^2`` into
+    sector N, and no row of the sector reads more. Sectors with ``B_N <
+    floor`` are skipped and their rows left zero. The others are one padded
+    product over sectors: the input ``basis[n] reference[N - n]`` of each
+    sector state, then ``V e^{-i lambda t} V^T``, with the real eigenvectors
+    V applied to the real and imaginary parts at once.
     """
     d = cutoff.dim
-    if reference.shape != (d,):
-        raise ShapeMismatch("reference vector has the wrong dimension")
+    if reference.shape != (d,) or basis.ndim != 2 or len(basis) != d:
+        raise ShapeMismatch("reference vector or basis has the wrong dimension")
     sectors = _josephson_sectors(d, jp.omega, kp.e0_over_hbar, kp.kappa)
-    phases = np.exp(-1j * t * np.concatenate([vals for _, vals, _ in sectors]))
-    cols = np.zeros((d * d, d), dtype=np.complex128)
-    start = 0
-    for idx, vals, vecs in sectors:
-        stop = start + len(vals)
-        ns, rest = np.divmod(idx, d)
-        cols[idx[0]:idx[-1] + 1:d - 1, ns[0]:ns[-1] + 1] = (
-            (vecs * phases[start:stop]) @ (vecs.conj().T * reference[rest]))
-        start = stop
-    return cols
+    weight = np.convolve(np.einsum("ni,ni->n", basis, basis.conj()).real,
+                         np.abs(reference) ** 2)
+    kept = np.flatnonzero(weight >= floor)
+    padded = np.zeros((d + 1, basis.shape[1]), dtype=np.complex128)  # row d: padding
+    padded[:d] = basis
+    signal, rest, vecs = sectors.signal[kept], sectors.rest[kept], sectors.vecs[kept]
+    inputs = padded[signal] * reference[rest][..., None]
+    spectral = np.matmul(vecs.transpose(0, 2, 1), inputs.view(float)).view(complex)
+    spectral *= np.exp(-1j * t * sectors.vals[kept])[..., None]
+    rows = np.zeros((d * d + 1, basis.shape[1]), dtype=np.complex128)  # row d^2: padding
+    rows[signal * d + rest] = np.matmul(vecs, spectral.view(float)).view(complex)
+    return rows[:-1]
 
 
 # ---------------------------------------------------------------------------

@@ -23,34 +23,43 @@ verbatim, including its non-Hermitian pieces; the imaginary part is
 reported rather than silently dropped, and validity requires eps*N <= 0.1.
 
 Phase discrimination (|a> vs |-a> along a known axis) comes in two
-backends, both described by three arrays:
+backends. Each outcome ``o`` of a backend has
 
-- ``rows[o]`` maps the measured mode to the unnormalised conditional state
-  of the other modes after outcome ``o``;
-- ``values[o]`` is the outcome's quadrature value: bit 1 when negative, 0
-  when positive, and a tie at zero;
-- ``order`` is the inverse-CDF order of the outcomes, "minus-like" results
-  first, so runs with matched seeds stay aligned across backends.
+- a row, which maps the measured mode to the unnormalised conditional state
+  of the other modes after ``o``;
+- ``values[o]``, its quadrature value: bit 1 when negative, 0 when positive,
+  and a tie at zero;
+- its place in ``order``, the inverse-CDF order of the outcomes, "minus-like"
+  results first, so runs with matched seeds stay aligned across backends.
 
 ``ideal`` has the rows conj(w0), conj(w1) of the minimum-error orthonormal
 pair in span{|a>, |-a>}, values (+1, -1) and order (1, 0). ``homodyne``
 couples the mode to a reference well for a quarter tunnelling period and
 counts atoms in both wells (exact joint Born sampling, no Gaussian
-approximation): outcome ``m_c * dim + m_b`` has its row of the pair
-propagator and the value (m_c - m_b) / (2 |r|), ordered by value and ties by
-count. A discriminator's entry point is ``prepare(state, mode)``, on the
-state's full view; ``prepare_blocks`` prepares a stack of coefficient blocks
-at once, read through the rows over an orthonormal basis of the measured
-mode, as the protocol's Bell stages do on the parity bases of their core. A
-prepared readout is the outcome law alone: ``probs[o] = |rows[o] . state|^2``
-(equal on the coefficients, since the bases are orthonormal), computed from
-the measured mode's reduced density matrix as ``Re(rows[o] rho rows[o]^H)``
-clipped at 0, and their ``rng.inverse_cdf`` along ``order``, in which
-outcomes below ``MIN_OUTCOME_PROBABILITY`` have zero width. It gives the
-exact bit probabilities and array draws ``draw(u_select, u_tie) -> (outcome,
-bit)`` that read the tie-breaker only on a zero value. The state left after
-an outcome is the row product ``rows[o] . state``, which the caller forms
-from its own arrays.
+approximation): outcome ``m_c * dim + m_b`` has the value (m_c - m_b) /
+(2 |r|), ordered by value and ties by count, and its row is that row of the
+pair propagator ``U (|n> (x) |r>)``.
+
+A readout is read through ``readout(Z)``: the rows ``R = rows Z`` over an
+orthonormal basis Z of the measured mode, stored in CDF order with each
+row's outcome id and value (``Readout``). The homodyne builds ``R = U (Z (x)
+|r>)`` directly, never the d columns, and keeps only the outcomes a draw can
+reach. U is unitary within each total-number sector N, so a normalised
+signal gives no outcome of sector N more than ``B_N = sum_{n+m=N} |Z[n, :]|^2
+|r_m|^2``, and no outcome o more than ``|R[o]|^2``. Sectors and rows below
+half of ``MIN_OUTCOME_PROBABILITY`` are dropped: their outcomes would have
+zero CDF width anyway. ``prepare(state, mode)`` reads a state's full view
+over the identity basis; ``prepare_blocks`` prepares a stack of coefficient
+blocks through one readout at once, as the protocol's Bell stages do on the
+parity bases of their core. A prepared readout is the outcome law alone:
+``probs[k] = |R[k] . c|^2`` for each kept row (equal on the state, since Z is
+orthonormal), computed from the measured mode's reduced density matrix as
+``Re(R[k] rho R[k]^H)`` clipped at 0, already in CDF order, and their
+``rng.inverse_cdf``, in which outcomes below the floor have zero width. It
+gives the exact bit probabilities and array draws ``draw(u_select, u_tie) ->
+(outcome, bit)``, the outcome as its id, that read the tie-breaker only on a
+zero value. The state left after an outcome is the row product ``R[k] . c``,
+which the caller forms from its own arrays.
 """
 
 from __future__ import annotations
@@ -59,6 +68,7 @@ import cmath
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,7 +78,12 @@ from .dynamics import (
     evolve_josephson,
     josephson_collision_columns,
 )
-from .errors import AmbiguousSupport, ShapeMismatch, ValidityDomainExceeded
+from .errors import (
+    AmbiguousSupport,
+    ShapeMismatch,
+    ValidityDomainExceeded,
+    ZeroProbabilityBranch,
+)
 from .fock import (
     CoherentSpec,
     FockCutoff,
@@ -78,7 +93,7 @@ from .fock import (
     prepare_coherent,
     tensor,
 )
-from .rng import inverse_cdf
+from .rng import MIN_OUTCOME_PROBABILITY, inverse_cdf
 
 EPSILON_N_LIMIT = 0.1
 EPSILON_N_WARN = 0.02
@@ -210,6 +225,28 @@ def helstrom_vectors(amplitude: complex, cutoff: FockCutoff):
     return w0, w1
 
 
+class Readout(NamedTuple):
+    """A discriminator's rows over an orthonormal basis of the measured mode,
+    kept on the outcomes a draw can reach and stored in CDF order: row k
+    reads outcome ``outcomes[k]``, whose quadrature value is ``values[k]``."""
+
+    rows: np.ndarray
+    outcomes: np.ndarray
+    values: np.ndarray
+
+    def index(self, ids) -> np.ndarray:
+        """The row of each outcome of ``ids``; raises ``ZeroProbabilityBranch``
+        for an outcome off the support, which no draw reaches."""
+        sorter = np.argsort(self.outcomes)
+        at = np.searchsorted(self.outcomes, ids, sorter=sorter)
+        rows = sorter[np.minimum(at, len(sorter) - 1)]
+        missing = self.outcomes[rows] != ids
+        if np.any(missing):
+            raise ZeroProbabilityBranch(
+                f"outcomes {np.asarray(ids)[missing].tolist()} lie off the drawable support")
+        return rows
+
+
 def _block_probabilities(rows, blocks: np.ndarray) -> np.ndarray:
     """``probs[k, o] = |rows[o] @ blocks[k]|^2``, summed over the row, for a
     stack of (r x w) coefficient blocks, from each block's reduced density
@@ -222,27 +259,28 @@ def _block_probabilities(rows, blocks: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class _PreparedReadout:
-    """Outcome law of one discrimination, ready to draw from: the outcome
-    probabilities ``probs`` and their CDF along ``disc.order``."""
+    """Outcome law of one discrimination, ready to draw from: the
+    probabilities ``probs`` of the rows of ``readout``, in its CDF order,
+    and their CDF."""
 
-    disc: object
+    readout: Readout
     probs: np.ndarray
     cdf: np.ndarray
 
     @property
     def bit_probabilities(self):
         """Exact (P(bit=0), P(bit=1)) with ties split evenly."""
-        probs, values = self.probs / self.probs.sum(), self.disc.values
+        probs, values = self.probs / self.probs.sum(), self.readout.values
         p_plus = probs[values > 0].sum() + probs[values == 0].sum() / 2
         return float(p_plus), float(1 - p_plus)
 
     def draw(self, u_select: np.ndarray, u_tie: np.ndarray) -> tuple:
         """(outcome, bit) arrays for the uniform pairs: bit 1 for a negative
         value, 0 for a positive one, and for a zero value 1 iff ``u_tie`` < 0.5."""
-        outcome = self.disc.order[np.searchsorted(self.cdf, u_select, side="right")]
-        value = self.disc.values[outcome]
+        k = np.searchsorted(self.cdf, u_select, side="right")
+        value = self.readout.values[k]
         bit = np.where(value == 0, u_tie < 0.5, value < 0).astype(np.int64)
-        return outcome, bit
+        return self.readout.outcomes[k], bit
 
 
 class _PreparedIdeal(_PreparedReadout):
@@ -260,28 +298,28 @@ class _PreparedHomodyne(_PreparedReadout):
 
 
 class _Discriminator:
-    """Entry points of both backends; a backend sets ``cutoff``, ``rows``,
-    ``values``, ``order`` and its ``prepared`` class."""
+    """Entry points of both backends; a backend sets ``cutoff``, ``values``,
+    ``order``, its ``prepared`` class and ``readout(basis)``."""
 
     def prepare(self, state: StateVector, mode: int):
         """Readout of ``mode`` of ``state``, on its full view."""
         view = np.moveaxis(state.tensor_view(), mode, 0).reshape(state.dim, -1)
-        return self.prepare_blocks(self.rows, view[None])[0]
+        return self.prepare_blocks(self.readout(np.eye(state.dim)), view[None])[0]
 
-    def prepare_blocks(self, rows: np.ndarray, blocks: np.ndarray) -> list:
+    def prepare_blocks(self, readout: Readout, blocks: np.ndarray) -> list:
         """One readout per (r x w) coefficient block of the stack ``blocks``,
-        read through ``rows``, the readout rows over an orthonormal basis of
-        the measured mode, with every block's probabilities from one product
-        and every CDF from one floor and cumulative sum."""
-        probs = _block_probabilities(rows, blocks)
+        read through ``readout``, the rows over an orthonormal basis of the
+        measured mode, with every block's probabilities from one product and
+        every CDF from one floor and cumulative sum."""
+        probs = _block_probabilities(readout.rows, blocks)
         leftover = 1.0 - probs.sum(axis=1).min()
         if leftover > MAX_SUPPORT_LEFTOVER:
             raise AmbiguousSupport(
                 f"probability {leftover:.3g} of the signal lies outside "
                 "the span of the readout rows"
             )
-        cdfs = inverse_cdf(probs[:, self.order])
-        return [self.prepared(self, block_probs, cdf) for block_probs, cdf in zip(probs, cdfs)]
+        cdfs = inverse_cdf(probs)
+        return [self.prepared(readout, block_probs, cdf) for block_probs, cdf in zip(probs, cdfs)]
 
 
 class IdealPhaseDiscriminator(_Discriminator):
@@ -296,6 +334,10 @@ class IdealPhaseDiscriminator(_Discriminator):
         self.rows = np.conj([self.w0, self.w1])
         self.values = np.array([1.0, -1.0])
         self.order = np.array([1, 0])
+
+    def readout(self, basis: np.ndarray) -> Readout:
+        """Both rows over ``basis``, in CDF order."""
+        return Readout(self.rows[self.order] @ basis, self.order, self.values[self.order])
 
 
 class HomodynePhaseDiscriminator(_Discriminator):
@@ -315,13 +357,39 @@ class HomodynePhaseDiscriminator(_Discriminator):
             raise ValidityDomainExceeded("atom-counting readout needs omega > 0")
         self.axis_phase = axis_phase
         self.cutoff = cutoff
+        self.josephson, self.kerr = josephson, kerr
         self.reference = reference_magnitude * cmath.exp(1j * (axis_phase + math.pi / 2))
-        ref_state = prepare_coherent(CoherentSpec(self.reference), cutoff)
-        self.rows = josephson_collision_columns(
-            cutoff, josephson, kerr, math.pi / (2 * josephson.omega), ref_state.amplitudes
-        )
+        self.reference_amplitudes = prepare_coherent(CoherentSpec(self.reference),
+                                                     cutoff).amplitudes
         d = cutoff.dim
         m_c, m_b = np.indices((d, d)).reshape(2, d * d)
         self.values = (m_c - m_b) / (2 * reference_magnitude)
         # stable: tied values keep the count order m_c * dim + m_b
         self.order = np.argsort(self.values, kind="stable")
+
+    @property
+    def rows(self) -> np.ndarray:
+        """Every count outcome's row over the Fock basis, the readout's
+        definition (dim^2 x dim), built on each access; a run reads
+        ``readout(basis)`` instead."""
+        return self.rows_over(np.eye(self.cutoff.dim))
+
+    def rows_over(self, basis: np.ndarray, floor: float = 0.0) -> np.ndarray:
+        """Row ``m_c * dim + m_b`` over ``basis`` of every count outcome: the
+        pair propagator for a quarter tunnelling period on ``basis (x)
+        |reference>``, with the sectors that read less than ``floor`` left
+        zero."""
+        return josephson_collision_columns(
+            self.cutoff, self.josephson, self.kerr, math.pi / (2 * self.josephson.omega),
+            self.reference_amplitudes, basis, floor)
+
+    def readout(self, basis: np.ndarray) -> Readout:
+        """The rows over ``basis`` of the outcomes a draw can reach, in CDF
+        order. A normalised signal gives outcome o at most ``|rows[o]|^2``,
+        so rows below half the probability floor are dropped, and so are the
+        sectors whose bound is below it, before they are propagated."""
+        floor = MIN_OUTCOME_PROBABILITY / 2
+        rows = self.rows_over(basis, floor)
+        weight = np.einsum("oi,oi->o", rows.view(float), rows.view(float))
+        ids = self.order[weight[self.order] >= floor]
+        return Readout(rows[ids], ids, self.values[ids])

@@ -41,10 +41,17 @@ self-collision phase, which is diagonal, and Z3 the channel's basis of mode
 the sign (-1)^(p1 p2) of the parities on T, so no d-wide array is formed;
 ``build_protocol_state`` is the expansion. A vacuum amplitude has no odd
 part, which gives r = 1. Stage k reads its mode through ``R_k = rows_k @
-Z_k``: stage 1 is prepared on T read as r1 x (r2 r3), and stage 2 after
-each first-stage outcome o1 on its r2 x r3 block ``R_1[o1] T / sqrt(p1[o1])``.
-A measurement holds only T, R_1, R_2 and the stage-1 law: a draw prepares
-stage 2 for the first-stage outcomes it drew and keeps nothing, and mode 3's
+Z_k``, its discriminator's ``readout(Z_k)``: for the homodyne that is ``U
+(Z_k (x) |ref>)``, built without the d columns and kept on the outcomes a
+draw can reach, in CDF order. Stage 1 is prepared on T read as r1 x (r2
+r3), and stage 2 after each first-stage outcome o1 on its r2 x r3 block
+``R_1[o1] T / sqrt(p1[o1])``. A measurement holds only T, R_1, R_2 and the
+stage-1 law, and a draw keeps nothing: it sorts its trials by stage-1
+outcome once, prepares stage 2 for the distinct outcomes it drew (one keys x
+support array of laws), draws each on its contiguous slice of the sorted
+selector and tie columns with that readout's own draw, and scatters the
+results back once. Outcome ids stay the discriminators' (``m_c * dim +
+m_b`` on the homodyne), and a row is found from its id. Mode 3's
 coefficients over Z3 after (o1, o2) are read straight off the core,
 ``(R_1[o1] (x) R_2[o2]) T / sqrt(p1[o1])``. ``BellMeasurement`` reads any
 other three-mode state through the same code over the identity basis of
@@ -283,10 +290,10 @@ class BellMeasurement:
     the same amplitude share one discriminator. ``state`` is the protocol
     state's ``ReceiverFactors`` or a three-mode state, read over the identity
     basis of every mode. A measurement holds only the core T, each stage's
-    rows over its mode's basis, R_k = rows_k Z_k, and the stage-1 law, and
-    keeps nothing from a draw: mode 3's coefficients after (o1, o2) are
-    (R_1[o1] (x) R_2[o2]) T / sqrt(p1[o1]), over ``receiver_basis``, its
-    orthonormal columns.
+    readout over its mode's basis, R_k = rows_k Z_k on the outcomes a draw
+    can reach, and the stage-1 law, and keeps nothing from a draw: mode 3's
+    coefficients after (o1, o2) are (R_1[o1] (x) R_2[o2]) T / sqrt(p1[o1]),
+    over ``receiver_basis``, its orthonormal columns.
     """
 
     def __init__(self, state: StateVector | ReceiverFactors, config: ProtocolConfig):
@@ -310,51 +317,64 @@ class BellMeasurement:
         self.receiver_basis = state.bases[2]
         self.leakage = state.leakage
         self._core = state.core
-        self._rows = [stage.rows @ basis for stage, basis in zip(self.stages, state.bases)]
+        self._readouts = [stage.readout(basis) for stage, basis in zip(self.stages, state.bases)]
         block = state.core.reshape(1, len(state.core), -1)  # one r1 x (r2 r3) block
-        self._first = self.stages[0].prepare_blocks(self._rows[0], block)[0]
+        self._first = self.stages[0].prepare_blocks(self._readouts[0], block)[0]
+
+    def _first_rows(self, first) -> tuple:
+        """Stage-1 readout rows of the outcomes ``first`` and their
+        probabilities; raises ``ZeroProbabilityBranch`` for an outcome below
+        the floor."""
+        rows = self._readouts[0].index(first)
+        prob = self._first.probs[rows]
+        if np.any(prob < MIN_OUTCOME_PROBABILITY):
+            raise ZeroProbabilityBranch(
+                f"stage-1 outcomes {first} reach probability {np.min(prob):.3e}")
+        return rows, prob
 
     def _prepare_second(self, keys) -> list:
         """The second stage after each stage-1 outcome of ``keys``, each on
         its r2 x r3 block R_1[o1] T / sqrt(p1[o1]), all from one product; raises
         ``ZeroProbabilityBranch`` for an outcome below the floor."""
-        prob = self._first.probs[keys]
-        if np.any(prob < MIN_OUTCOME_PROBABILITY):
-            raise ZeroProbabilityBranch(
-                f"stage-1 outcomes {keys} reach probability {np.min(prob):.3e}")
+        rows, prob = self._first_rows(keys)
         block = self._core.reshape(len(self._core), -1)
-        blocks = self._rows[0][keys] @ block / np.sqrt(prob)[:, None]
+        blocks = self._readouts[0].rows[rows] @ block / np.sqrt(prob)[:, None]
         return self.stages[1].prepare_blocks(
-            self._rows[1], blocks.reshape(len(prob), self._core.shape[1], -1))
+            self._readouts[1], blocks.reshape(len(prob), self._core.shape[1], -1))
 
-    def _segments(self, first: np.ndarray) -> list:
-        """(outcome, its row indices) per distinct stage-1 outcome, from one
-        stable sort: a radix sort, on the narrowest type that holds them."""
-        narrow = first.astype(np.min_scalar_type(len(self._first.probs)))
+    def _segments(self, first: np.ndarray) -> tuple:
+        """The stable sort of ``first``, its distinct outcomes and the bounds
+        of each outcome's slice of the sorted rows: a radix sort, on the
+        narrowest type that holds the outcomes."""
+        narrow = first.astype(np.min_scalar_type(self._readouts[0].outcomes.max()))
         order = np.argsort(narrow, kind="stable")
         ordered = first[order]
         starts = np.flatnonzero(np.diff(ordered, prepend=-1))  # outcomes are >= 0
-        ends = np.append(starts[1:], len(first))
-        return [(key, order[lo:hi]) for key, lo, hi in zip(ordered[starts].tolist(), starts, ends)]
+        return order, ordered[starts], np.append(starts, len(first))
 
     def draw(self, u: np.ndarray) -> tuple:
         """(stage-1 outcome, stage-2 outcome, branch) arrays for the rows of
         ``u``: selector and tie of stage 1, then of stage 2. Stage 2 is
-        prepared for the distinct stage-1 outcomes drawn and drawn once per
-        outcome, on that outcome's rows."""
+        prepared for the distinct stage-1 outcomes drawn, and each is drawn
+        once on its contiguous slice of the rows sorted by stage-1 outcome."""
         first, bit1 = self._first.draw(u[:, 0], u[:, 1])
-        segments = self._segments(first)
-        seconds = self._prepare_second([key for key, _ in segments])
+        order, keys, bounds = self._segments(first)
+        seconds = self._prepare_second(keys)
+        select, tie = u[order, 2], u[order, 3]
+        drawn, drawn_bit = np.empty_like(first), np.empty_like(bit1)
+        for readout, lo, hi in zip(seconds, bounds[:-1], bounds[1:]):
+            drawn[lo:hi], drawn_bit[lo:hi] = readout.draw(select[lo:hi], tie[lo:hi])
         second, bit2 = np.empty_like(first), np.empty_like(bit1)
-        for (_, rows), readout in zip(segments, seconds):
-            second[rows], bit2[rows] = readout.draw(u[rows, 2], u[rows, 3])
+        second[order], bit2[order] = drawn, drawn_bit
         return first, second, 2 * (bit1 ^ bit2) + 1 - bit2
 
     def coefficients(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Unnormalised mode-3 coefficients over ``receiver_basis`` after each
         drawn (``first``, ``second``) outcome pair, one row per pair."""
-        r1 = self._rows[0][first] / np.sqrt(self._first.probs[first])[:, None]
-        pair = r1[:, :, None] * self._rows[1][second][:, None, :]
+        rows, prob = self._first_rows(first)
+        r1 = self._readouts[0].rows[rows] / np.sqrt(prob)[:, None]
+        r2 = self._readouts[1].rows[self._readouts[1].index(second)]
+        pair = r1[:, :, None] * r2[:, None, :]
         return pair.reshape(len(first), -1) @ self._core.reshape(-1, self._core.shape[2])
 
     def conditionals(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:

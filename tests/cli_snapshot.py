@@ -41,6 +41,14 @@ RUNS = {
     "teleport-beta-negative": ["teleport", "--beta", "-2j"],
     "teleport-weight-exponent": ["teleport", "--b-weight", "-1e-7"],
     "teleport-homodyne": ["teleport", *HOMODYNE_TELEPORT],
+    "teleport-homodyne-reference-3": ["teleport", *HOMODYNE_TELEPORT,
+                                      "--reference-magnitude", "3"],
+    "teleport-homodyne-gamma": ["teleport", *HOMODYNE_TELEPORT, "--gamma", "1.5"],
+    "teleport-homodyne-cutoff-30": ["teleport", *HOMODYNE_TELEPORT[:2], "--cutoff", "30",
+                                    *HOMODYNE_TELEPORT[4:]],
+    "teleport-homodyne-real-beta": ["teleport", *HOMODYNE_TELEPORT, "--beta", "2"],
+    "teleport-homodyne-reference-4": ["teleport", *HOMODYNE_TELEPORT,
+                                      "--reference-magnitude", "4"],
     "teleport-real-beta": ["teleport", "--beta", "2"],
     "teleport-pd0": ["teleport", "--p-d", "0"],
     "teleport-seed-1": ["teleport", "--seed", "-1", "--trials", "200"],

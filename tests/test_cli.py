@@ -299,13 +299,23 @@ class TestExitCodes:
                     "--gamma", "0", "--out", tmp_path / "x"]) == 3
         assert "weights cancel" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--b-weight", "-1e-7"), ("--beta", "-2j")])
+    @pytest.mark.parametrize("flag, value", [("--b-weight", "-1e-7"), ("--beta", "-2j"),
+                                             ("--b-w", "-1e-7"), ("--be", "-2j")])
     def test_signed_value_parses_as_with_equals(self, tmp_path, flag, value):
-        # argparse takes '-1e-7' or '-2j' for a flag unless it is attached
+        # argparse takes '-1e-7' or '-2j' for a flag unless it is attached,
+        # also after a unique prefix of the option's name
         assert run(["teleport", flag, value, "--trials", "50", "--out", tmp_path / "spaced"]) == 0
         assert run(["teleport", f"{flag}={value}", "--trials", "50",
                     "--out", tmp_path / "attached"]) == 0
         assert read_files(tmp_path / "spaced") == read_files(tmp_path / "attached")
+
+    def test_ambiguous_prefix_before_a_signed_value_is_exit_2(self, tmp_path, capsys):
+        # --b names --b-weight, --beta and --backend: argparse refuses it
+        with pytest.raises(SystemExit) as info:
+            run(["teleport", "--b", "-1e-7", "--out", tmp_path / "x"])
+        assert info.value.code == 2
+        assert "ambiguous option: --b" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_value_before_a_flag_is_exit_2(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as info:

@@ -21,8 +21,10 @@ from triwell import (
     prepare_number,
     tensor,
 )
+from triwell.channel import parity_basis
 from triwell.dynamics import josephson_collision_columns
 from triwell.fock import StateVector, mean_occupation
+from triwell.rng import MIN_OUTCOME_PROBABILITY
 
 from oracles import collision_columns_by_propagation
 
@@ -147,7 +149,8 @@ class TestJosephson:
         cutoff = FockCutoff(n_max)
         reference = prepare_coherent(CoherentSpec(0.3 + 0.2j), cutoff)
         jp, kp, t = JosephsonParams(1.3), KerrParams(0.4, 0.25), 0.9
-        cols = josephson_collision_columns(cutoff, jp, kp, t, reference.amplitudes)
+        cols = josephson_collision_columns(cutoff, jp, kp, t, reference.amplitudes,
+                                           np.eye(cutoff.dim))
         assert cols.shape == (cutoff.dim**2, cutoff.dim)
         for n in range(cutoff.dim):
             pair = tensor(prepare_number(n, cutoff), reference)
@@ -164,9 +167,34 @@ class TestJosephson:
         reference = prepare_coherent(CoherentSpec(magnitude * np.exp(1j * (axis + math.pi / 2))),
                                      cutoff).amplitudes
         jp, kp, t = JosephsonParams(1000.0), KerrParams(1.0, kappa), math.pi / 2000.0
-        cols = josephson_collision_columns(cutoff, jp, kp, t, reference)
+        cols = josephson_collision_columns(cutoff, jp, kp, t, reference, np.eye(cutoff.dim))
         want = collision_columns_by_propagation(cutoff, jp, kp, t, reference)
         assert np.abs(cols - want).max() <= 1e-15
+
+
+    @pytest.mark.parametrize("n_max", [26, 32, 40])
+    def test_rows_over_a_basis_are_the_columns_times_the_basis(self, n_max):
+        # on every outcome kept by the sector bound; a skipped sector's rows
+        # are zero, and under the full form none reads the floor
+        cutoff, floor = FockCutoff(n_max), MIN_OUTCOME_PROBABILITY / 2
+        reference = prepare_coherent(CoherentSpec(2.0j), cutoff).amplitudes
+        jp, kp, t = JosephsonParams(1000.0), KerrParams(1.0, 1.0), math.pi / 2000.0
+        full = josephson_collision_columns(cutoff, jp, kp, t, reference, np.eye(cutoff.dim))
+        rng = np.random.default_rng(n_max)
+        bases = [parity_basis(prepare_coherent(CoherentSpec(amp), cutoff).amplitudes).basis
+                 for amp in (2.0, 1.5j, 0.0)]
+        for r in (1, 2, 3):
+            random = rng.normal(size=(cutoff.dim, r)) + 1j * rng.normal(size=(cutoff.dim, r))
+            bases.append(np.linalg.qr(random)[0])
+        for basis in bases:
+            rows = josephson_collision_columns(cutoff, jp, kp, t, reference, basis, floor)
+            want = full @ basis
+            kept = (np.abs(rows) ** 2).sum(axis=1) >= floor
+            assert np.abs(rows[kept] - want[kept]).max() <= 1e-15
+            skipped = (rows == 0).all(axis=1)
+            assert ((np.abs(want[skipped]) ** 2).sum(axis=1) < floor).all()
+            if n_max == 40 and basis.shape[1] <= 2:
+                assert skipped.any()
 
 
 class TestOracle:

@@ -6,11 +6,14 @@ import pytest
 
 from triwell import (
     AmbiguousSupport,
+    AuxiliaryPrep,
     CoherentSpec,
+    CrossSpeciesParams,
     FockCutoff,
     JosephsonParams,
     KerrParams,
     PerturbativeInit,
+    ProtocolConfig,
     SuperpositionSpec,
     ValidityDomainExceeded,
     initial_schwinger,
@@ -23,7 +26,8 @@ from triwell import (
     tensor,
 )
 from triwell.fock import quadrature_expectation
-from triwell.rng import MIN_OUTCOME_PROBABILITY
+from triwell.protocol import BellMeasurement, protocol_factors
+from triwell.rng import MIN_OUTCOME_PROBABILITY, inverse_cdf
 from triwell.homodyne import (
     HomodynePhaseDiscriminator,
     IdealPhaseDiscriminator,
@@ -32,6 +36,12 @@ from triwell.homodyne import (
 )
 
 from oracles import estimate_quadrature
+
+
+def probability(prepared, outcome: int) -> float:
+    """Probability of the raw outcome id ``outcome`` in a prepared readout."""
+    (row,) = np.flatnonzero(prepared.readout.outcomes == outcome)
+    return prepared.probs[row]
 
 
 class TestSimulateSx:
@@ -309,7 +319,7 @@ class TestPhaseBit:
         disc, _, prepared = self.tail_readout()
         assert prepared.cdf[-1] == 1.0
         outcome, _ = prepared.draw(np.array([1 - 2**-53]), np.array([0.5]))
-        k = int(np.flatnonzero(disc.order == outcome[0])[0])
+        k = int(np.flatnonzero(prepared.readout.outcomes == outcome[0])[0])
         assert prepared.cdf[k] - prepared.cdf[k - 1] > 0
 
     def test_top_selector_draws_an_outcome_with_a_posterior(self):
@@ -317,9 +327,10 @@ class TestPhaseBit:
         # every draw leaves a state of at least the floor's squared norm
         disc, signal, prepared = self.tail_readout()
         (outcome,), _ = prepared.draw(np.array([1 - 2**-53]), np.array([0.5]))
-        assert prepared.probs[outcome] >= MIN_OUTCOME_PROBABILITY
+        assert probability(prepared, outcome) >= MIN_OUTCOME_PROBABILITY
         after = disc.rows[outcome] @ signal.amplitudes.reshape(signal.dim, -1)
-        assert np.vdot(after, after).real == pytest.approx(prepared.probs[outcome], rel=1e-9)
+        assert np.vdot(after, after).real == pytest.approx(probability(prepared, outcome),
+                                                           rel=1e-9)
 
     def test_posterior_is_count_state(self):
         # counting the signal leaves an untouched count-state mode as it was
@@ -332,13 +343,14 @@ class TestPhaseBit:
         (outcome,), (bit,) = prepared.draw(*substream(3, 1).random((2, 1)))
         assert bit == 0
         posterior = disc.rows[outcome] @ joint.amplitudes.reshape(cutoff.dim, -1)
-        posterior /= math.sqrt(prepared.probs[outcome])
+        posterior /= math.sqrt(probability(prepared, outcome))
         assert np.flatnonzero(posterior).tolist() == [3]
         assert abs(posterior[3]) == pytest.approx(1.0, abs=1e-10)
 
     def test_null_outcome_is_never_drawn(self):
         # all 26 atoms of vacuum (x) |2i> counted in the signal well: ~3e-21,
-        # below the floor, so its CDF step is empty and no selector reaches it
+        # below the floor, so it is off the support or its CDF step is empty,
+        # and no selector reaches it
         cutoff = FockCutoff(26)
         disc = HomodynePhaseDiscriminator(0.0, cutoff, 2.0, JosephsonParams(1.0),
                                           KerrParams(0.0, 0.0))
@@ -347,8 +359,8 @@ class TestPhaseBit:
         null = cutoff.n_max * cutoff.dim
         after = disc.rows[null] @ signal.amplitudes.reshape(cutoff.dim, -1)
         assert 0 < np.vdot(after, after).real < MIN_OUTCOME_PROBABILITY
-        k = int(np.flatnonzero(disc.order == null)[0])
-        assert prepared.cdf[k] == prepared.cdf[k - 1]
+        rows = np.flatnonzero(prepared.readout.outcomes == null)
+        assert (np.diff(prepared.cdf, prepend=0.0)[rows] == 0).all()
 
     def test_ambiguous_support(self):
         with pytest.raises(AmbiguousSupport):
@@ -370,6 +382,108 @@ class TestPhaseBit:
         prepared = disc.prepare(joint, 0)
         for outcome in (0, 1):
             posterior = disc.rows[outcome] @ joint.amplitudes.reshape(cutoff.dim, -1)
-            posterior /= math.sqrt(prepared.probs[outcome])
+            posterior /= math.sqrt(probability(prepared, outcome))
             assert np.linalg.norm(posterior) == pytest.approx(1.0, abs=1e-10)
             assert abs(np.vdot(other.amplitudes, posterior)) == pytest.approx(1.0, abs=1e-10)
+
+
+def teleport_config(n_max: int, **overrides) -> ProtocolConfig:
+    """The benchmark's homodyne teleport run: target 0.6|2> + 0.8|-2>,
+    channel alpha = 2, beta = 2i, e0 = kappa = 1, omega = 1000."""
+    base = dict(target=SuperpositionSpec(0.6, 0.8, 2.0), alpha=CoherentSpec(2.0),
+                beta=CoherentSpec(2j), kerr=KerrParams(1.0, 1.0),
+                josephson=JosephsonParams(1000.0), cross_species=CrossSpeciesParams(0.5),
+                cutoff=FockCutoff(n_max), measurement_backend="homodyne", p_d=0.7,
+                aux=AuxiliaryPrep("coherent", 2.0))
+    return ProtocolConfig(**{**base, **overrides})
+
+
+SUPPORT_CONFIGS = {
+    "bench-26": teleport_config(26),
+    "bench-40": teleport_config(40),
+    "gamma-1.5": teleport_config(40, target=SuperpositionSpec(0.6, 0.8, 1.5)),
+    "reference-3": teleport_config(40, reference_magnitude=3.0),
+}
+
+
+def stage_laws(config: ProtocolConfig):
+    """(discriminator, basis, coefficient block, prepared readout) for every
+    law a run can read: stage 1 on the core, and stage 2 after each stage-1
+    outcome of at least the floor."""
+    factors = protocol_factors(config)
+    bell = BellMeasurement(factors, config)
+    first, core = bell._first, factors.core.reshape(len(factors.core), -1)
+    laws = [(bell.stages[0], factors.bases[0], core, first)]
+    drawable = first.probs >= MIN_OUTCOME_PROBABILITY
+    blocks = bell._readouts[0].rows[drawable] @ core / np.sqrt(first.probs[drawable])[:, None]
+    for block, prepared in zip(blocks, bell._prepare_second(first.readout.outcomes[drawable])):
+        laws.append((bell.stages[1], factors.bases[1],
+                     block.reshape(factors.core.shape[1], -1), prepared))
+    return laws
+
+
+class TestDrawableSupport:
+    """A homodyne readout keeps the outcomes a draw can reach: U is unitary
+    per total-number sector, so a normalised signal gives outcome o at most
+    |rows[o]|^2, and every outcome it drops stays below half the floor."""
+
+    @pytest.mark.parametrize("name", SUPPORT_CONFIGS)
+    def test_dropped_outcomes_are_below_half_the_floor(self, name):
+        laws = stage_laws(SUPPORT_CONFIGS[name])
+        assert len(laws) > 10
+        rows = {disc: disc.rows for disc in {law[0] for law in laws}}
+        for disc, basis, block, prepared in laws:
+            probs = (np.abs(rows[disc] @ (basis @ block)) ** 2).sum(axis=1)
+            dropped = np.ones(len(probs), dtype=bool)
+            dropped[prepared.readout.outcomes] = False
+            assert dropped.any()
+            assert probs[dropped].max() < MIN_OUTCOME_PROBABILITY / 2
+            # the kept rows carry the same probabilities as the full form
+            np.testing.assert_allclose(prepared.probs, probs[prepared.readout.outcomes],
+                                       rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name", SUPPORT_CONFIGS)
+    def test_random_states_in_the_span_stay_on_the_support(self, name):
+        config = SUPPORT_CONFIGS[name]
+        factors = protocol_factors(config)
+        bell = BellMeasurement(factors, config)
+        rng = substream(61)
+        for disc, basis, readout in zip(bell.stages, factors.bases, bell._readouts):
+            rows = disc.rows
+            dropped = np.setdiff1d(np.arange(len(rows)), readout.outcomes)
+            for _ in range(20):
+                shape = (basis.shape[1], 3)
+                coeff = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                coeff /= np.linalg.norm(coeff)  # a normalised state in the span
+                probs = (np.abs(rows @ (basis @ coeff)) ** 2).sum(axis=1)
+                assert probs[dropped].max() < MIN_OUTCOME_PROBABILITY / 2
+
+    def test_bench_support_size(self):
+        # n_max 40: 312 of 1681 count outcomes are kept for stage 2
+        config = SUPPORT_CONFIGS["bench-40"]
+        bell = BellMeasurement(protocol_factors(config), config)
+        assert len(bell._readouts[1].outcomes) == 312
+        assert len(bell.stages[1].values) == 1681
+
+    @pytest.mark.parametrize("name", SUPPORT_CONFIGS)
+    def test_draws_equal_the_full_outcome_law(self, name):
+        # the support's law against the d^2-outcome law of the full form:
+        # its kept probabilities plus every dropped one, in the full CDF
+        # order, drawn by searchsorted; selectors on every CDF step, 0 and
+        # the largest double below 1 included
+        rng = substream(67)
+        laws = stage_laws(SUPPORT_CONFIGS[name])
+        rows = {disc: disc.rows for disc in {law[0] for law in laws}}
+        for disc, basis, block, prepared in laws:
+            full = (np.abs(rows[disc] @ (basis @ block)) ** 2).sum(axis=1)
+            full[prepared.readout.outcomes] = prepared.probs
+            cdf = inverse_cdf(full[disc.order])
+            steps = np.unique(cdf[cdf < 1.0])
+            u_select = np.concatenate([steps, rng.random(2000), [0.0, 1 - 2**-53]])
+            u_tie = rng.random(len(u_select))
+            want = disc.order[np.searchsorted(cdf, u_select, side="right")]
+            value = disc.values[want]
+            want_bit = np.where(value == 0, u_tie < 0.5, value < 0).astype(np.int64)
+            outcome, bit = prepared.draw(u_select, u_tie)
+            assert outcome.tolist() == want.tolist()
+            assert bit.tolist() == want_bit.tolist()

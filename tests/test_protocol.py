@@ -84,6 +84,14 @@ def after_outcome(rows: np.ndarray, state: StateVector, outcome: int) -> StateVe
     return StateVector(state.modes - 1, state.cutoff, after / np.linalg.norm(after), state.leakage)
 
 
+def probs_by_outcome(prepared, disc) -> np.ndarray:
+    """A prepared readout's probabilities indexed by raw outcome id, 0 off
+    its support, over every outcome of ``disc``."""
+    probs = np.zeros(len(disc.values))
+    probs[prepared.readout.outcomes] = prepared.probs
+    return probs
+
+
 def mode3_states(bell: BellMeasurement, first: np.ndarray, second: np.ndarray) -> list:
     """Normalised mode-3 state after each (``first``, ``second``) outcome pair."""
     return [StateVector(1, bell.stages[1].cutoff, row / np.linalg.norm(row))
@@ -295,17 +303,21 @@ class TestPreparedProbabilities:
         state = build_protocol_state(config)
         bell = BellMeasurement(state, config)
         first = bell._first
-        posterior = after_outcome(bell.stages[0].rows, state, int(np.argmax(first.probs)))
+        likeliest = int(first.readout.outcomes[np.argmax(first.probs)])
+        posterior = after_outcome(bell.stages[0].rows, state, likeliest)
         second = bell.stages[1].prepare(posterior, 0)
         sub_floor = 0
-        for prepared, measured in ((first, state), (second, posterior)):
+        for prepared, measured, disc in ((first, state, bell.stages[0]),
+                                         (second, posterior, bell.stages[1])):
             view = measured.amplitudes.reshape(config.cutoff.dim, -1)
-            direct = (np.abs(prepared.disc.rows @ view) ** 2).sum(axis=1)
-            np.testing.assert_allclose(prepared.probs, direct, rtol=0, atol=1e-15)
-            # outcomes below the floor keep zero width in the CDF
+            direct = (np.abs(disc.rows @ view) ** 2).sum(axis=1)  # by raw outcome id
+            kept = prepared.readout.outcomes
+            np.testing.assert_allclose(prepared.probs, direct[kept], rtol=0, atol=1e-15)
+            # outcomes below the floor are off the support or keep zero width
             width = np.diff(prepared.cdf, prepend=0.0)
-            below = direct[prepared.disc.order] < MIN_OUTCOME_PROBABILITY / 2
-            assert (width[below] == 0).all()
+            below = direct < MIN_OUTCOME_PROBABILITY / 2
+            assert (width[below[kept]] == 0).all()
+            assert below[np.setdiff1d(np.arange(len(direct)), kept)].all()
             sub_floor += below.sum()
         assert (sub_floor > 0) == (backend == "homodyne")
 
@@ -392,17 +404,29 @@ class TestReceiverFactoring:
         first, _, _ = bell.draw(substream(53).random((2000, 4)))
         seconds = bell._prepare_second(np.unique(first))
         assert len(seconds) > 10
+        # and each is the CDF of the full-outcome law, read at the support's
+        # outcomes: the rows are stored in CDF order
         order = bell.stages[1].order
+        rank = np.argsort(order)
         for prepared in seconds:
-            assert np.array_equal(prepared.cdf, inverse_cdf(prepared.probs[order]))
+            assert np.array_equal(prepared.cdf, inverse_cdf(prepared.probs))
+            full_cdf = inverse_cdf(probs_by_outcome(prepared, bell.stages[1])[order])
+            assert np.array_equal(prepared.cdf, full_cdf[rank[prepared.readout.outcomes]])
 
     def test_second_stage_refuses_a_sub_floor_first_outcome(self):
         config = make_config(cutoff=FockCutoff(26), measurement_backend="homodyne")
         bell = BellMeasurement(build_protocol_state(config), config)
-        null = int(np.argmin(bell._first.probs))
-        assert bell._first.probs[null] < MIN_OUTCOME_PROBABILITY
+        outcomes = bell._first.readout.outcomes
+        null = int(outcomes[np.argmin(bell._first.probs)])
+        assert probs_by_outcome(bell._first, bell.stages[0])[null] < MIN_OUTCOME_PROBABILITY
         with pytest.raises(ZeroProbabilityBranch):
             bell._prepare_second([null])
+        # over the factored state's basis, some outcomes are off the support
+        factored = BellMeasurement(protocol_factors(config), config)
+        outcomes = factored._first.readout.outcomes
+        off_support = int(np.setdiff1d(np.arange(len(bell.stages[0].values)), outcomes)[0])
+        with pytest.raises(ZeroProbabilityBranch):
+            factored._prepare_second([off_support])
 
 
 FACTOR_CASES = {
@@ -444,8 +468,31 @@ class TestProtocolFactors:
         assert factors.leakage == oracle.leakage
         if case != "vacuum-target":  # the readout needs a target amplitude
             bell, full = BellMeasurement(factors, config), BellMeasurement(oracle, config)
-            np.testing.assert_allclose(bell._first.probs, full._first.probs, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(probs_by_outcome(bell._first, bell.stages[0]),
+                                       probs_by_outcome(full._first, full.stages[0]),
+                                       rtol=0, atol=1e-14)
             assert bell.leakage == full.leakage
+
+    def test_run_reads_the_homodyne_rows_over_each_basis_alone(self, monkeypatch):
+        # the pair propagator is built over each mode's basis (r <= 2
+        # columns), never as the d^2 x d matrix of every count outcome
+        config = make_config(target=SuperpositionSpec(0.6, 0.8, 1.5), cutoff=FockCutoff(40),
+                             measurement_backend="homodyne", trials=300)
+        expected = run_protocol(config)
+        widths = []
+        columns = triwell.homodyne.josephson_collision_columns
+
+        def recorded(*args):
+            widths.append(args[5].shape[1])
+            return columns(*args)
+
+        def refuse(disc):
+            raise AssertionError("the run built every count outcome's row")
+
+        monkeypatch.setattr(triwell.homodyne, "josephson_collision_columns", recorded)
+        monkeypatch.setattr(triwell.homodyne.HomodynePhaseDiscriminator, "rows", property(refuse))
+        assert run_protocol(config) == expected
+        assert widths == [2, 2]  # one call per stage: gamma and alpha differ
 
     @pytest.mark.parametrize("backend, cutoff", [("ideal", 26), ("homodyne", 40)])
     def test_run_builds_no_three_mode_state(self, backend, cutoff, monkeypatch):
