@@ -41,7 +41,7 @@ from .errors import ConfigError, NumericError, PreconditionError, TriwellError, 
 from .fock import CoherentSpec, FockCutoff, SuperpositionSpec, prepare_cat_superposition, state_to_dict
 from .homodyne import initial_schwinger, perturbative_sx, simulate_sx
 from .lattice import LatticeParams, density_map
-from .protocol import ProtocolConfig, run_protocol
+from .protocol import ProtocolConfig, run_protocol, trial_values
 from .rng import substream
 from .serialize import build_manifest, gnuplot_stub, write_json, write_table
 
@@ -359,7 +359,7 @@ def cmd_teleport(values: dict, outdir: Path) -> tuple:
         )
     result = run_protocol(config)
     names = ("branch", "corrected", "fidelity", "aux_m", "p_d_success")
-    rows = list(zip(range(config.trials), *(result.columns[name].tolist() for name in names)))
+    rows = list(zip(range(config.trials), *(trial_values(result.columns, name) for name in names)))
     files = [write_table(
         outdir, "trials", values["format"],
         ("trial", "branch", "corrected", "fidelity", "aux_m", "p_d_draw"), rows,

@@ -111,43 +111,34 @@ def evolve_cross_kerr(state: StateVector, modes: tuple, rate: float,
 
 
 class _Sectors(NamedTuple):
-    """Eigensystems of the pair Hamiltonian per total-number sector N.
-
-    ``blocks`` holds (flat pair indices, eigenvalues, eigenvectors) per
-    sector; the flat index of |n_c, n_b> is n_c*dim + n_b. The same
-    eigensystems padded to ``dim`` states per sector, for one batched
-    product over sectors: state j of sector N is |signal[N, j], rest[N, j]>,
-    ``vals`` and the real ``vecs`` are zero outside the sector, and a
-    padding state is |dim, 0>, whose flat index dim^2 is one past the last.
-    """
+    """Eigensystems of the pair Hamiltonian per total-number sector N, two
+    sectors to a pack of ``dim`` states. Sector N holds |n, N - n> for
+    max(0, N - dim + 1) <= n <= min(N, dim - 1), so sectors b and b + dim
+    hold the n <= b and the n > b: pack b holds |n, (b - n) mod dim> at
+    place n, and every pair state is in one pack. ``vals`` and the real,
+    block-diagonal ``vecs`` of a pack are the eigensystems of its sectors;
+    ``blocks`` lists each sector's (flat pair indices n*dim + N - n,
+    eigenvalues, eigenvectors), the latter two as views of the packs."""
 
     blocks: list
-    signal: np.ndarray
-    rest: np.ndarray
     vals: np.ndarray
     vecs: np.ndarray
 
 
 @lru_cache(maxsize=32)
 def _josephson_sectors(dim: int, omega: float, e0: float, kappa: float) -> _Sectors:
-    """Eigensystems of every sector of the pair Hamiltonian, listed and padded."""
-    sectors = 2 * dim - 1
-    signal = np.full((sectors, dim), dim)
-    rest = np.zeros((sectors, dim), dtype=int)
-    vals = np.zeros((sectors, dim))
-    vecs = np.zeros((sectors, dim, dim))
+    """Eigensystems of every sector of the pair Hamiltonian, packed."""
+    vals, vecs = np.zeros((dim, dim)), np.zeros((dim, dim, dim))
     blocks = []
-    for total in range(sectors):
+    for total in range(2 * dim - 1):
         ns = np.arange(max(0, total - (dim - 1)), min(total, dim - 1) + 1)
         diag = e0 * total + kappa * (ns * (ns - 1.0) + (total - ns) * (total - ns - 1.0))
         hop = omega / 2 * np.sqrt((ns[:-1] + 1.0) * (total - ns[:-1]))
         block = np.diag(diag) + np.diag(hop, 1) + np.diag(hop, -1)
-        size = len(ns)
-        block_vals, block_vecs = np.linalg.eigh(block)
-        blocks.append((ns * dim + (total - ns), block_vals, block_vecs))
-        vals[total, :size], vecs[total, :size, :size] = block_vals, block_vecs
-        signal[total, :size], rest[total, :size] = ns, total - ns
-    return _Sectors(blocks, signal, rest, vals, vecs)
+        b, at = total % dim, slice(ns[0], ns[-1] + 1)
+        vals[b, at], vecs[b, at, at] = np.linalg.eigh(block)
+        blocks.append((ns * dim + (total - ns), vals[b, at], vecs[b, at, at]))
+    return _Sectors(blocks, vals, vecs)
 
 
 def _propagate_sectors(flat: np.ndarray, dim: int, jp: JosephsonParams, kp: KerrParams,
@@ -185,27 +176,30 @@ def josephson_collision_columns(cutoff: FockCutoff, jp: JosephsonParams,
     U is unitary within each total-number sector N, so a normalised signal
     puts at most ``B_N = sum_{n+m=N} |basis[n, :]|^2 |reference[m]|^2`` into
     sector N, and no row of the sector reads more. Sectors with ``B_N <
-    floor`` are skipped and their rows left zero. The others are one padded
-    product over sectors: the input ``basis[n] reference[N - n]`` of each
-    sector state, then ``V e^{-i lambda t} V^T``, with the real eigenvectors
-    V applied to the real and imaginary parts at once.
+    floor`` are skipped and their rows left zero. The others are one product
+    over the sector packs of ``_josephson_sectors``, which hold every pair
+    state once: the input ``basis[n] reference[N - n]`` of each sector state,
+    then ``V e^{-i lambda t} V^T``, with the real eigenvectors V applied to
+    the real and imaginary parts at once.
     """
     d = cutoff.dim
     if reference.shape != (d,) or basis.ndim != 2 or len(basis) != d:
         raise ShapeMismatch("reference vector or basis has the wrong dimension")
-    sectors = _josephson_sectors(d, jp.omega, kp.e0_over_hbar, kp.kappa)
+    _, vals, vecs = _josephson_sectors(d, jp.omega, kp.e0_over_hbar, kp.kappa)
     weight = np.convolve(np.einsum("ni,ni->n", basis, basis.conj()).real,
                          np.abs(reference) ** 2)
-    kept = np.flatnonzero(weight >= floor)
-    padded = np.zeros((d + 1, basis.shape[1]), dtype=np.complex128)  # row d: padding
-    padded[:d] = basis
-    signal, rest, vecs = sectors.signal[kept], sectors.rest[kept], sectors.vecs[kept]
-    inputs = padded[signal] * reference[rest][..., None]
+    n = np.arange(d)
+    rest = (n[:, None] - n) % d  # pack b holds |n, (b - n) mod d>
+    live = weight[n + rest] >= floor
+    kept = np.flatnonzero(live.any(axis=1))
+    rest, vecs = rest[kept], vecs[kept]
+    source = reference[rest] * live[kept]  # zero on the states of skipped sectors
+    inputs = np.multiply(basis, source[..., None], dtype=np.complex128)
     spectral = np.matmul(vecs.transpose(0, 2, 1), inputs.view(float)).view(complex)
-    spectral *= np.exp(-1j * t * sectors.vals[kept])[..., None]
-    rows = np.zeros((d * d + 1, basis.shape[1]), dtype=np.complex128)  # row d^2: padding
-    rows[signal * d + rest] = np.matmul(vecs, spectral.view(float)).view(complex)
-    return rows[:-1]
+    spectral *= np.exp(-1j * t * vals[kept])[..., None]
+    rows = np.zeros((d * d, basis.shape[1]), dtype=np.complex128)
+    rows[n * d + rest] = np.matmul(vecs, spectral.view(float)).view(complex)
+    return rows
 
 
 # ---------------------------------------------------------------------------

@@ -49,16 +49,17 @@ signal gives no outcome of sector N more than ``B_N = sum_{n+m=N} |Z[n, :]|^2
 |r_m|^2``, and no outcome o more than ``|R[o]|^2``. Sectors and rows below
 half of ``MIN_OUTCOME_PROBABILITY`` are dropped: their outcomes would have
 zero CDF width anyway. ``prepare(state, mode)`` reads a state's full view
-over the identity basis; ``prepare_blocks`` prepares a stack of coefficient
-blocks through one readout at once, as the protocol's Bell stages do on the
-parity bases of their core. A prepared readout is the outcome law alone:
-``probs[k] = |R[k] . c|^2`` for each kept row (equal on the state, since Z is
+over the identity basis; ``block_laws`` reads a stack of coefficient blocks
+through one readout at once, as the protocol's Bell stages do on the parity
+bases of their core. A prepared readout is the outcome law alone: ``probs[k]
+= |R[k] . c|^2`` for each kept row (equal on the state, since Z is
 orthonormal), computed from the measured mode's reduced density matrix as
 ``Re(R[k] rho R[k]^H)`` clipped at 0, already in CDF order, and their
 ``rng.inverse_cdf``, in which outcomes below the floor have zero width. It
 gives the exact bit probabilities and array draws ``draw(u_select, u_tie) ->
-(outcome, bit)``, the outcome as its id, that read the tie-breaker only on a
-zero value. The state left after an outcome is the row product ``R[k] . c``,
+(outcome, bit)``: ``rng.stacked_search`` finds the rows, and ``Readout.pick``
+gives their outcome ids and bits, reading the tie-breaker only on a zero
+value. The state left after an outcome is the row product ``R[k] . c``,
 which the caller forms from its own arrays.
 """
 
@@ -93,7 +94,7 @@ from .fock import (
     prepare_coherent,
     tensor,
 )
-from .rng import MIN_OUTCOME_PROBABILITY, inverse_cdf
+from .rng import MIN_OUTCOME_PROBABILITY, inverse_cdf, stacked_search
 
 EPSILON_N_LIMIT = 0.1
 EPSILON_N_WARN = 0.02
@@ -246,6 +247,13 @@ class Readout(NamedTuple):
                 f"outcomes {np.asarray(ids)[missing].tolist()} lie off the drawable support")
         return rows
 
+    def pick(self, k: np.ndarray, u_tie: np.ndarray) -> tuple:
+        """(outcome, bit) arrays for the drawn rows ``k``: bit 1 for a negative
+        value, 0 for a positive one, and for a zero value 1 iff ``u_tie`` < 0.5."""
+        value = self.values[k]
+        bit = np.where(value == 0, u_tie < 0.5, value < 0).astype(np.int64)
+        return self.outcomes[k], bit
+
 
 def _block_probabilities(rows, blocks: np.ndarray) -> np.ndarray:
     """``probs[k, o] = |rows[o] @ blocks[k]|^2``, summed over the row, for a
@@ -275,12 +283,9 @@ class _PreparedReadout:
         return float(p_plus), float(1 - p_plus)
 
     def draw(self, u_select: np.ndarray, u_tie: np.ndarray) -> tuple:
-        """(outcome, bit) arrays for the uniform pairs: bit 1 for a negative
-        value, 0 for a positive one, and for a zero value 1 iff ``u_tie`` < 0.5."""
-        k = np.searchsorted(self.cdf, u_select, side="right")
-        value = self.readout.values[k]
-        bit = np.where(value == 0, u_tie < 0.5, value < 0).astype(np.int64)
-        return self.readout.outcomes[k], bit
+        """(outcome, bit) arrays for the uniform pairs (``Readout.pick``)."""
+        k = stacked_search(self.cdf[None], np.zeros(len(u_select), np.intp), u_select)
+        return self.readout.pick(k, u_tie)
 
 
 class _PreparedIdeal(_PreparedReadout):
@@ -304,13 +309,17 @@ class _Discriminator:
     def prepare(self, state: StateVector, mode: int):
         """Readout of ``mode`` of ``state``, on its full view."""
         view = np.moveaxis(state.tensor_view(), mode, 0).reshape(state.dim, -1)
-        return self.prepare_blocks(self.readout(np.eye(state.dim)), view[None])[0]
+        return self.prepare_block(self.readout(np.eye(state.dim)), view)
 
-    def prepare_blocks(self, readout: Readout, blocks: np.ndarray) -> list:
-        """One readout per (r x w) coefficient block of the stack ``blocks``,
-        read through ``readout``, the rows over an orthonormal basis of the
-        measured mode, with every block's probabilities from one product and
-        every CDF from one floor and cumulative sum."""
+    def prepare_block(self, readout: Readout, block: np.ndarray):
+        """Readout of one (r x w) coefficient block through ``readout``."""
+        (probs,), (cdf,) = self.block_laws(readout, block[None])
+        return self.prepared(readout, probs, cdf)
+
+    def block_laws(self, readout: Readout, blocks: np.ndarray) -> tuple:
+        """Outcome probabilities and CDFs (keys x support) of a stack of (r x w)
+        coefficient blocks read through ``readout``, the rows over an
+        orthonormal basis of the measured mode, from one product."""
         probs = _block_probabilities(readout.rows, blocks)
         leftover = 1.0 - probs.sum(axis=1).min()
         if leftover > MAX_SUPPORT_LEFTOVER:
@@ -318,8 +327,7 @@ class _Discriminator:
                 f"probability {leftover:.3g} of the signal lies outside "
                 "the span of the readout rows"
             )
-        cdfs = inverse_cdf(probs)
-        return [self.prepared(readout, block_probs, cdf) for block_probs, cdf in zip(probs, cdfs)]
+        return probs, inverse_cdf(probs)
 
 
 class IdealPhaseDiscriminator(_Discriminator):

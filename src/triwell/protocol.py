@@ -46,12 +46,13 @@ Z_k``, its discriminator's ``readout(Z_k)``: for the homodyne that is ``U
 draw can reach, in CDF order. Stage 1 is prepared on T read as r1 x (r2
 r3), and stage 2 after each first-stage outcome o1 on its r2 x r3 block
 ``R_1[o1] T / sqrt(p1[o1])``. A measurement holds only T, R_1, R_2 and the
-stage-1 law, and a draw keeps nothing: it sorts its trials by stage-1
-outcome once, prepares stage 2 for the distinct outcomes it drew (one keys x
-support array of laws), draws each on its contiguous slice of the sorted
-selector and tie columns with that readout's own draw, and scatters the
-results back once. Outcome ids stay the discriminators' (``m_c * dim +
-m_b`` on the homodyne), and a row is found from its id. Mode 3's
+stage-1 law, and a draw keeps nothing and sorts nothing: a ``bincount`` of
+the stage-1 outcomes it drew marks the stage-2 laws to prepare (one keys x
+support array of CDFs), its ``cumsum`` gives each trial its key's row of
+that stack, and ``rng.stacked_search`` draws every trial on its row in one
+pass, the same index as one ``searchsorted`` per law. Outcome ids stay the
+discriminators' (``m_c * dim + m_b`` on the homodyne), and a row is found
+from its id. Mode 3's
 coefficients over Z3 after (o1, o2) are read straight off the core,
 ``(R_1[o1] (x) R_2[o2]) T / sqrt(p1[o1])``. ``BellMeasurement`` reads any
 other three-mode state through the same code over the identity basis of
@@ -59,18 +60,19 @@ every mode.
 
 Scoring: the receiver's correction depends only on the two bits and the
 auxiliary count, and the parity collision acts on mode 3 as an exact sign.
-So a run draws every trial at once, grouping the trials by first-stage
-outcome with one stable sort, and scores each distinct (stage outcomes,
-displaced, flipped) combination once, without building states: the fidelity
-after a correction G is |<G^dag ref|post>|^2, and ``post = c Z^T`` for the
-row's r3 coefficients c over the receiver basis Z = Z3, read off the core.
+So a run draws every trial at once and scores each distinct (stage
+outcomes, displaced, flipped) combination once, without building states:
+the fidelity after a correction G is |<G^dag ref|post>|^2, and ``post = c
+Z^T`` for the row's r3 coefficients c over the receiver basis Z = Z3, read
+off the core.
 So the receiver's probe matrix is projected once, ``Z^T probes`` (r3 rows),
 one product ``c @ (Z^T probes)`` gives every correction's overlap, and the
 norms |c|^2, equal to |post|^2 since Z is orthonormal, normalise it; no row
 is expanded to d amplitudes.
-Trials stay named columns from the draw to the summary, and a result holds
-only its columns: ``ProtocolResult.records`` is a view over them that builds
-each ``TrialRecord`` as it is read and keeps none.
+Trials stay typed columns from the draw to the summary, with ``NOT_DRAWN``
+where a branch needs no such correction, and a result holds only its
+columns: ``ProtocolResult.records`` is a view over them that builds each
+``TrialRecord`` as it is read, None at ``NOT_DRAWN``, and keeps none.
 """
 
 from __future__ import annotations
@@ -104,7 +106,7 @@ from .fock import (
     prepare_cat_superposition,
 )
 from .homodyne import HomodynePhaseDiscriminator, IdealPhaseDiscriminator
-from .rng import MIN_OUTCOME_PROBABILITY, inverse_cdf, substream
+from .rng import MIN_OUTCOME_PROBABILITY, inverse_cdf, stacked_search, substream
 
 BACKENDS = ("ideal", "homodyne")
 
@@ -171,11 +173,16 @@ class TrialRecord:
     p_d_success: bool | None = None
 
 
+#: entry of ``p_d_success`` and ``aux_m`` where the branch needs no such correction
+NOT_DRAWN = -1
+
+
 @dataclass(frozen=True, eq=False)
 class ProtocolResult:
-    """A run's trials as columns, one entry per trial: ``stage1``, ``stage2``
-    (raw outcome indices), ``branch``, ``p_d_success`` and ``aux_m`` (None where
-    the branch needs no such correction), ``corrected`` and ``fidelity``."""
+    """A run's trials as typed columns, one entry per trial: ``stage1``,
+    ``stage2`` (raw outcome indices), ``branch``, ``p_d_success`` (int8) and
+    ``aux_m`` (``NOT_DRAWN`` where the branch needs no such correction),
+    ``corrected`` and ``fidelity``."""
 
     columns: dict
 
@@ -205,31 +212,41 @@ class ProtocolResult:
 
 
 _RECORD_COLUMNS = ("stage1", "stage2", "branch", "aux_m", "corrected", "fidelity", "p_d_success")
+#: Python type of the entries of the columns that may read ``NOT_DRAWN``
+_DRAWN_TYPES = {"aux_m": int, "p_d_success": bool}
+
+
+def trial_values(columns: dict, name: str) -> list:
+    """Column ``name`` of a run as its records hold it: plain Python values,
+    with None where ``aux_m`` or ``p_d_success`` reads ``NOT_DRAWN``."""
+    values, kind = columns[name].tolist(), _DRAWN_TYPES.get(name)
+    return values if kind is None else [None if v == NOT_DRAWN else kind(v) for v in values]
 
 
 def _trial_record(o1, o2, b, m, ok, score, p_d) -> TrialRecord:
-    """One trial's record from its entries in ``_RECORD_COLUMNS``."""
+    """One trial's record from its values in ``_RECORD_COLUMNS``."""
     return TrialRecord(MeasurementOutcome(b >> 1, b & 1, b, (o1, o2), m), ok, score,
                        ("displacement",) * bool(p_d) + ("parity",) * (m is not None), p_d)
 
 
 class _TrialRecords(Sequence):
-    """``TrialRecord``s over a run's columns, built from plain Python values
-    (``ndarray.item`` and ``tolist``) when read and held only by the reader."""
+    """``TrialRecord``s over a run's columns, built from ``trial_values`` when
+    read and held only by the reader."""
 
     __slots__ = ("_columns",)
 
     def __init__(self, columns: dict):
-        self._columns = [columns[name] for name in _RECORD_COLUMNS]
+        self._columns = columns
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self._columns["branch"])
 
     def __getitem__(self, index: int) -> TrialRecord:
-        return _trial_record(*(column.item(index) for column in self._columns))
+        row = {name: column[[index]] for name, column in self._columns.items()}
+        return next(iter(_TrialRecords(row)))
 
     def __iter__(self):
-        return map(_trial_record, *(column.tolist() for column in self._columns))
+        return map(_trial_record, *(trial_values(self._columns, name) for name in _RECORD_COLUMNS))
 
     def __eq__(self, other):
         if not isinstance(other, Sequence):
@@ -293,7 +310,9 @@ class BellMeasurement:
     readout over its mode's basis, R_k = rows_k Z_k on the outcomes a draw
     can reach, and the stage-1 law, and keeps nothing from a draw: mode 3's
     coefficients after (o1, o2) are (R_1[o1] (x) R_2[o2]) T / sqrt(p1[o1]),
-    over ``receiver_basis``, its orthonormal columns.
+    over ``receiver_basis``, its orthonormal columns. A draw stacks the
+    stage-2 CDFs of the stage-1 outcomes it drew, without a sort, and draws
+    every trial on its row of the stack in one ``rng.stacked_search``.
     """
 
     def __init__(self, state: StateVector | ReceiverFactors, config: ProtocolConfig):
@@ -318,8 +337,8 @@ class BellMeasurement:
         self.leakage = state.leakage
         self._core = state.core
         self._readouts = [stage.readout(basis) for stage, basis in zip(self.stages, state.bases)]
-        block = state.core.reshape(1, len(state.core), -1)  # one r1 x (r2 r3) block
-        self._first = self.stages[0].prepare_blocks(self._readouts[0], block)[0]
+        block = state.core.reshape(len(state.core), -1)  # one r1 x (r2 r3) block
+        self._first = self.stages[0].prepare_block(self._readouts[0], block)
 
     def _first_rows(self, first) -> tuple:
         """Stage-1 readout rows of the outcomes ``first`` and their
@@ -332,40 +351,26 @@ class BellMeasurement:
                 f"stage-1 outcomes {first} reach probability {np.min(prob):.3e}")
         return rows, prob
 
-    def _prepare_second(self, keys) -> list:
-        """The second stage after each stage-1 outcome of ``keys``, each on
-        its r2 x r3 block R_1[o1] T / sqrt(p1[o1]), all from one product; raises
+    def _second_laws(self, keys) -> tuple:
+        """``block_laws`` of the second stage after each stage-1 outcome of
+        ``keys``, on its r2 x r3 block R_1[o1] T / sqrt(p1[o1]); raises
         ``ZeroProbabilityBranch`` for an outcome below the floor."""
         rows, prob = self._first_rows(keys)
         block = self._core.reshape(len(self._core), -1)
         blocks = self._readouts[0].rows[rows] @ block / np.sqrt(prob)[:, None]
-        return self.stages[1].prepare_blocks(
+        return self.stages[1].block_laws(
             self._readouts[1], blocks.reshape(len(prob), self._core.shape[1], -1))
-
-    def _segments(self, first: np.ndarray) -> tuple:
-        """The stable sort of ``first``, its distinct outcomes and the bounds
-        of each outcome's slice of the sorted rows: a radix sort, on the
-        narrowest type that holds the outcomes."""
-        narrow = first.astype(np.min_scalar_type(self._readouts[0].outcomes.max()))
-        order = np.argsort(narrow, kind="stable")
-        ordered = first[order]
-        starts = np.flatnonzero(np.diff(ordered, prepend=-1))  # outcomes are >= 0
-        return order, ordered[starts], np.append(starts, len(first))
 
     def draw(self, u: np.ndarray) -> tuple:
         """(stage-1 outcome, stage-2 outcome, branch) arrays for the rows of
-        ``u``: selector and tie of stage 1, then of stage 2. Stage 2 is
-        prepared for the distinct stage-1 outcomes drawn, and each is drawn
-        once on its contiguous slice of the rows sorted by stage-1 outcome."""
+        ``u``: selector and tie of stage 1, then of stage 2, every row drawn
+        on its stage-1 outcome's row of the stacked stage-2 CDFs."""
         first, bit1 = self._first.draw(u[:, 0], u[:, 1])
-        order, keys, bounds = self._segments(first)
-        seconds = self._prepare_second(keys)
-        select, tie = u[order, 2], u[order, 3]
-        drawn, drawn_bit = np.empty_like(first), np.empty_like(bit1)
-        for readout, lo, hi in zip(seconds, bounds[:-1], bounds[1:]):
-            drawn[lo:hi], drawn_bit[lo:hi] = readout.draw(select[lo:hi], tie[lo:hi])
-        second, bit2 = np.empty_like(first), np.empty_like(bit1)
-        second[order], bit2[order] = drawn, drawn_bit
+        drawn = np.bincount(first) > 0
+        _, cdfs = self._second_laws(np.flatnonzero(drawn))
+        stack_row = np.cumsum(drawn) - 1  # each drawn outcome's row of the stack
+        k = stacked_search(cdfs, stack_row[first], u[:, 2])
+        second, bit2 = self._readouts[1].pick(k, u[:, 3])
         return first, second, 2 * (bit1 ^ bit2) + 1 - bit2
 
     def coefficients(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
@@ -439,16 +444,14 @@ class _Receiver:
         # branch bits: 1 needs the displacement, 2 the parity (CORRECTIONS_FOR_BRANCH)
         displacing, parity = (branch & 1).astype(bool), (branch >> 1).astype(bool)
         success = (u[:, 0] < self.config.p_d) & (self.delta is not None)
-        aux_m = np.zeros(len(branch), int)
+        aux_m = np.full(len(branch), NOT_DRAWN)
         if parity.any():  # the count CDF (and its conditions) only when needed
-            aux_m = np.searchsorted(self.count_cdf, u[:, 1], side="right")
+            aux_m[parity] = np.searchsorted(self.count_cdf, u[parity, 1], side="right")
         flipped = parity & ((aux_m & 1) == 0)
-        p_d_success, counts = np.full(len(branch), None), np.full(len(branch), None)
-        p_d_success[displacing] = success[displacing]
-        counts[parity] = aux_m[parity]
         columns = {
             "stage1": first, "stage2": second, "branch": branch,
-            "p_d_success": p_d_success, "aux_m": counts,
+            "p_d_success": np.where(displacing, success, NOT_DRAWN).astype(np.int8),
+            "aux_m": aux_m,
             "corrected": (success | ~displacing) & (flipped | ~parity),
         }
         return columns, 2 * (displacing & success) + flipped

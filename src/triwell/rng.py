@@ -12,6 +12,8 @@ Every Born draw is ``np.searchsorted(inverse_cdf(probs), u, side="right")``
 for a uniform ``u`` in [0, 1). Outcomes below ``MIN_OUTCOME_PROBABILITY``
 have zero width, so no uniform selects one; the same floor is where the
 second Bell stage and ``project_number`` refuse to renormalise a branch.
+``stacked_search`` is that draw over a stack of CDFs, each uniform on its
+own row: it counts the row's entries ``<= u``, which is the same index.
 """
 
 from __future__ import annotations
@@ -45,3 +47,20 @@ def inverse_cdf(probs) -> np.ndarray:
     probs = np.asarray(probs, dtype=float)
     cumulative = np.cumsum(np.where(probs < MIN_OUTCOME_PROBABILITY, 0.0, probs), axis=-1)
     return cumulative / cumulative[..., -1:]
+
+
+def stacked_search(cdfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdfs[rows[i]], u[i], side="right")`` for every i, over
+    a stack of CDFs (keys x support), in one pass and without a sort: each row
+    padded with +inf to a power of two above the support, a branchless binary
+    search of fixed depth counts its entries ``<= u``, never the padding."""
+    keys, support = cdfs.shape
+    padded = np.full((keys, 1 << support.bit_length()), np.inf)
+    padded[:, :support] = cdfs
+    width, flat = padded.shape[1], padded.ravel()
+    start = rows * width - 1  # one before the row's first entry
+    at, step = start.copy(), width >> 1
+    while step:
+        at += step * (flat.take(at + step) <= u)
+        step >>= 1
+    return at - start

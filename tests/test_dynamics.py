@@ -186,6 +186,7 @@ class TestJosephson:
         for r in (1, 2, 3):
             random = rng.normal(size=(cutoff.dim, r)) + 1j * rng.normal(size=(cutoff.dim, r))
             bases.append(np.linalg.qr(random)[0])
+        bases.append(np.eye(cutoff.dim))  # whose sectors read their own columns
         for basis in bases:
             rows = josephson_collision_columns(cutoff, jp, kp, t, reference, basis, floor)
             want = full @ basis
@@ -193,7 +194,11 @@ class TestJosephson:
             assert np.abs(rows[kept] - want[kept]).max() <= 1e-15
             skipped = (rows == 0).all(axis=1)
             assert ((np.abs(want[skipped]) ** 2).sum(axis=1) < floor).all()
-            if n_max == 40 and basis.shape[1] <= 2:
+            # every row of a sector whose bound is below the floor is skipped
+            bound = np.convolve((np.abs(basis) ** 2).sum(axis=1), np.abs(reference) ** 2)
+            assert skipped[bound[np.add(*np.divmod(np.arange(cutoff.dim**2), cutoff.dim))]
+                           < floor].all()
+            if n_max == 40 and (basis.shape[1] <= 2 or basis.shape[1] == cutoff.dim):
                 assert skipped.any()
 
 

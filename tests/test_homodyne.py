@@ -416,9 +416,10 @@ def stage_laws(config: ProtocolConfig):
     laws = [(bell.stages[0], factors.bases[0], core, first)]
     drawable = first.probs >= MIN_OUTCOME_PROBABILITY
     blocks = bell._readouts[0].rows[drawable] @ core / np.sqrt(first.probs[drawable])[:, None]
-    for block, prepared in zip(blocks, bell._prepare_second(first.readout.outcomes[drawable])):
-        laws.append((bell.stages[1], factors.bases[1],
-                     block.reshape(factors.core.shape[1], -1), prepared))
+    probs, cdfs = bell._second_laws(first.readout.outcomes[drawable])
+    for block, law, cdf in zip(blocks, probs, cdfs):
+        laws.append((bell.stages[1], factors.bases[1], block.reshape(factors.core.shape[1], -1),
+                     bell.stages[1].prepared(bell._readouts[1], law, cdf)))
     return laws
 
 

@@ -39,7 +39,13 @@ import triwell.protocol
 from triwell.cli import main
 from triwell.fock import StateVector, coherent_amplitudes
 from triwell.homodyne import helstrom_vectors
-from triwell.protocol import CORRECTIONS_FOR_BRANCH, BellMeasurement, _Receiver, protocol_factors
+from triwell.protocol import (
+    CORRECTIONS_FOR_BRANCH,
+    NOT_DRAWN,
+    BellMeasurement,
+    _Receiver,
+    protocol_factors,
+)
 from triwell.rng import MIN_OUTCOME_PROBABILITY, inverse_cdf
 
 from oracles import parity_flip, parity_operation, protocol_state_by_evolution, run_scored_in_full
@@ -188,24 +194,31 @@ class TestBellMeasurement:
         _, _, branch = bell.draw(substream(2).random((10_000, 4)))
         assert chisquare(np.bincount(branch, minlength=4)).pvalue > 0.001
 
-    @pytest.mark.parametrize("backend, cutoff", [("ideal", 26), ("homodyne", 32)])
-    def test_draw_matches_one_row_draws(self, backend, cutoff):
-        config = make_config(cutoff=FockCutoff(cutoff), measurement_backend=backend)
+    @pytest.mark.parametrize("backend, cutoff, weights, trials", [
+        pytest.param("ideal", 26, (1.0, 1.0), 300, id="ideal-26"),
+        pytest.param("homodyne", 32, (1.0, 1.0), 300, id="homodyne-32"),
+        # the perfbench homodyne config, whose draws reach the whole stage-2 stack
+        pytest.param("homodyne", 40, (0.6, 0.8), 2000, id="homodyne-40-bench")])
+    def test_draw_matches_one_row_draws(self, backend, cutoff, weights, trials):
+        config = make_config(target=SuperpositionSpec(*weights, 2.0), cutoff=FockCutoff(cutoff),
+                             measurement_backend=backend)
         state = build_protocol_state(config)
-        u = substream(31).random((300, 4))
+        u = substream(31).random((trials, 4))
         drawn = [a.tolist() for a in BellMeasurement(state, config).draw(u)]
         bell = BellMeasurement(state, config)
-        rows = [bell.draw(u[i:i + 1]) for i in range(300)]
+        rows = [bell.draw(u[i:i + 1]) for i in range(trials)]
         assert drawn == [[row[k][0] for row in rows] for k in range(3)]
         # each row against the two stages prepared directly
-        first, seconds = bell.stages[0].prepare(state, 0), {}
+        first, seconds, first_rows = bell.stages[0].prepare(state, 0), {}, bell.stages[0].rows
         for i, (o1, o2, branch) in enumerate(zip(*drawn)):
             (ref1,), (bit1,) = first.draw(u[i:i + 1, 0], u[i:i + 1, 1])
             if o1 not in seconds:
-                after = after_outcome(bell.stages[0].rows, state, o1)
+                after = after_outcome(first_rows, state, o1)
                 seconds[o1] = bell.stages[1].prepare(after, 0)
             (ref2,), (bit2,) = seconds[o1].draw(u[i:i + 1, 2], u[i:i + 1, 3])
             assert (o1, o2, branch) == (ref1, ref2, 2 * (bit1 ^ bit2) + 1 - bit2)
+        if trials == 2000:  # a 10^4-trial run's stack has 43-44 rows
+            assert len(seconds) >= 35
 
     @pytest.mark.parametrize("backend, cutoff", [("ideal", 26), ("homodyne", 40)])
     def test_draws_leave_no_state(self, backend, cutoff):
@@ -402,13 +415,14 @@ class TestReceiverFactoring:
         config = make_config(cutoff=FockCutoff(32), measurement_backend="homodyne")
         bell = BellMeasurement(build_protocol_state(config), config)
         first, _, _ = bell.draw(substream(53).random((2000, 4)))
-        seconds = bell._prepare_second(np.unique(first))
-        assert len(seconds) > 10
+        probs, cdfs = bell._second_laws(np.unique(first))
+        assert len(cdfs) > 10
         # and each is the CDF of the full-outcome law, read at the support's
         # outcomes: the rows are stored in CDF order
         order = bell.stages[1].order
         rank = np.argsort(order)
-        for prepared in seconds:
+        for law, cdf in zip(probs, cdfs):
+            prepared = bell.stages[1].prepared(bell._readouts[1], law, cdf)
             assert np.array_equal(prepared.cdf, inverse_cdf(prepared.probs))
             full_cdf = inverse_cdf(probs_by_outcome(prepared, bell.stages[1])[order])
             assert np.array_equal(prepared.cdf, full_cdf[rank[prepared.readout.outcomes]])
@@ -420,13 +434,13 @@ class TestReceiverFactoring:
         null = int(outcomes[np.argmin(bell._first.probs)])
         assert probs_by_outcome(bell._first, bell.stages[0])[null] < MIN_OUTCOME_PROBABILITY
         with pytest.raises(ZeroProbabilityBranch):
-            bell._prepare_second([null])
+            bell._second_laws([null])
         # over the factored state's basis, some outcomes are off the support
         factored = BellMeasurement(protocol_factors(config), config)
         outcomes = factored._first.readout.outcomes
         off_support = int(np.setdiff1d(np.arange(len(bell.stages[0].values)), outcomes)[0])
         with pytest.raises(ZeroProbabilityBranch):
-            factored._prepare_second([off_support])
+            factored._second_laws([off_support])
 
 
 FACTOR_CASES = {
@@ -571,9 +585,9 @@ class TestScoringAtReceiverRank:
                                             substream(5).random((len(branch), 2)))
         for b, ops in CORRECTIONS_FOR_BRANCH.items():
             rows = branch == b
-            assert all((v is None) != ("displacement" in ops)
+            assert all((v == NOT_DRAWN) != ("displacement" in ops)
                        for v in columns["p_d_success"][rows])
-            assert all((m is None) != ("parity" in ops) for m in columns["aux_m"][rows])
+            assert all((m == NOT_DRAWN) != ("parity" in ops) for m in columns["aux_m"][rows])
 
 
 class TestCorrectAndScore:
@@ -738,7 +752,7 @@ class TestRunProtocol:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             columns = run_protocol(config).columns
-        displaced = columns["p_d_success"].astype(bool)  # None where not needed
+        displaced = columns["p_d_success"] == 1  # displaced, and the displacement succeeded
         pairs = set(zip(columns["stage1"][displaced].tolist(),
                         columns["stage2"][displaced].tolist()))
         assert len(pairs) > 1
@@ -770,7 +784,9 @@ class TestRunProtocol:
         monkeypatch.setattr(triwell.protocol, "TrialRecord", forbidden)
         monkeypatch.setattr(triwell.protocol, "MeasurementOutcome", forbidden)
         config = make_config(trials=200, p_d=0.7, aux=AuxiliaryPrep("coherent", 2.0))
-        assert run_protocol(config).summary["trials"] == 200
+        result = run_protocol(config)
+        assert result.summary["trials"] == 200
+        assert [name for name, column in result.columns.items() if column.dtype == object] == []
         assert main(["teleport", "--trials", "200", "--p-d", "0.7", "--aux-kind", "coherent",
                      "--aux-parameter", "2", "--out", str(tmp_path / "tp")]) == 0
 
@@ -829,7 +845,9 @@ def records_field_by_field(columns: dict) -> list:
     records = []
     for i in range(len(columns["branch"])):
         branch = int(columns["branch"][i])
-        aux_m, p_d_success = columns["aux_m"][i], columns["p_d_success"][i]  # objects
+        aux_m, p_d_success = int(columns["aux_m"][i]), int(columns["p_d_success"][i])
+        aux_m = None if aux_m == NOT_DRAWN else aux_m
+        p_d_success = None if p_d_success == NOT_DRAWN else bool(p_d_success)
         applied = tuple(name for name in CORRECTIONS_FOR_BRANCH[branch]
                         if name == "parity" or p_d_success)
         outcome = MeasurementOutcome(branch >> 1, branch & 1, branch,
@@ -860,6 +878,23 @@ class TestRecordView:
         for index, rec in enumerate(records):
             assert_python_types(rec)
             assert result.records[index] == rec
+
+    @pytest.mark.parametrize("backend, cutoff", CASES)
+    def test_records_read_none_exactly_at_the_sentinel(self, backend, cutoff):
+        result = run_protocol(self.config(backend, cutoff))
+        columns = result.columns
+        assert columns["p_d_success"].dtype == np.int8
+        assert columns["aux_m"].dtype == np.int64
+        for rec, p_d, aux_m in zip(result.records,
+                                   columns["p_d_success"].tolist(), columns["aux_m"].tolist()):
+            assert (rec.p_d_success is None) == (p_d == NOT_DRAWN)
+            assert (rec.outcome.aux_m is None) == (aux_m == NOT_DRAWN)
+            if p_d != NOT_DRAWN:
+                assert type(rec.p_d_success) is bool and rec.p_d_success == (p_d == 1)
+            if aux_m != NOT_DRAWN:
+                assert type(rec.outcome.aux_m) is int and rec.outcome.aux_m == aux_m >= 0
+        assert {NOT_DRAWN, 0, 1} == set(columns["p_d_success"].tolist())
+        assert NOT_DRAWN in columns["aux_m"] and (columns["aux_m"] >= 0).any()
 
     @pytest.mark.parametrize("backend, cutoff", CASES)
     def test_length_and_indexing(self, backend, cutoff):

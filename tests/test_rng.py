@@ -4,8 +4,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from triwell import rng
+
+PROPERTY = settings(derandomize=True, max_examples=60, deadline=None, database=None)
 
 PATHS = [(), (0,), (1,), (0, 1), (1, 0)]
 
@@ -60,3 +64,26 @@ def test_stacked_cdfs_are_the_row_cdfs_bit_for_bit():
     assert (probs < rng.MIN_OUTCOME_PROBABILITY).any()
     for row, cdf in zip(probs, stacked):
         assert np.array_equal(cdf, rng.inverse_cdf(row))
+
+
+@PROPERTY
+@given(support=st.sampled_from([1, 2, 3, 311, 312, 512, 513]), keys=st.sampled_from([1, 2, 43]),
+       zero_share=st.sampled_from([0.0, 0.5, 0.97]), seed=st.integers(0, 2**32 - 1))
+def test_stacked_search_is_searchsorted_on_each_row(support, keys, zero_share, seed):
+    gen = np.random.default_rng(seed)
+    probs = gen.random((keys, support))
+    probs[gen.random((keys, support)) < zero_share] = 0.0  # repeated CDF values
+    probs[gen.random((keys, support)) < 0.1] = rng.MIN_OUTCOME_PROBABILITY / 2  # floored
+    probs[np.arange(keys), gen.integers(support, size=keys)] = 1.0  # every row has mass
+    cdfs = rng.inverse_cdf(probs)
+    # every step of every row, the float just below each, both ends of [0, 1)
+    steps = np.unique(cdfs)
+    u = np.concatenate((steps, np.nextafter(steps, 0.0), [0.0, 1 - 2**-53], gen.random(64)))
+    rows = np.repeat(np.arange(keys), len(u))
+    order = gen.permutation(len(rows))  # the rows of the stack interleaved
+    got = rng.stacked_search(cdfs, rows[order], np.tile(u, keys)[order])
+    want = np.concatenate([np.searchsorted(cdf, u, side="right") for cdf in cdfs])[order]
+    assert np.array_equal(got, want)
+    # the padding is never counted: u = 1 counts the row, u < 1 draws an outcome
+    assert got.max() == support
+    assert (got[np.tile(u, keys)[order] < 1.0] < support).all()
