@@ -7,8 +7,8 @@ Three propagators cover the dynamics used by the protocol:
 * tunnelling between two wells under
       H = e0 (n_c + n_b) + (omega/2)(c^dag b + b^dag c)
           + kappa [(c^dag)^2 c^2 + (b^dag)^2 b^2]
-  which conserves n_c + n_b, so the evolution is computed exactly per
-  total-number sector by eigendecomposition of small tridiagonal blocks.
+  which conserves n_c + n_b: every pair evolution is one exact product over
+  the tridiagonal total-number sectors, packed two to ``dim`` states.
 
 ``oracle_evolve`` is the independent ground truth: it assembles the dense
 Hamiltonian from a small term vocabulary and exponentiates it by full
@@ -85,6 +85,13 @@ def evolve_self_kerr(state: StateVector, mode: int, params: KerrParams,
     return apply_mode_phases(state, mode, kerr_phases(state.dim, params, t))
 
 
+def _pair_modes(state: StateVector, modes: tuple, what: str) -> tuple:
+    i, j = modes
+    if i == j or not (0 <= i < state.modes and 0 <= j < state.modes):
+        raise ShapeMismatch(f"{what} needs two distinct modes of the {state.modes}")
+    return i, j
+
+
 def evolve_cross_kerr(state: StateVector, modes: tuple, rate: float,
                       t: float) -> StateVector:
     """Cross-collision phases exp(-i 2 rate m n t) on a mode pair.
@@ -92,9 +99,7 @@ def evolve_cross_kerr(state: StateVector, modes: tuple, rate: float,
     The identical-particle cross-collision carries the factor two; callers
     modelling distinguishable species pass ``rate = lam / 2``.
     """
-    i, j = modes
-    if i == j:
-        raise ShapeMismatch("cross-collision needs two distinct modes")
+    i, j = _pair_modes(state, modes, "cross-collision")
     if t < 0:
         raise ValueError("t must be >= 0")
     d = state.dim
@@ -115,12 +120,11 @@ class _Sectors(NamedTuple):
     sectors to a pack of ``dim`` states. Sector N holds |n, N - n> for
     max(0, N - dim + 1) <= n <= min(N, dim - 1), so sectors b and b + dim
     hold the n <= b and the n > b: pack b holds |n, (b - n) mod dim> at
-    place n, and every pair state is in one pack. ``vals`` and the real,
-    block-diagonal ``vecs`` of a pack are the eigensystems of its sectors;
-    ``blocks`` lists each sector's (flat pair indices n*dim + N - n,
-    eigenvalues, eigenvectors), the latter two as views of the packs."""
+    place n, whose flat pair index is ``index[b, n] = n*dim + (b - n) mod
+    dim``, and every pair state is in one pack. ``vals`` and the real,
+    block-diagonal ``vecs`` of a pack are the eigensystems of its sectors."""
 
-    blocks: list
+    index: np.ndarray
     vals: np.ndarray
     vecs: np.ndarray
 
@@ -129,7 +133,6 @@ class _Sectors(NamedTuple):
 def _josephson_sectors(dim: int, omega: float, e0: float, kappa: float) -> _Sectors:
     """Eigensystems of every sector of the pair Hamiltonian, packed."""
     vals, vecs = np.zeros((dim, dim)), np.zeros((dim, dim, dim))
-    blocks = []
     for total in range(2 * dim - 1):
         ns = np.arange(max(0, total - (dim - 1)), min(total, dim - 1) + 1)
         diag = e0 * total + kappa * (ns * (ns - 1.0) + (total - ns) * (total - ns - 1.0))
@@ -137,30 +140,32 @@ def _josephson_sectors(dim: int, omega: float, e0: float, kappa: float) -> _Sect
         block = np.diag(diag) + np.diag(hop, 1) + np.diag(hop, -1)
         b, at = total % dim, slice(ns[0], ns[-1] + 1)
         vals[b, at], vecs[b, at, at] = np.linalg.eigh(block)
-        blocks.append((ns * dim + (total - ns), vals[b, at], vecs[b, at, at]))
-    return _Sectors(blocks, vals, vecs)
+    n = np.arange(dim)
+    return _Sectors(n * dim + (n[:, None] - n) % dim, vals, vecs)
 
 
-def _propagate_sectors(flat: np.ndarray, dim: int, jp: JosephsonParams, kp: KerrParams,
-                       t: float) -> np.ndarray:
-    """Apply the pair propagator in place to the columns of a (dim^2, k) array."""
-    for idx, vals, vecs in _josephson_sectors(dim, jp.omega, kp.e0_over_hbar, kp.kappa).blocks:
-        flat[idx, :] = (vecs * np.exp(-1j * vals * t)) @ (vecs.conj().T @ flat[idx, :])
-    return flat
+def _propagate_packs(packs: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+                     t: float) -> np.ndarray:
+    """``V e^{-i lambda t} V^T`` on a (packs, dim, k) complex array, with the
+    real eigenvectors V applied to the real and imaginary parts at once."""
+    spectral = np.matmul(vecs.transpose(0, 2, 1), packs.view(float)).view(complex)
+    spectral *= np.exp(-1j * t * vals)[..., None]
+    return np.matmul(vecs, spectral.view(float)).view(complex)
 
 
 def evolve_josephson(state: StateVector, modes: tuple, jp: JosephsonParams,
                      kp: KerrParams, t: float) -> StateVector:
-    """Exact tunnelling + self-collision evolution on a mode pair."""
-    i, j = modes
-    if i == j:
-        raise ShapeMismatch("tunnelling needs two distinct modes")
+    """Exact tunnelling + self-collision evolution on a mode pair, by sector pack."""
+    i, j = _pair_modes(state, modes, "tunnelling")
     if t < 0:
         raise ValueError("t must be >= 0")
     d = state.dim
+    index, vals, vecs = _josephson_sectors(d, jp.omega, kp.e0_over_hbar, kp.kappa)
     view = np.moveaxis(state.tensor_view(), (i, j), (0, 1))
-    flat = _propagate_sectors(view.reshape(d * d, -1).copy(), d, jp, kp, t)
-    out = np.moveaxis(flat.reshape(view.shape), (0, 1), (i, j))
+    flat = view.reshape(d * d, -1)
+    out = np.empty_like(flat)
+    out[index] = _propagate_packs(flat[index], vals, vecs, t)
+    out = np.moveaxis(out.reshape(view.shape), (0, 1), (i, j))
     return state.replace_amplitudes(out.ravel())
 
 
@@ -176,29 +181,24 @@ def josephson_collision_columns(cutoff: FockCutoff, jp: JosephsonParams,
     U is unitary within each total-number sector N, so a normalised signal
     puts at most ``B_N = sum_{n+m=N} |basis[n, :]|^2 |reference[m]|^2`` into
     sector N, and no row of the sector reads more. Sectors with ``B_N <
-    floor`` are skipped and their rows left zero. The others are one product
-    over the sector packs of ``_josephson_sectors``, which hold every pair
-    state once: the input ``basis[n] reference[N - n]`` of each sector state,
-    then ``V e^{-i lambda t} V^T``, with the real eigenvectors V applied to
-    the real and imaginary parts at once.
+    floor`` are skipped and their rows left zero. The others are one
+    ``_propagate_packs`` product over the sector packs of
+    ``_josephson_sectors``, which hold every pair state once, on the input
+    ``basis[n] reference[N - n]`` of each sector state.
     """
     d = cutoff.dim
     if reference.shape != (d,) or basis.ndim != 2 or len(basis) != d:
         raise ShapeMismatch("reference vector or basis has the wrong dimension")
-    _, vals, vecs = _josephson_sectors(d, jp.omega, kp.e0_over_hbar, kp.kappa)
+    index, vals, vecs = _josephson_sectors(d, jp.omega, kp.e0_over_hbar, kp.kappa)
     weight = np.convolve(np.einsum("ni,ni->n", basis, basis.conj()).real,
                          np.abs(reference) ** 2)
-    n = np.arange(d)
-    rest = (n[:, None] - n) % d  # pack b holds |n, (b - n) mod d>
-    live = weight[n + rest] >= floor
+    rest = index % d  # pack b holds |n, (b - n) mod d>
+    live = weight[np.arange(d) + rest] >= floor
     kept = np.flatnonzero(live.any(axis=1))
-    rest, vecs = rest[kept], vecs[kept]
-    source = reference[rest] * live[kept]  # zero on the states of skipped sectors
+    source = reference[rest[kept]] * live[kept]  # zero on the states of skipped sectors
     inputs = np.multiply(basis, source[..., None], dtype=np.complex128)
-    spectral = np.matmul(vecs.transpose(0, 2, 1), inputs.view(float)).view(complex)
-    spectral *= np.exp(-1j * t * vals[kept])[..., None]
     rows = np.zeros((d * d, basis.shape[1]), dtype=np.complex128)
-    rows[n * d + rest] = np.matmul(vecs, spectral.view(float)).view(complex)
+    rows[index[kept]] = _propagate_packs(inputs, vals[kept], vecs[kept], t)
     return rows
 
 

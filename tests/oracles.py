@@ -12,7 +12,6 @@ from triwell import (AuxiliaryPrep, CoherentSpec, CrossSpeciesParams, FockCutoff
                      prepare_cat_superposition, prepare_coherent, simulate_sx, substream,
                      tensor)
 from triwell.corrections import parity_count_distribution
-from triwell.dynamics import _propagate_sectors
 from triwell.fock import apply_mode_phases, mean_occupation, quadrature_eigensystem
 from triwell.homodyne import EPSILON_N_LIMIT
 from triwell.protocol import BellMeasurement, ProtocolResult, _Receiver, protocol_factors
@@ -86,12 +85,21 @@ def collision_columns_by_propagation(cutoff: FockCutoff, jp: JosephsonParams, kp
                                      t: float, reference: np.ndarray) -> np.ndarray:
     """Columns U(t) (|n> (x) |reference>) of the pair propagator, each input
     written out in full, (dim^2, dim) and mostly zero, and propagated sector
-    by sector."""
+    by sector: the tridiagonal block of the pair Hamiltonian on the states
+    |n, N - n> of each total number N, built and diagonalised here."""
     d = cutoff.dim
     cols = np.zeros((d * d, d), dtype=np.complex128)
     for n in range(d):
         cols[n * d:(n + 1) * d, n] = reference
-    return _propagate_sectors(cols, d, jp, kp, t)
+    e0, kappa = kp.e0_over_hbar, kp.kappa
+    for total in range(2 * d - 1):
+        ns = np.arange(max(0, total - (d - 1)), min(total, d - 1) + 1)
+        diag = e0 * total + kappa * (ns * (ns - 1.0) + (total - ns) * (total - ns - 1.0))
+        hop = jp.omega / 2 * np.sqrt((ns[:-1] + 1.0) * (total - ns[:-1]))
+        vals, vecs = np.linalg.eigh(np.diag(diag) + np.diag(hop, 1) + np.diag(hop, -1))
+        idx = ns * d + (total - ns)
+        cols[idx] = (vecs * np.exp(-1j * vals * t)) @ (vecs.T @ cols[idx])
+    return cols
 
 
 def run_scored_in_full(config) -> ProtocolResult:

@@ -10,6 +10,7 @@ from triwell import (
     HamiltonianTerm,
     JosephsonParams,
     KerrParams,
+    ShapeMismatch,
     evolve_cross_kerr,
     evolve_josephson,
     evolve_self_kerr,
@@ -242,6 +243,35 @@ class TestOracle:
             slow = oracle_evolve(state, terms, t)
             assert np.abs(fast.amplitudes - slow.amplitudes).max() < 1e-9
 
+    @pytest.mark.parametrize("modes", [(2, 0), (1, 2)])
+    def test_josephson_agrees_on_three_modes(self, modes):
+        # the pair is gathered out of several columns, in either mode order
+        rng = np.random.default_rng(sum(modes))
+        cutoff = FockCutoff(6)
+        jp, kp = JosephsonParams(0.8), KerrParams(0.3, 0.6)
+        terms = (kerr_terms(modes[0], kp) + kerr_terms(modes[1], kp)
+                 + [HamiltonianTerm("exchange", modes, jp.omega / 2)])
+        for trial in range(3):
+            state = random_state(rng, 3, cutoff)
+            t = rng.uniform(0, 3)
+            fast = evolve_josephson(state, modes, jp, kp, t)
+            slow = oracle_evolve(state, terms, t)
+            assert np.abs(fast.amplitudes - slow.amplitudes).max() < 1e-9
+
+    @pytest.mark.parametrize("n_max", [8, 10])
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    def test_propagated_collision_columns_agree(self, n_max, kappa):
+        # the test-side reference for the readout rows, against the ground truth
+        cutoff = FockCutoff(n_max)
+        reference = prepare_coherent(CoherentSpec(0.4j), cutoff)
+        jp, kp, t = JosephsonParams(1.3), KerrParams(0.4, kappa), 0.9
+        terms = (kerr_terms(0, kp) + kerr_terms(1, kp)
+                 + [HamiltonianTerm("exchange", (0, 1), jp.omega / 2)])
+        cols = collision_columns_by_propagation(cutoff, jp, kp, t, reference.amplitudes)
+        for n in range(cutoff.dim):
+            want = oracle_evolve(tensor(prepare_number(n, cutoff), reference), terms, t)
+            assert np.abs(cols[:, n] - want.amplitudes).max() < 1e-9
+
     def test_dimension_cap(self):
         state = prepare_number(0, FockCutoff(70))
         with pytest.raises(DimensionTooLarge):
@@ -260,6 +290,14 @@ class TestParameterValidation:
     def test_negative_omega_rejected(self):
         with pytest.raises(ValueError):
             JosephsonParams(-1.0)
+
+    @pytest.mark.parametrize("modes", [(1, 1), (1, -1), (0, 2)])
+    def test_pair_modes_distinct_and_in_range(self, modes):
+        state = random_state(np.random.default_rng(7), 2, FockCutoff(4))
+        with pytest.raises(ShapeMismatch):
+            evolve_josephson(state, modes, JosephsonParams(1.0), KerrParams(0.5, 0.5), 1.0)
+        with pytest.raises(ShapeMismatch):
+            evolve_cross_kerr(state, modes, 0.5, 1.0)
 
     def test_cross_species_positive(self):
         import triwell
