@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DimensionTooLarge, ShapeMismatch
-from .fock import FockCutoff, StateVector, apply_mode_phases
+from .fock import FockCutoff, StateVector, _check_mode, apply_mode_phases
 
 ORACLE_DIMENSION_CAP = 4096
 
@@ -87,8 +87,10 @@ def evolve_self_kerr(state: StateVector, mode: int, params: KerrParams,
 
 def _pair_modes(state: StateVector, modes: tuple, what: str) -> tuple:
     i, j = modes
-    if i == j or not (0 <= i < state.modes and 0 <= j < state.modes):
-        raise ShapeMismatch(f"{what} needs two distinct modes of the {state.modes}")
+    if i == j:
+        raise ShapeMismatch(f"{what} needs two distinct modes")
+    _check_mode(state, i)
+    _check_mode(state, j)
     return i, j
 
 
@@ -181,10 +183,8 @@ def josephson_collision_columns(cutoff: FockCutoff, jp: JosephsonParams,
     U is unitary within each total-number sector N, so a normalised signal
     puts at most ``B_N = sum_{n+m=N} |basis[n, :]|^2 |reference[m]|^2`` into
     sector N, and no row of the sector reads more. Sectors with ``B_N <
-    floor`` are skipped and their rows left zero. The others are one
-    ``_propagate_packs`` product over the sector packs of
-    ``_josephson_sectors``, which hold every pair state once, on the input
-    ``basis[n] reference[N - n]`` of each sector state.
+    floor`` are skipped and their rows left zero; the others are one
+    ``_propagate_packs`` product on the inputs ``basis[n] reference[N - n]``.
     """
     d = cutoff.dim
     if reference.shape != (d,) or basis.ndim != 2 or len(basis) != d:
