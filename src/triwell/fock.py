@@ -171,12 +171,17 @@ def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
         weight = math.exp(-abs(alpha) ** 2 / 2)
     except OverflowError:  # |a|^2 past float range: no cutoff holds the state
         raise CutoffTooSmall(f"coherent amplitude {abs(alpha):.3e}: |a|^2 overflows") from None
-    c = np.zeros(dim, dtype=np.complex128)
-    c[0] = 1.0
-    with np.errstate(over="ignore", invalid="ignore"):  # NaN past float range
-        for n in range(1, dim):
-            c[n] = c[n - 1] * alpha / math.sqrt(n)
-    return c * weight
+    # c_n = c_{n-1} alpha / sqrt(n) on Python complex numbers (NaN past float
+    # range); the factor (1/sqrt(n), -0.0) gives numpy's complex-by-real
+    # quotient bit for bit, a product with the reciprocal, signed zeros included
+    scale = np.empty(dim - 1, dtype=np.complex128)
+    scale.real = 1.0 / np.sqrt(np.arange(1, dim))
+    scale.imag = -0.0
+    c, amplitudes = 1.0 + 0j, [1.0 + 0j]
+    for factor in scale.tolist():
+        c = c * alpha * factor
+        amplitudes.append(c)
+    return np.array(amplitudes) * weight
 
 
 def _finalize_preparation(raw: np.ndarray, exact_sq: float, cutoff: FockCutoff,

@@ -40,27 +40,33 @@ approximation): outcome ``m_c * dim + m_b`` has the value (m_c - m_b) /
 (2 |r|), ordered by value and ties by count, and its row is that row of the
 pair propagator ``U (|n> (x) |r>)``.
 
-A readout is read through ``readout(Z)``: the rows ``R = rows Z`` over an
-orthonormal basis Z of the measured mode, stored in CDF order with each
-row's outcome id and value (``Readout``). The homodyne builds ``R = U (Z (x)
-|r>)`` directly, never the d columns, and keeps only the outcomes a draw can
-reach. U is unitary within each total-number sector N, so a normalised
-signal gives no outcome of sector N more than ``B_N = sum_{n+m=N} |Z[n, :]|^2
-|r_m|^2``, and no outcome o more than ``|R[o]|^2``. Sectors and rows below
-half of ``MIN_OUTCOME_PROBABILITY`` are dropped: their outcomes would have
-zero CDF width anyway. ``prepare(state, mode)`` reads a state's full view
-over the identity basis; ``block_laws`` reads a stack of coefficient blocks
-through one readout at once, as the protocol's Bell stages do on the parity
-bases of their core. A prepared readout is the outcome law alone: ``probs[k]
-= |R[k] . c|^2`` for each kept row (equal on the state, since Z is
-orthonormal), computed from the measured mode's reduced density matrix as
-``Re(R[k] rho R[k]^H)`` clipped at 0, already in CDF order, and their
-``rng.inverse_cdf``, in which outcomes below the floor have zero width. It
-gives the exact bit probabilities and array draws ``draw(u_select, u_tie) ->
-(outcome, bit)``: ``rng.stacked_search`` finds the rows, and ``Readout.pick``
-gives their outcome ids and bits, reading the tie-breaker only on a zero
-value. The state left after an outcome is the row product ``R[k] . c``,
-which the caller forms from its own arrays.
+Readouts are read through ``readouts(bases)``: for each orthonormal basis Z
+of the measured mode, the rows ``R = rows Z``, stored in CDF order with each
+row's outcome id and value (``Readout``); ``readout(Z)`` is
+``readouts([Z])[0]``. The homodyne builds ``R = U (Z (x) |r>)`` directly,
+never the d columns, for every basis from one pair-propagator product over
+their columns side by side, and keeps only the outcomes a draw can reach. U
+is unitary within each total-number sector N, so a normalised signal gives
+no outcome of sector N more than ``B_N = sum_{n+m=N} |Z[n, :]|^2 |r_m|^2``,
+and no outcome o more than ``|R[o]|^2``. Rows below half of
+``MIN_OUTCOME_PROBABILITY`` are dropped, each basis over its own columns,
+and the product skips the sectors below it for every basis: their outcomes
+would have zero CDF width anyway. ``prepare(state, mode)`` reads a state's
+full view over the identity basis; ``block_laws`` reads a stack of
+coefficient blocks through one readout at once, as the protocol's Bell
+stages do on the parity bases of their core. A prepared readout is the
+outcome law alone: ``probs[k] = |R[k] . c|^2`` for each kept row (equal on
+the state, since Z is orthonormal), already in CDF order, and their
+``rng.inverse_cdf``, in which outcomes below the floor have zero width. The
+law is linear in the measured mode's reduced density matrix rho, ``Re
+sum_ij rho[i, j] R[k, i] conj(R[k, j])``, so every block's law is one real
+product of its rho with the rows' r^2 products, clipped at 0. A prepared
+readout gives the exact bit probabilities and array draws ``draw(u_select,
+u_tie) -> (row, bit)``: ``rng.indexed_search`` finds the rows, and
+``Readout.bits`` gives their bits, reading the tie-breaker only on a zero
+value; ``Readout.outcomes`` holds the rows' outcome ids. The state left
+after an outcome is the row product ``R[k] . c``, which the caller forms
+from its own arrays.
 """
 
 from __future__ import annotations
@@ -94,7 +100,7 @@ from .fock import (
     prepare_coherent,
     tensor,
 )
-from .rng import MIN_OUTCOME_PROBABILITY, inverse_cdf, stacked_search
+from .rng import MIN_OUTCOME_PROBABILITY, indexed_search, inverse_cdf
 
 EPSILON_N_LIMIT = 0.1
 EPSILON_N_WARN = 0.02
@@ -247,21 +253,23 @@ class Readout(NamedTuple):
                 f"outcomes {np.asarray(ids)[missing].tolist()} lie off the drawable support")
         return rows
 
-    def pick(self, k: np.ndarray, u_tie: np.ndarray) -> tuple:
-        """(outcome, bit) arrays for the drawn rows ``k``: bit 1 for a negative
-        value, 0 for a positive one, and for a zero value 1 iff ``u_tie`` < 0.5."""
+    def bits(self, k: np.ndarray, u_tie: np.ndarray) -> np.ndarray:
+        """The bits of the drawn rows ``k``: 1 for a negative value, 0 for a
+        positive one, and for a zero value 1 iff ``u_tie`` < 0.5."""
         value = self.values[k]
-        bit = np.where(value == 0, u_tie < 0.5, value < 0).astype(np.int64)
-        return self.outcomes[k], bit
+        return np.where(value == 0, u_tie < 0.5, value < 0).astype(np.int64)
 
 
 def _block_probabilities(rows, blocks: np.ndarray) -> np.ndarray:
     """``probs[k, o] = |rows[o] @ blocks[k]|^2``, summed over the row, for a
-    stack of (r x w) coefficient blocks, from each block's reduced density
-    matrix: ``Re(rows[o] rho rows[o]^H)`` clipped at 0."""
-    rho = blocks @ blocks.conj().transpose(0, 2, 1)
-    # summed over the interleaved real and imaginary parts
-    probs = np.einsum("kij,ij->ki", (rows @ rho).view(float), rows.view(float))
+    stack of (r x w) coefficient blocks. That is linear in each block's
+    reduced density matrix rho: ``Re sum_ij rho[i, j] rows[o, i]
+    conj(rows[o, j])``. So each row's r^2 products are built once, and every
+    law is one real (keys x 2 r^2) @ (2 r^2 x rows) product, clipped at 0."""
+    rho = np.matmul(blocks, blocks.conj().transpose(0, 2, 1), dtype=complex)
+    products = rows.conj()[:, :, None] * rows[:, None, :]
+    # Re(x conj(y)) summed as the dot product of the interleaved parts
+    probs = rho.reshape(len(rho), -1).view(float) @ products.reshape(len(rows), -1).view(float).T
     return np.maximum(probs, 0.0)
 
 
@@ -283,19 +291,20 @@ class _PreparedReadout:
         return float(p_plus), float(1 - p_plus)
 
     def draw(self, u_select: np.ndarray, u_tie: np.ndarray) -> tuple:
-        """(outcome, bit) arrays for the uniform pairs (``Readout.pick``)."""
-        k = stacked_search(self.cdf[None], np.zeros(len(u_select), np.intp), u_select)
-        return self.readout.pick(k, u_tie)
+        """(row, bit) arrays for the uniform pairs: the drawn rows of
+        ``readout`` (``rng.indexed_search``) and their bits (``Readout.bits``)."""
+        k = indexed_search(self.cdf, u_select)
+        return k, self.readout.bits(k, u_tie)
 
 
 class _PreparedIdeal(_PreparedReadout):
     """Outcome distribution of one ideal discrimination."""
 
     def draw(self, u_select: np.ndarray, u_tie: np.ndarray) -> tuple:
-        """The generic draw for two tie-free outcomes as one comparison:
-        outcome 1 (bit 1) below ``cdf[0]``. The outcome is the bit."""
+        """The generic draw for two tie-free rows as one comparison: row 0,
+        outcome 1 and bit 1, below ``cdf[0]``."""
         bit = (u_select < self.cdf[0]).astype(np.int64)
-        return bit, bit
+        return 1 - bit, bit
 
 
 class _PreparedHomodyne(_PreparedReadout):
@@ -304,7 +313,11 @@ class _PreparedHomodyne(_PreparedReadout):
 
 class _Discriminator:
     """Entry points of both backends; a backend sets ``cutoff``, ``values``,
-    ``order``, its ``prepared`` class and ``readout(basis)``."""
+    ``order``, its ``prepared`` class and ``readouts(bases)``."""
+
+    def readout(self, basis: np.ndarray) -> Readout:
+        """The readout over one basis, ``readouts([basis])[0]``."""
+        return self.readouts([basis])[0]
 
     def prepare(self, state: StateVector, mode: int):
         """Readout of ``mode`` of ``state``, on its full view."""
@@ -343,9 +356,10 @@ class IdealPhaseDiscriminator(_Discriminator):
         self.values = np.array([1.0, -1.0])
         self.order = np.array([1, 0])
 
-    def readout(self, basis: np.ndarray) -> Readout:
-        """Both rows over ``basis``, in CDF order."""
-        return Readout(self.rows[self.order] @ basis, self.order, self.values[self.order])
+    def readouts(self, bases) -> list:
+        """Both rows over each basis of ``bases``, in CDF order."""
+        rows, values = self.rows[self.order], self.values[self.order]
+        return [Readout(rows @ basis, self.order, values) for basis in bases]
 
 
 class HomodynePhaseDiscriminator(_Discriminator):
@@ -391,13 +405,19 @@ class HomodynePhaseDiscriminator(_Discriminator):
             self.cutoff, self.josephson, self.kerr, math.pi / (2 * self.josephson.omega),
             self.reference_amplitudes, basis, floor)
 
-    def readout(self, basis: np.ndarray) -> Readout:
-        """The rows over ``basis`` of the outcomes a draw can reach, in CDF
-        order. A normalised signal gives outcome o at most ``|rows[o]|^2``,
-        so rows below half the probability floor are dropped, and so are the
-        sectors whose bound is below it, before they are propagated."""
+    def readouts(self, bases) -> list:
+        """The rows over each basis of ``bases`` of the outcomes a draw can
+        reach, in CDF order, from one pair-propagator product over the bases
+        side by side. A normalised signal gives outcome o at most
+        ``|rows[o]|^2``, so each basis drops its rows below half the
+        probability floor over its own columns. The product skips the sectors
+        whose bound over all columns is below it; a sector below it for one
+        basis alone has every row of that basis below it too."""
         floor = MIN_OUTCOME_PROBABILITY / 2
-        rows = self.rows_over(basis, floor)
-        weight = np.einsum("oi,oi->o", rows.view(float), rows.view(float))
-        ids = self.order[weight[self.order] >= floor]
-        return Readout(rows[ids], ids, self.values[ids])
+        rows = self.rows_over(np.hstack(bases), floor)
+        readouts = []
+        for part in np.split(rows, np.cumsum([len(basis.T) for basis in bases[:-1]]), axis=1):
+            weight = np.einsum("oi,oi->o", part.view(float), part.view(float))
+            ids = self.order[weight[self.order] >= floor]
+            readouts.append(Readout(part[ids], ids, self.values[ids]))
+        return readouts

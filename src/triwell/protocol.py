@@ -41,34 +41,42 @@ self-collision phase, which is diagonal, and Z3 the channel's basis of mode
 the sign (-1)^(p1 p2) of the parities on T, so no d-wide array is formed;
 ``build_protocol_state`` is the expansion. A vacuum amplitude has no odd
 part, which gives r = 1. Stage k reads its mode through ``R_k = rows_k @
-Z_k``, its discriminator's ``readout(Z_k)``: for the homodyne that is ``U
+Z_k``, its discriminator's readout over Z_k: for the homodyne that is ``U
 (Z_k (x) |ref>)``, built without the d columns and kept on the outcomes a
-draw can reach, in CDF order. Stage 1 is prepared on T read as r1 x (r2
-r3), and stage 2 after each first-stage outcome o1 on its r2 x r3 block
-``R_1[o1] T / sqrt(p1[o1])``. A measurement holds only T, R_1, R_2 and the
-stage-1 law, and a draw keeps nothing and sorts nothing: a ``bincount`` of
-the stage-1 outcomes it drew marks the stage-2 laws to prepare (one keys x
-support array of CDFs), its ``cumsum`` gives each trial its key's row of
-that stack, and ``rng.stacked_search`` draws every trial on its row in one
-pass, the same index as one ``searchsorted`` per law. Outcome ids stay the
-discriminators' (``m_c * dim + m_b`` on the homodyne), and a row is found
-from its id. Mode 3's
-coefficients over Z3 after (o1, o2) are read straight off the core,
-``(R_1[o1] (x) R_2[o2]) T / sqrt(p1[o1])``. ``BellMeasurement`` reads any
-other three-mode state through the same code over the identity basis of
-every mode.
+draw can reach, in CDF order. Stages that share a discriminator (gamma ==
+alpha) get both readouts from one ``readouts((Z_1, Z_2))`` call, one
+pair-propagator product. Stage 1 is prepared on T read as r1 x (r2 r3), and
+stage 2 after each first-stage row k on its r2 x r3 block ``R_1[k] T /
+sqrt(p1[k])``. A measurement holds only T, R_1, R_2 and the stage-1 law,
+and a draw keeps nothing and sorts nothing: a ``bincount`` of the stage-1
+rows it drew marks the stage-2 laws to prepare (one keys x support array of
+CDFs), its ``cumsum`` gives each trial its place in that stack, and
+``rng.stacked_search`` draws every trial on its place's row in one pass,
+the same index as one ``searchsorted`` per law. Mode 3's coefficients over
+Z3 after the rows (k1, k2) are read straight off the core, ``(R_1[k1] (x)
+R_2[k2]) T / sqrt(p1[k1])``. ``BellMeasurement`` reads any other three-mode
+state through the same code over the identity basis of every mode.
+
+Rows inside, ids at the edges: a run reads the stages by readout row from
+the draw to the scoring. Outcome ids, the discriminators' own (``m_c * dim +
+m_b`` on the homodyne), appear only in the result's ``stage1`` and
+``stage2`` columns and at the entry points that take or give ids (``draw``,
+``coefficients``, ``conditionals``, ``sample``), which find a row from its
+id with ``Readout.index``.
 
 Scoring: the receiver's correction depends only on the two bits and the
 auxiliary count, and the parity collision acts on mode 3 as an exact sign.
-So a run draws every trial at once and scores each distinct (stage
-outcomes, displaced, flipped) combination once, without building states:
-the fidelity after a correction G is |<G^dag ref|post>|^2, and ``post = c
-Z^T`` for the row's r3 coefficients c over the receiver basis Z = Z3, read
-off the core.
-So the receiver's probe matrix is projected once, ``Z^T probes`` (r3 rows),
-one product ``c @ (Z^T probes)`` gives every correction's overlap, and the
-norms |c|^2, equal to |post|^2 since Z is orthonormal, normalise it; no row
-is expanded to d amplitudes.
+So a run draws every trial at once and scores each distinct drawn pair of
+stage rows once, without building states: the fidelity after a correction
+G is |<G^dag ref|post>|^2, and ``post = c Z^T`` for the pair's r3
+coefficients c over the receiver basis Z = Z3, read off the core. The pair
+table is a presence mask over (stack place x stage-2 row), whose
+``cumsum`` numbers the pairs and gives each trial its pair, with no sort.
+The receiver's probe matrix is projected once, ``Z^T probes`` (r3 rows),
+one product ``c @ (Z^T probes)`` gives every correction's overlap for every
+pair, the norms |c|^2, equal to |post|^2 since Z is orthonormal, normalise
+it, and each trial reads its (pair, probe column) cell; no row is expanded
+to d amplitudes.
 Trials stay typed columns from the draw to the summary, with ``NOT_DRAWN``
 where a branch needs no such correction, and a result holds only its
 columns: ``ProtocolResult.records`` is a view over them that builds each
@@ -309,10 +317,14 @@ class BellMeasurement:
     basis of every mode. A measurement holds only the core T, each stage's
     readout over its mode's basis, R_k = rows_k Z_k on the outcomes a draw
     can reach, and the stage-1 law, and keeps nothing from a draw: mode 3's
-    coefficients after (o1, o2) are (R_1[o1] (x) R_2[o2]) T / sqrt(p1[o1]),
-    over ``receiver_basis``, its orthonormal columns. A draw stacks the
-    stage-2 CDFs of the stage-1 outcomes it drew, without a sort, and draws
-    every trial on its row of the stack in one ``rng.stacked_search``.
+    coefficients after the rows (k1, k2) are (R_1[k1] (x) R_2[k2]) T /
+    sqrt(p1[k1]), over ``receiver_basis``, its orthonormal columns. When the
+    two stages share a discriminator, one ``readouts`` call reads both
+    bases. Inside, the stages are read by readout row: a draw stacks the
+    stage-2 CDFs of the stage-1 rows it drew, without a sort, and draws every
+    trial on its place's row of the stack in one ``rng.stacked_search``.
+    ``draw``, ``coefficients``, ``conditionals`` and ``sample`` give and take
+    outcome ids.
     """
 
     def __init__(self, state: StateVector | ReceiverFactors, config: ProtocolConfig):
@@ -336,51 +348,83 @@ class BellMeasurement:
         self.receiver_basis = state.bases[2]
         self.leakage = state.leakage
         self._core = state.core
-        self._readouts = [stage.readout(basis) for stage, basis in zip(self.stages, state.bases)]
+        first, second = self.stages
+        if first is second:  # one discriminator reads both bases in one call
+            self._readouts = first.readouts(state.bases[:2])
+        else:
+            self._readouts = [first.readout(state.bases[0]), second.readout(state.bases[1])]
         block = state.core.reshape(len(state.core), -1)  # one r1 x (r2 r3) block
         self._first = self.stages[0].prepare_block(self._readouts[0], block)
 
-    def _first_rows(self, first) -> tuple:
-        """Stage-1 readout rows of the outcomes ``first`` and their
-        probabilities; raises ``ZeroProbabilityBranch`` for an outcome below
-        the floor."""
-        rows = self._readouts[0].index(first)
+    def _first_probs(self, rows) -> np.ndarray:
+        """Stage-1 probabilities of the readout rows ``rows``; raises
+        ``ZeroProbabilityBranch`` for a row below the floor."""
         prob = self._first.probs[rows]
         if np.any(prob < MIN_OUTCOME_PROBABILITY):
             raise ZeroProbabilityBranch(
-                f"stage-1 outcomes {first} reach probability {np.min(prob):.3e}")
-        return rows, prob
+                f"stage-1 outcomes {self._readouts[0].outcomes[rows]} reach probability "
+                f"{np.min(prob):.3e}")
+        return prob
 
-    def _second_laws(self, keys) -> tuple:
-        """``block_laws`` of the second stage after each stage-1 outcome of
-        ``keys``, on its r2 x r3 block R_1[o1] T / sqrt(p1[o1]); raises
-        ``ZeroProbabilityBranch`` for an outcome below the floor."""
-        rows, prob = self._first_rows(keys)
+    def _second_laws(self, rows) -> tuple:
+        """``block_laws`` of the second stage after each stage-1 readout row
+        of ``rows``, on its r2 x r3 block R_1[row] T / sqrt(p1[row]); raises
+        ``ZeroProbabilityBranch`` for a row below the floor."""
+        prob = self._first_probs(rows)
         block = self._core.reshape(len(self._core), -1)
         blocks = self._readouts[0].rows[rows] @ block / np.sqrt(prob)[:, None]
         return self.stages[1].block_laws(
             self._readouts[1], blocks.reshape(len(prob), self._core.shape[1], -1))
 
+    def _draw_rows(self, u: np.ndarray) -> tuple:
+        """(stage-1 row, stage-2 row, branch) arrays for the rows of ``u``, and
+        the stack of stage-2 laws: the drawn stage-1 rows ``keys`` and each
+        trial's ``place`` in them. Selector and tie of stage 1, then of stage
+        2, every trial drawn on its place's row of the stacked CDFs."""
+        first, bit1 = self._first.draw(u[:, 0], u[:, 1])
+        drawn = np.bincount(first) > 0
+        keys = np.flatnonzero(drawn)
+        _, cdfs = self._second_laws(keys)
+        place = (np.cumsum(drawn) - 1)[first]
+        second = stacked_search(cdfs, place, u[:, 2])
+        bit2 = self._readouts[1].bits(second, u[:, 3])
+        return first, second, 2 * (bit1 ^ bit2) + 1 - bit2, keys, place
+
+    def _outcomes(self, first: np.ndarray, second: np.ndarray) -> tuple:
+        """The outcome ids of stage-1 rows ``first`` and stage-2 rows ``second``."""
+        return self._readouts[0].outcomes[first], self._readouts[1].outcomes[second]
+
     def draw(self, u: np.ndarray) -> tuple:
         """(stage-1 outcome, stage-2 outcome, branch) arrays for the rows of
         ``u``: selector and tie of stage 1, then of stage 2, every row drawn
         on its stage-1 outcome's row of the stacked stage-2 CDFs."""
-        first, bit1 = self._first.draw(u[:, 0], u[:, 1])
-        drawn = np.bincount(first) > 0
-        _, cdfs = self._second_laws(np.flatnonzero(drawn))
-        stack_row = np.cumsum(drawn) - 1  # each drawn outcome's row of the stack
-        k = stacked_search(cdfs, stack_row[first], u[:, 2])
-        second, bit2 = self._readouts[1].pick(k, u[:, 3])
-        return first, second, 2 * (bit1 ^ bit2) + 1 - bit2
+        first, second, branch, _, _ = self._draw_rows(u)
+        return *self._outcomes(first, second), branch
+
+    def _coefficients(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """Unnormalised mode-3 coefficients over ``receiver_basis`` after each
+        (stage-1 row ``first``, stage-2 row ``second``) pair, one row per pair."""
+        r1 = self._readouts[0].rows[first] / np.sqrt(self._first_probs(first))[:, None]
+        pair = r1[:, :, None] * self._readouts[1].rows[second][:, None, :]
+        return pair.reshape(len(first), -1) @ self._core.reshape(-1, self._core.shape[2])
+
+    def _pairs(self, keys: np.ndarray, place: np.ndarray, second: np.ndarray) -> tuple:
+        """Each trial's pair, its index into the distinct drawn (stack place,
+        stage-2 row) pairs, and the mode-3 coefficients of every pair: a
+        presence mask over places x stage-2 rows, whose cumsum numbers them."""
+        width = len(self._readouts[1].rows)
+        cell = place * width + second
+        present = np.zeros(len(keys) * width, dtype=bool)
+        present[cell] = True
+        pairs = np.flatnonzero(present)
+        return np.cumsum(present)[cell] - 1, self._coefficients(keys[pairs // width], pairs % width)
 
     def coefficients(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Unnormalised mode-3 coefficients over ``receiver_basis`` after each
-        drawn (``first``, ``second``) outcome pair, one row per pair."""
-        rows, prob = self._first_rows(first)
-        r1 = self._readouts[0].rows[rows] / np.sqrt(prob)[:, None]
-        r2 = self._readouts[1].rows[self._readouts[1].index(second)]
-        pair = r1[:, :, None] * r2[:, None, :]
-        return pair.reshape(len(first), -1) @ self._core.reshape(-1, self._core.shape[2])
+        drawn (``first``, ``second``) outcome pair, one row per pair; raises
+        ``ZeroProbabilityBranch`` for an outcome no draw reaches."""
+        return self._coefficients(self._readouts[0].index(first),
+                                  self._readouts[1].index(second))
 
     def conditionals(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Unnormalised mode-3 amplitudes after each drawn (``first``,
@@ -456,22 +500,23 @@ class _Receiver:
         }
         return columns, 2 * (displacing & success) + flipped
 
-    def fidelities(self, coefficients: np.ndarray, basis: np.ndarray,
+    def fidelities(self, coefficients: np.ndarray, basis: np.ndarray, pair: np.ndarray,
                    column: np.ndarray) -> np.ndarray:
-        """Fidelity with the reference, modulo global phase, of each row c of
-        ``coefficients`` after the corrections of its probe ``column``. A row
-        holds unnormalised mode-3 coefficients over ``basis``, orthonormal
-        columns (d x r; the identity for amplitudes), so c @ (basis^T probes)
-        gives the overlaps and |c|^2 the norms. Raises ``CutoffTooSmall``
-        when a displaced row leaves more than ``DEFAULT_MAX_LEAKAGE`` on the
-        n_max shell."""
+        """Fidelity with the reference, modulo global phase, of each trial i:
+        row ``pair[i]`` of ``coefficients`` after the corrections of its probe
+        ``column[i]``. A row holds unnormalised mode-3 coefficients over
+        ``basis``, orthonormal columns (d x r; the identity for amplitudes),
+        so c @ (basis^T probes) gives every probe's overlap and |c|^2 the
+        norm, once per row. Raises ``CutoffTooSmall`` when a displaced
+        trial's row leaves more than ``DEFAULT_MAX_LEAKAGE`` on the n_max
+        shell."""
         norms = np.einsum("ij,ij->i", coefficients, coefficients.conj()).real
         mass = np.abs(coefficients @ (basis.T @ self.probes)) ** 2 / norms[:, None]
         displaced = column >= 2
         if displaced.any():
             warn_large_offset(self.delta, self.config.beta.amplitude)
-            check_displaced_top_shell(float(mass[displaced, -1].max()))
-        return mass[np.arange(len(column)), column]
+            check_displaced_top_shell(float(mass[pair[displaced], -1].max()))
+        return mass[pair, column]
 
 
 def correct_and_score(mode3: StateVector, outcome: MeasurementOutcome,
@@ -484,7 +529,8 @@ def correct_and_score(mode3: StateVector, outcome: MeasurementOutcome,
     first, second = (np.array([index]) for index in outcome.raw)
     columns, column = receiver.draw(first, second, np.array([outcome.branch]),
                                     rng.random((1, 2)))
-    columns["fidelity"] = receiver.fidelities(mode3.amplitudes[None], np.eye(mode3.dim), column)
+    columns["fidelity"] = receiver.fidelities(mode3.amplitudes[None], np.eye(mode3.dim),
+                                              np.zeros(1, np.intp), column)
     return ProtocolResult(columns).records[0]
 
 
@@ -493,11 +539,8 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     bell = BellMeasurement(protocol_factors(config), config)
     u = substream(config.seed).random((config.trials, 6))  # trial i: row i
     receiver = _Receiver(config)
-    columns, column = receiver.draw(*bell.draw(u[:, :4]), u[:, 4:])
-    # each distinct (stage outcomes, probe column) is scored once
-    first, second = columns["stage1"], columns["stage2"]
-    width = int(second.max()) + 1
-    table, inverse = np.unique(4 * (first * width + second) + column, return_inverse=True)
-    coeff = bell.coefficients(*divmod(table >> 2, width))
-    columns["fidelity"] = receiver.fidelities(coeff, bell.receiver_basis, table & 3)[inverse]
+    first, second, branch, keys, place = bell._draw_rows(u[:, :4])
+    columns, column = receiver.draw(*bell._outcomes(first, second), branch, u[:, 4:])
+    pair, coeff = bell._pairs(keys, place, second)  # each distinct pair scored once
+    columns["fidelity"] = receiver.fidelities(coeff, bell.receiver_basis, pair, column)
     return ProtocolResult(columns)

@@ -14,6 +14,10 @@ have zero width, so no uniform selects one; the same floor is where the
 second Bell stage and ``project_number`` refuse to renormalise a branch.
 ``stacked_search`` is that draw over a stack of CDFs, each uniform on its
 own row: it counts the row's entries ``<= u``, which is the same index.
+``indexed_search`` is the same draw on one CDF through an exact guide table
+(Chen and Asau, 1974): a power-of-two number of equal buckets over [0, 1)
+settles every uniform whose bucket holds at most one entry with one
+comparison, and ``stacked_search`` takes the rest.
 """
 
 from __future__ import annotations
@@ -64,3 +68,23 @@ def stacked_search(cdfs: np.ndarray, rows: np.ndarray, u: np.ndarray) -> np.ndar
         at += step * (flat.take(at + step) <= u)
         step >>= 1
     return at - start
+
+
+def indexed_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(cdf, u, side="right")`` for uniforms ``u`` in [0, 1)
+    on one CDF, through a guide table of M buckets, M a power of two of at
+    least twice the support, so ``floor(u M)`` and the bucket edges b / M are
+    exact. ``edges[b]`` counts the entries ``<= b / M`` (those with
+    ``ceil(cdf M) <= b``), so bucket b holds the answer in ``[edges[b],
+    edges[b + 1]]``: one comparison settles a bucket of at most one entry,
+    and ``stacked_search`` the uniforms of the others."""
+    buckets = 1 << (2 * len(cdf) - 1).bit_length()
+    edges = np.cumsum(np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1))
+    b = (u * buckets).astype(np.intp)
+    lo = edges[b]
+    held = edges[b + 1] - lo
+    k = lo + ((held > 0) & (cdf.take(lo, mode="clip") <= u))
+    many = np.flatnonzero(held > 1)
+    if len(many):
+        k[many] = stacked_search(cdf[None], np.zeros(len(many), np.intp), u[many])
+    return k

@@ -102,6 +102,27 @@ def collision_columns_by_propagation(cutoff: FockCutoff, jp: JosephsonParams, kp
     return cols
 
 
+def coherent_amplitudes_by_loop(alpha: complex, dim: int) -> np.ndarray:
+    """``fock.coherent_amplitudes`` as one numpy complex scalar per Fock level:
+    c_n = c_{n-1} alpha / sqrt(n) written into a complex array, NaN past
+    float range, times exp(-|a|^2/2)."""
+    weight = math.exp(-abs(alpha) ** 2 / 2)
+    c = np.zeros(dim, dtype=np.complex128)
+    c[0] = 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(1, dim):
+            c[n] = c[n - 1] * alpha / math.sqrt(n)
+    return c * weight
+
+
+def block_probabilities_by_density_matrix(rows: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+    """``probs[k, o] = Re(rows[o] rho_k rows[o]^H)``, clipped at 0, with
+    rho_k = blocks[k] blocks[k]^H the reduced density matrix of each (r x w)
+    block: the law of ``homodyne._block_probabilities``, row by row."""
+    rho = blocks @ blocks.conj().transpose(0, 2, 1)
+    return np.maximum(np.einsum("oi,kij,oj->ko", rows, rho, rows.conj()).real, 0.0)
+
+
 def run_scored_in_full(config) -> ProtocolResult:
     """``run_protocol`` with every trial scored on its d-wide conditional
     mode-3 amplitudes ``post``: |post @ probes|^2 over the rows' own norms,

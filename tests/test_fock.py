@@ -29,7 +29,7 @@ from triwell import (
 )
 from triwell.fock import coherent_amplitudes, mean_occupation
 
-from oracles import pad_cutoff
+from oracles import coherent_amplitudes_by_loop, pad_cutoff
 
 
 def poisson_pmf(mean, n):
@@ -64,6 +64,21 @@ class TestCoherent:
             prepare_coherent(CoherentSpec(amplitude), FockCutoff(26))
         with pytest.raises(CutoffTooSmall):
             prepare_cat_superposition(SuperpositionSpec(1.0, 1.0, amplitude), FockCutoff(26))
+
+    def test_amplitudes_are_the_scalar_loop_bit_for_bit(self):
+        # signed zeros (real, imaginary and signed-zero amplitudes), underflow
+        # and the overflow to NaN from |a| ~ 1e150 included
+        amplitudes = [0, -0.0, 1, -1, 2.0, -2.0, 2j, -2j, 1.5j, complex(-0.0, 2),
+                      complex(2, -0.0), complex(-0.0, -0.0), 0.3 + 0.4j, -1.7 + 2.2j, 1e-3,
+                      1e-200, -3.3e-160j, 5.5 - 1j, 20.0, 1e150, -1e150j, -1e100 + 1e100j]
+        for amplitude in amplitudes:
+            for dim in (1, 2, 27, 41, 61):
+                with np.errstate(invalid="ignore"):  # inf * 0 past float range
+                    got = coherent_amplitudes(amplitude, dim)
+                    want = coherent_amplitudes_by_loop(amplitude, dim)
+                assert got.tobytes() == want.tobytes(), (amplitude, dim)
+        with pytest.raises(CutoffTooSmall):
+            coherent_amplitudes(1e200, 41)
 
     def test_leakage_recorded(self):
         state = prepare_coherent(CoherentSpec(2.0), FockCutoff(16), max_leakage=1e-5)

@@ -32,10 +32,12 @@ from triwell.homodyne import (
     HomodynePhaseDiscriminator,
     IdealPhaseDiscriminator,
     _PreparedReadout,
+    _block_probabilities,
     helstrom_vectors,
 )
+from triwell.channel import parity_basis
 
-from oracles import estimate_quadrature
+from oracles import block_probabilities_by_density_matrix, estimate_quadrature
 
 
 def probability(prepared, outcome: int) -> float:
@@ -296,11 +298,11 @@ class TestPhaseBit:
         draws = rng.random((2000, 2))
         steps = rng.choice(ties, 1000)
         draws[:1000, 0] = (lower[steps] + prepared.cdf[steps]) / 2
-        outcome, bit = prepared.draw(draws[:, 0], draws[:, 1])
+        row, bit = prepared.draw(draws[:, 0], draws[:, 1])
         single = [prepared.draw(draws[i:i + 1, 0], draws[i:i + 1, 1]) for i in range(2000)]
-        assert outcome.tolist() == [o[0] for o, _ in single]
+        assert row.tolist() == [k[0] for k, _ in single]
         assert bit.tolist() == [b[0] for _, b in single]
-        tied = disc.values[outcome] == 0
+        tied = prepared.readout.values[row] == 0
         assert tied[:1000].all()
         assert set(bit[tied].tolist()) == {0, 1}
         assert (bit[tied] == (draws[tied, 1] < 0.5)).all()
@@ -318,15 +320,15 @@ class TestPhaseBit:
     def test_top_selector_draws_a_possible_outcome(self):
         disc, _, prepared = self.tail_readout()
         assert prepared.cdf[-1] == 1.0
-        outcome, _ = prepared.draw(np.array([1 - 2**-53]), np.array([0.5]))
-        k = int(np.flatnonzero(prepared.readout.outcomes == outcome[0])[0])
+        (k,), _ = prepared.draw(np.array([1 - 2**-53]), np.array([0.5]))
         assert prepared.cdf[k] - prepared.cdf[k - 1] > 0
 
     def test_top_selector_draws_an_outcome_with_a_posterior(self):
         # outcomes below the probability floor have zero width in the CDF, so
         # every draw leaves a state of at least the floor's squared norm
         disc, signal, prepared = self.tail_readout()
-        (outcome,), _ = prepared.draw(np.array([1 - 2**-53]), np.array([0.5]))
+        (row,), _ = prepared.draw(np.array([1 - 2**-53]), np.array([0.5]))
+        outcome = prepared.readout.outcomes[row]
         assert probability(prepared, outcome) >= MIN_OUTCOME_PROBABILITY
         after = disc.rows[outcome] @ signal.amplitudes.reshape(signal.dim, -1)
         assert np.vdot(after, after).real == pytest.approx(probability(prepared, outcome),
@@ -340,7 +342,8 @@ class TestPhaseBit:
                                           KerrParams(0.0, 0.0))
         joint = tensor(signal, prepare_number(3, cutoff))
         prepared = disc.prepare(joint, 0)
-        (outcome,), (bit,) = prepared.draw(*substream(3, 1).random((2, 1)))
+        (row,), (bit,) = prepared.draw(*substream(3, 1).random((2, 1)))
+        outcome = prepared.readout.outcomes[row]
         assert bit == 0
         posterior = disc.rows[outcome] @ joint.amplitudes.reshape(cutoff.dim, -1)
         posterior /= math.sqrt(probability(prepared, outcome))
@@ -416,7 +419,7 @@ def stage_laws(config: ProtocolConfig):
     laws = [(bell.stages[0], factors.bases[0], core, first)]
     drawable = first.probs >= MIN_OUTCOME_PROBABILITY
     blocks = bell._readouts[0].rows[drawable] @ core / np.sqrt(first.probs[drawable])[:, None]
-    probs, cdfs = bell._second_laws(first.readout.outcomes[drawable])
+    probs, cdfs = bell._second_laws(np.flatnonzero(drawable))
     for block, law, cdf in zip(blocks, probs, cdfs):
         laws.append((bell.stages[1], factors.bases[1], block.reshape(factors.core.shape[1], -1),
                      bell.stages[1].prepared(bell._readouts[1], law, cdf)))
@@ -485,6 +488,68 @@ class TestDrawableSupport:
             want = disc.order[np.searchsorted(cdf, u_select, side="right")]
             value = disc.values[want]
             want_bit = np.where(value == 0, u_tie < 0.5, value < 0).astype(np.int64)
-            outcome, bit = prepared.draw(u_select, u_tie)
-            assert outcome.tolist() == want.tolist()
+            row, bit = prepared.draw(u_select, u_tie)
+            assert prepared.readout.outcomes[row].tolist() == want.tolist()
             assert bit.tolist() == want_bit.tolist()
+
+
+class TestSharedReadouts:
+    """``readouts(bases)`` runs one pair-propagator product over the bases side
+    by side and filters each basis over its own columns, so it reads, basis
+    by basis, what the readout of that basis alone reads."""
+
+    @staticmethod
+    def assert_per_basis(disc, bases):
+        for shared, basis in zip(disc.readouts(bases), bases):
+            alone = disc.readout(basis)
+            assert np.array_equal(shared.outcomes, alone.outcomes)
+            assert np.array_equal(shared.values, alone.values)
+            np.testing.assert_allclose(shared.rows, alone.rows, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("n_max", [26, 40, 60])
+    def test_protocol_parity_bases(self, n_max):
+        config = teleport_config(n_max)
+        factors = protocol_factors(config)
+        bell = BellMeasurement(factors, config)
+        assert bell.stages[0] is bell.stages[1]  # gamma == alpha: one discriminator
+        self.assert_per_basis(bell.stages[0], factors.bases[:2])
+
+    def test_a_sector_above_the_floor_for_one_basis_only(self):
+        cutoff = FockCutoff(40)
+        disc = HomodynePhaseDiscriminator(0.0, cutoff, 2.0, JosephsonParams(1000.0),
+                                          KerrParams(1.0, 1.0))
+        bases = [parity_basis(prepare_cat_superposition(SuperpositionSpec(0.6, 0.8, gamma),
+                                                        cutoff).amplitudes).basis
+                 for gamma in (0.5, 3.0)]
+        # B_N of each basis: some sector clears the floor for |3> but not |0.5>
+        floor = MIN_OUTCOME_PROBABILITY / 2
+        small, large = (np.convolve((np.abs(basis) ** 2).sum(axis=1),
+                                    np.abs(disc.reference_amplitudes) ** 2) for basis in bases)
+        assert np.any((small < floor) & (large >= floor))
+        self.assert_per_basis(disc, bases)
+
+
+class TestBlockProbabilities:
+    """The stage laws as one real product of each block's reduced density
+    matrix with the rows' r^2 products, against the density-matrix form."""
+
+    def test_bench_second_stage_stack(self):
+        laws = stage_laws(SUPPORT_CONFIGS["bench-40"])[1:]
+        assert len(laws) > 10
+        readout = laws[0][3].readout
+        blocks = np.stack([block for _, _, block, _ in laws])
+        np.testing.assert_allclose(_block_probabilities(readout.rows, blocks),
+                                   block_probabilities_by_density_matrix(readout.rows, blocks),
+                                   rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_random_stacks(self, rank):
+        gen = substream(71, rank)
+        shape = (300, rank)
+        rows, _ = np.linalg.qr(gen.normal(size=shape) + 1j * gen.normal(size=shape))
+        blocks = gen.normal(size=(40, rank, 4)) + 1j * gen.normal(size=(40, rank, 4))
+        blocks /= np.linalg.norm(blocks, axis=(1, 2), keepdims=True)  # normalised states
+        for stack in (blocks, blocks.real.copy()):  # a real core gives real blocks
+            np.testing.assert_allclose(_block_probabilities(rows, stack),
+                                       block_probabilities_by_density_matrix(rows, stack),
+                                       rtol=0, atol=1e-15)

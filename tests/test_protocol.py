@@ -98,6 +98,12 @@ def probs_by_outcome(prepared, disc) -> np.ndarray:
     return probs
 
 
+def drawn_outcomes(prepared, u_select: np.ndarray, u_tie: np.ndarray) -> tuple:
+    """A prepared readout's draw as (outcome id, bit) arrays."""
+    rows, bits = prepared.draw(u_select, u_tie)
+    return prepared.readout.outcomes[rows], bits
+
+
 def mode3_states(bell: BellMeasurement, first: np.ndarray, second: np.ndarray) -> list:
     """Normalised mode-3 state after each (``first``, ``second``) outcome pair."""
     return [StateVector(1, bell.stages[1].cutoff, row / np.linalg.norm(row))
@@ -211,11 +217,11 @@ class TestBellMeasurement:
         # each row against the two stages prepared directly
         first, seconds, first_rows = bell.stages[0].prepare(state, 0), {}, bell.stages[0].rows
         for i, (o1, o2, branch) in enumerate(zip(*drawn)):
-            (ref1,), (bit1,) = first.draw(u[i:i + 1, 0], u[i:i + 1, 1])
+            (ref1,), (bit1,) = drawn_outcomes(first, u[i:i + 1, 0], u[i:i + 1, 1])
             if o1 not in seconds:
                 after = after_outcome(first_rows, state, o1)
                 seconds[o1] = bell.stages[1].prepare(after, 0)
-            (ref2,), (bit2,) = seconds[o1].draw(u[i:i + 1, 2], u[i:i + 1, 3])
+            (ref2,), (bit2,) = drawn_outcomes(seconds[o1], u[i:i + 1, 2], u[i:i + 1, 3])
             assert (o1, o2, branch) == (ref1, ref2, 2 * (bit1 ^ bit2) + 1 - bit2)
         if trials == 2000:  # a 10^4-trial run's stack has 43-44 rows
             assert len(seconds) >= 35
@@ -383,14 +389,14 @@ class TestReceiverFactoring:
         first, second, branch = bell.draw(u)
         post = bell.conditionals(first, second)
         direct, seconds = bell.stages[0].prepare(state, 0), {}
-        ref1, bit1 = direct.draw(u[:, 0], u[:, 1])
+        ref1, bit1 = drawn_outcomes(direct, u[:, 0], u[:, 1])
         assert first.tolist() == ref1.tolist()
         view = state.amplitudes.reshape(d, d * d)
         for i, (o1, o2) in enumerate(zip(first.tolist(), second.tolist())):
             if o1 not in seconds:
                 after = after_outcome(bell.stages[0].rows, state, o1)
                 seconds[o1] = bell.stages[1].prepare(after, 0)
-            (ref2,), (bit2,) = seconds[o1].draw(u[i:i + 1, 2], u[i:i + 1, 3])
+            (ref2,), (bit2,) = drawn_outcomes(seconds[o1], u[i:i + 1, 2], u[i:i + 1, 3])
             assert (o2, branch[i]) == (ref2, 2 * (bit1[i] ^ bit2) + 1 - bit2)
             after_first = (bell.stages[0].rows[o1] @ view).reshape(d, d)
             expected = bell.stages[1].rows[o2] @ after_first / np.linalg.norm(after_first)
@@ -415,7 +421,7 @@ class TestReceiverFactoring:
         config = make_config(cutoff=FockCutoff(32), measurement_backend="homodyne")
         bell = BellMeasurement(build_protocol_state(config), config)
         first, _, _ = bell.draw(substream(53).random((2000, 4)))
-        probs, cdfs = bell._second_laws(np.unique(first))
+        probs, cdfs = bell._second_laws(bell._readouts[0].index(np.unique(first)))
         assert len(cdfs) > 10
         # and each is the CDF of the full-outcome law, read at the support's
         # outcomes: the rows are stored in CDF order
@@ -431,16 +437,20 @@ class TestReceiverFactoring:
         config = make_config(cutoff=FockCutoff(26), measurement_backend="homodyne")
         bell = BellMeasurement(build_protocol_state(config), config)
         outcomes = bell._first.readout.outcomes
-        null = int(outcomes[np.argmin(bell._first.probs)])
+        null_row = int(np.argmin(bell._first.probs))
+        null = int(outcomes[null_row])
         assert probs_by_outcome(bell._first, bell.stages[0])[null] < MIN_OUTCOME_PROBABILITY
         with pytest.raises(ZeroProbabilityBranch):
-            bell._second_laws([null])
+            bell._second_laws([null_row])
+        second = bell._readouts[1].outcomes[:1]
+        with pytest.raises(ZeroProbabilityBranch):
+            bell.coefficients([null], second)
         # over the factored state's basis, some outcomes are off the support
         factored = BellMeasurement(protocol_factors(config), config)
         outcomes = factored._first.readout.outcomes
         off_support = int(np.setdiff1d(np.arange(len(bell.stages[0].values)), outcomes)[0])
         with pytest.raises(ZeroProbabilityBranch):
-            factored._second_laws([off_support])
+            factored.coefficients([off_support], factored._readouts[1].outcomes[:1])
 
 
 FACTOR_CASES = {
@@ -552,6 +562,31 @@ class TestScoringAtReceiverRank:
         # displaced rows, alone and with the parity sign, were scored
         displaced = columns["p_d_success"] == True  # noqa: E712 (None elsewhere)
         assert set(columns["branch"][displaced].tolist()) == {1, 3}
+
+    @pytest.mark.parametrize("backend, cutoff, gamma", [("ideal", 26, 2.0), ("homodyne", 40, 2.0),
+                                                        ("homodyne", 40, 1.5)])
+    @pytest.mark.parametrize("seed", [3, 1001, 71])
+    def test_pair_table_is_per_trial_scoring(self, backend, cutoff, gamma, seed):
+        # each distinct pair of stage rows is scored once for every probe
+        # column; each trial reads the fidelity of its own coefficients and
+        # probe column. gamma 1.5 gives two discriminators.
+        config = make_config(target=SuperpositionSpec(0.6, 0.8, gamma),
+                             cutoff=FockCutoff(cutoff), measurement_backend=backend, p_d=0.7,
+                             trials=2000, seed=seed, aux=AuxiliaryPrep("coherent", 2.0))
+        bell = BellMeasurement(protocol_factors(config), config)
+        assert (bell.stages[0] is bell.stages[1]) == (gamma == 2.0)
+        receiver = _Receiver(config)
+        u = substream(seed).random((config.trials, 6))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the displacement-ratio warning
+            columns, column = receiver.draw(*bell.draw(u[:, :4]), u[:, 4:])
+            coefficients = bell.coefficients(columns["stage1"], columns["stage2"])
+            want = receiver.fidelities(coefficients, bell.receiver_basis,
+                                       np.arange(config.trials), column)
+            got = run_protocol(config).columns
+        assert len(set(zip(got["stage1"].tolist(), got["stage2"].tolist()))) < config.trials
+        assert (column >= 2).any()
+        np.testing.assert_allclose(got["fidelity"], want, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("backend, cutoff", [("ideal", 26), ("homodyne", 40)])
     def test_run_reads_the_core_alone(self, backend, cutoff, monkeypatch):

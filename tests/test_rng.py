@@ -87,3 +87,29 @@ def test_stacked_search_is_searchsorted_on_each_row(support, keys, zero_share, s
     # the padding is never counted: u = 1 counts the row, u < 1 draws an outcome
     assert got.max() == support
     assert (got[np.tile(u, keys)[order] < 1.0] < support).all()
+
+
+@PROPERTY
+@given(support=st.sampled_from([1, 2, 3, 27, 41, 311, 312, 513]),
+       zero_share=st.sampled_from([0.0, 0.5, 0.97]), crowded=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_indexed_search_is_searchsorted(support, zero_share, crowded, seed):
+    gen = np.random.default_rng(seed)
+    probs = gen.random(support)
+    probs[gen.random(support) < zero_share] = 0.0  # repeated CDF values
+    probs[gen.random(support) < 0.1] = rng.MIN_OUTCOME_PROBABILITY / 2  # floored
+    if crowded:  # the upper half in a sliver above one entry: one bucket holds many
+        probs[support // 2:] *= 1e-9
+    probs[gen.integers(support // 2 + 1)] = 1.0  # mass, in the lower half
+    cdf = rng.inverse_cdf(probs)
+    buckets = 1 << (2 * support - 1).bit_length()
+    held = np.bincount(np.ceil(cdf * buckets).astype(int))
+    if crowded and support > 3:
+        assert held.max() > support // 3
+    # 0, every entry below 1 and the float just below each, the top selector
+    u = np.concatenate(([0.0], cdf[cdf < 1.0], np.nextafter(cdf, 0.0), [1 - 2**-53],
+                        gen.random(256)))
+    got = rng.indexed_search(cdf, u)
+    want = np.searchsorted(cdf, u, side="right")
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
