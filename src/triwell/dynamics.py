@@ -189,6 +189,7 @@ def josephson_collision_columns(cutoff: FockCutoff, jp: JosephsonParams,
     d = cutoff.dim
     if reference.shape != (d,) or basis.ndim != 2 or len(basis) != d:
         raise ShapeMismatch("reference vector or basis has the wrong dimension")
+    basis = np.ascontiguousarray(basis)  # the packs are viewed as float pairs
     index, vals, vecs = _josephson_sectors(d, jp.omega, kp.e0_over_hbar, kp.kappa)
     weight = np.convolve(np.einsum("ni,ni->n", basis, basis.conj()).real,
                          np.abs(reference) ** 2)

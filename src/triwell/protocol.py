@@ -55,7 +55,8 @@ CDFs), its ``cumsum`` gives each trial its place in that stack, and
 the same index as one ``searchsorted`` per law. Mode 3's coefficients over
 Z3 after the rows (k1, k2) are read straight off the core, ``(R_1[k1] (x)
 R_2[k2]) T / sqrt(p1[k1])``. ``BellMeasurement`` reads any other three-mode
-state through the same code over the identity basis of every mode.
+state through the same code as its Tucker factors (``tucker_factors``), a
+core over one orthonormal basis per mode at the state's numerical rank.
 
 Rows inside, ids at the edges: a run reads the stages by readout row from
 the draw to the scoring. Outcome ids, the discriminators' own (``m_c * dim +
@@ -272,6 +273,31 @@ class ReceiverFactors(NamedTuple):
     leakage: float
 
 
+#: fraction of a state's squared norm at or below which ``tucker_factors``
+#: drops an eigenvalue of a mode's Gram matrix
+TUCKER_TOLERANCE = 1e-13
+
+
+def tucker_factors(state: StateVector) -> ReceiverFactors:
+    """A three-mode state as its truncated higher-order SVD (De Lathauwer,
+    De Moor and Vandewalle, 2000): each mode's basis holds the eigenvectors
+    of its unfolding's Gram matrix above ``TUCKER_TOLERANCE`` of the squared
+    norm, the core is the state over the conjugate bases, and the mass the
+    core misses is joined into the leakage. A full-rank mode keeps r = d."""
+    if state.modes != 3:
+        raise ValueError("Bell measurement expects the three-mode protocol state")
+    core = tensor = state.tensor_view()
+    mass = np.linalg.norm(tensor) ** 2
+    bases = []
+    for mode in range(3):
+        unfolding = np.moveaxis(tensor, mode, 0).reshape(state.dim, -1)
+        values, vectors = np.linalg.eigh(unfolding @ unfolding.conj().T)
+        bases.append(vectors[:, values > TUCKER_TOLERANCE * mass])
+        core = np.tensordot(core, bases[-1].conj(), axes=(0, 0))  # mode i goes last
+    dropped = max(0.0, 1.0 - np.linalg.norm(core) ** 2 / mass)
+    return ReceiverFactors(core, tuple(bases), joint_leakage(state.leakage, dropped))
+
+
 def protocol_factors(config: ProtocolConfig) -> ReceiverFactors:
     """The protocol state, target (mode 1) and channel (modes 2, 3), as a
     core of at most 2 x 2 x 2 over the modes' parity bases: the self-collided
@@ -313,8 +339,8 @@ class BellMeasurement:
     Each stage consumes two uniforms (selector and tie-breaker) regardless of
     backend, keeping matched-seed runs aligned between backends. Stages with
     the same amplitude share one discriminator. ``state`` is the protocol
-    state's ``ReceiverFactors`` or a three-mode state, read over the identity
-    basis of every mode. A measurement holds only the core T, each stage's
+    state's ``ReceiverFactors`` or a three-mode state, read as its
+    ``tucker_factors``. A measurement holds only the core T, each stage's
     readout over its mode's basis, R_k = rows_k Z_k on the outcomes a draw
     can reach, and the stage-1 law, and keeps nothing from a draw: mode 3's
     coefficients after the rows (k1, k2) are (R_1[k1] (x) R_2[k2]) T /
@@ -329,9 +355,7 @@ class BellMeasurement:
 
     def __init__(self, state: StateVector | ReceiverFactors, config: ProtocolConfig):
         if isinstance(state, StateVector):
-            if state.modes != 3:
-                raise ValueError("Bell measurement expects the three-mode protocol state")
-            state = ReceiverFactors(state.tensor_view(), (np.eye(state.dim),) * 3, state.leakage)
+            state = tucker_factors(state)
         gamma = config.target.gamma
         alpha = config.alpha.amplitude
         ref = config.reference_magnitude

@@ -14,7 +14,8 @@ from triwell import (AuxiliaryPrep, CoherentSpec, CrossSpeciesParams, FockCutoff
 from triwell.corrections import parity_count_distribution
 from triwell.fock import apply_mode_phases, mean_occupation, quadrature_eigensystem
 from triwell.homodyne import EPSILON_N_LIMIT
-from triwell.protocol import BellMeasurement, ProtocolResult, _Receiver, protocol_factors
+from triwell.protocol import (BellMeasurement, ProtocolResult, ReceiverFactors, _Receiver,
+                              protocol_factors)
 from triwell.rng import inverse_cdf
 
 
@@ -121,6 +122,12 @@ def block_probabilities_by_density_matrix(rows: np.ndarray, blocks: np.ndarray) 
     block: the law of ``homodyne._block_probabilities``, row by row."""
     rho = blocks @ blocks.conj().transpose(0, 2, 1)
     return np.maximum(np.einsum("oi,kij,oj->ko", rows, rho, rows.conj()).real, 0.0)
+
+
+def identity_reading(state: StateVector) -> ReceiverFactors:
+    """A three-mode state over the identity basis of every mode (r = d): the
+    unfactored reading ``BellMeasurement`` is compared against."""
+    return ReceiverFactors(state.tensor_view(), (np.eye(state.dim),) * 3, state.leakage)
 
 
 def run_scored_in_full(config) -> ProtocolResult:

@@ -528,6 +528,28 @@ class TestSharedReadouts:
         assert np.any((small < floor) & (large >= floor))
         self.assert_per_basis(disc, bases)
 
+    def test_any_memory_layout_reads_as_its_c_copy(self):
+        # the pair propagator views its inputs as float pairs, so a basis in
+        # Fortran order (as from an SVD's ``vh.conj().T``) or a strided view
+        # reads, bit for bit, as its C-ordered copy
+        cutoff, rng = FockCutoff(12), substream(109)
+        d = cutoff.dim
+        disc = HomodynePhaseDiscriminator(0.3, cutoff, 1.0, JosephsonParams(1000.0),
+                                          KerrParams(1.0, 1.0))
+        v, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        z = np.ascontiguousarray(v[:, :3])
+        block = rng.normal(size=(3, 4)) + 1j * rng.normal(size=(3, 4))
+        block /= np.linalg.norm(block)
+        for basis in (np.asfortranarray(z), z[:, ::-1][:, ::-1], z[:, ::-1], v[:, :6:2]):
+            copy = np.ascontiguousarray(basis)
+            for got, want in zip(disc.readouts([basis, copy]), disc.readouts([copy, copy])):
+                assert np.array_equal(got.rows, want.rows)
+                assert np.array_equal(got.outcomes, want.outcomes)
+            got, want = disc.readout(basis), disc.readout(copy)
+            assert np.array_equal(got.rows, want.rows)
+            assert np.array_equal(disc.prepare_block(got, block).cdf,
+                                  disc.prepare_block(want, block).cdf)
+
 
 class TestBlockProbabilities:
     """The stage laws as one real product of each block's reduced density

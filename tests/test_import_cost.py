@@ -5,8 +5,8 @@ scipy is a test-only dependency. Importing ``scipy.linalg`` costs ~0.3 s and
 ~15 ms. The pytest process has scipy loaded by other tests, so the check
 runs in a fresh interpreter: import the CLI, draw displaced branches,
 evaluate the linearization diagnostic (``oracles``, on the package's
-quadrature eigensystem), run one CLI subcommand, then inspect
-``sys.modules``.
+quadrature eigensystem), factor a three-mode state into a Bell measurement
+and draw from it, run one CLI subcommand, then inspect ``sys.modules``.
 """
 
 import os
@@ -22,7 +22,9 @@ import sys
 
 import triwell.cli
 from triwell import (CoherentSpec, CrossSpeciesParams, FockCutoff, JosephsonParams,
-                     KerrParams, ProtocolConfig, SuperpositionSpec, run_protocol)
+                     KerrParams, ProtocolConfig, SuperpositionSpec, build_protocol_state,
+                     run_protocol, substream)
+from triwell.protocol import BellMeasurement
 from oracles import displacement_linearization_error
 
 config = ProtocolConfig(
@@ -34,6 +36,7 @@ config = ProtocolConfig(
 records = run_protocol(config).records
 assert any("displacement" in rec.corrections_applied for rec in records)
 displacement_linearization_error(0.3, FockCutoff(26))
+BellMeasurement(build_protocol_state(config), config).draw(substream(0).random((1, 4)))
 assert triwell.cli.main(["teleport", "--trials", "50", "--out", sys.argv[1]]) == 0
 loaded = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 assert not loaded, loaded

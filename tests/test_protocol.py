@@ -37,18 +37,21 @@ from triwell import (
 import triwell.homodyne
 import triwell.protocol
 from triwell.cli import main
-from triwell.fock import StateVector, coherent_amplitudes
+from triwell.fock import StateVector, coherent_amplitudes, joint_leakage
 from triwell.homodyne import helstrom_vectors
 from triwell.protocol import (
     CORRECTIONS_FOR_BRANCH,
     NOT_DRAWN,
+    TUCKER_TOLERANCE,
     BellMeasurement,
     _Receiver,
     protocol_factors,
+    tucker_factors,
 )
 from triwell.rng import MIN_OUTCOME_PROBABILITY, inverse_cdf
 
-from oracles import parity_flip, parity_operation, protocol_state_by_evolution, run_scored_in_full
+from oracles import (identity_reading, parity_flip, parity_operation, protocol_state_by_evolution,
+                     run_scored_in_full)
 
 
 def four_branch_state(a_w, b_w, gamma, alpha, beta, cutoff):
@@ -384,10 +387,17 @@ class TestReceiverFactoring:
             amps = np.einsum("ia,jb,ijc->abc", pair, pair, amps[:2, :2])
         state = StateVector(3, cutoff, (amps / np.linalg.norm(amps)).ravel())
         bell = BellMeasurement(state, config)
-        assert np.array_equal(bell.receiver_basis, np.eye(d))
+        # mode 3 holds the 2 x 2 pair blocks' 4 random columns, or all d
+        rank = 4 if backend == "ideal" else d
+        assert bell.receiver_basis.shape == (d, rank)
+        np.testing.assert_allclose(bell.receiver_basis.conj().T @ bell.receiver_basis,
+                                   np.eye(rank), rtol=0, atol=1e-14)
         u = substream(43).random((2000, 4))
         first, second, branch = bell.draw(u)
         post = bell.conditionals(first, second)
+        reference = BellMeasurement(identity_reading(state), config)
+        assert all(np.array_equal(a, b) for a, b in zip((first, second, branch), reference.draw(u)))
+        np.testing.assert_allclose(post, reference.conditionals(first, second), rtol=0, atol=1e-13)
         direct, seconds = bell.stages[0].prepare(state, 0), {}
         ref1, bit1 = drawn_outcomes(direct, u[:, 0], u[:, 1])
         assert first.tolist() == ref1.tolist()
@@ -453,6 +463,114 @@ class TestReceiverFactoring:
             factored.coefficients([off_support], factored._readouts[1].outcomes[:1])
 
 
+class TestTuckerFactors:
+    """``BellMeasurement`` reads a three-mode state as its truncated
+    higher-order SVD, a core over one orthonormal basis per mode at the
+    state's numerical rank; the identity-basis reading is the reference."""
+
+    @staticmethod
+    def assert_factors(factors, state: StateVector, shape: tuple):
+        assert factors.core.shape == shape
+        for basis, rank in zip(factors.bases, shape):
+            assert basis.shape == (state.dim, rank)
+            np.testing.assert_allclose(basis.conj().T @ basis, np.eye(rank), rtol=0, atol=1e-14)
+        expanded = np.einsum("ijk,ai,bj,ck->abc", factors.core, *factors.bases)
+        np.testing.assert_allclose(expanded, state.tensor_view(), rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("backend", ["ideal", "homodyne"])
+    @pytest.mark.parametrize("weights", [(0.6, 0.8), (1.0, 1.0)], ids=["unequal", "equal"])
+    @pytest.mark.parametrize("n_max, amplitude", [(12, 1.0), (26, 2.0), (40, 2.0)])
+    def test_protocol_state_factors_at_its_rank(self, n_max, amplitude, weights, backend):
+        # an equal-weight target is an even cat, so mode 1 has rank 1
+        config = make_config(target=SuperpositionSpec(*weights, amplitude),
+                             alpha=CoherentSpec(amplitude), beta=CoherentSpec(1j * amplitude),
+                             cutoff=FockCutoff(n_max), measurement_backend=backend)
+        state = build_protocol_state(config)
+        factors = tucker_factors(state)
+        self.assert_factors(factors, state, (1 if weights == (1.0, 1.0) else 2, 2, 2))
+        assert state.leakage <= factors.leakage < joint_leakage(state.leakage, 1e-14)
+        bell = BellMeasurement(state, config)
+        assert np.array_equal(bell._core, factors.core)
+        assert np.array_equal(bell.receiver_basis, factors.bases[2])
+        assert bell.leakage == factors.leakage
+
+    def test_full_rank_state_keeps_every_mode(self):
+        cutoff, rng = FockCutoff(9), substream(71)
+        d = cutoff.dim
+        amps = rng.normal(size=(d, d, d)) + 1j * rng.normal(size=(d, d, d))
+        state = StateVector(3, cutoff, (amps / np.linalg.norm(amps)).ravel(), 1e-3)
+        factors = tucker_factors(state)
+        self.assert_factors(factors, state, (d, d, d))
+        assert factors.leakage == pytest.approx(1e-3, rel=0, abs=1e-15)
+
+    def test_refuses_other_mode_counts(self):
+        config = make_config(cutoff=FockCutoff(9))
+        d = config.cutoff.dim
+        two_modes = StateVector(2, config.cutoff, np.eye(d).ravel() / math.sqrt(d))
+        with pytest.raises(ValueError, match="three-mode"):
+            BellMeasurement(two_modes, config)
+
+    @pytest.mark.parametrize("mass, shape", [(0.5 * TUCKER_TOLERANCE, (2, 2, 2)),
+                                             (10 * TUCKER_TOLERANCE, (3, 3, 3))])
+    def test_mass_below_the_tolerance_goes_to_leakage(self, mass, shape):
+        # a rank-2 state plus a third product component, orthogonal in every
+        # mode, of squared norm ``mass``: each Gram matrix gets the eigenvalue
+        # ``mass``, which is dropped below the tolerance and kept above it
+        cutoff, rng = FockCutoff(9), substream(73)
+        d = cutoff.dim
+        q = [np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+             for _ in range(3)]
+
+        def product(k):
+            return np.einsum("a,b,c->abc", q[0][:, k], q[1][:, k], q[2][:, k])
+
+        amps = math.sqrt(1 - mass) * (0.6 * product(0) + 0.8 * product(1))
+        state = StateVector(3, cutoff, (amps + math.sqrt(mass) * product(2)).ravel(), 0.25)
+        factors = tucker_factors(state)
+        assert factors.core.shape == shape
+        dropped = mass if shape == (2, 2, 2) else 0.0
+        assert factors.leakage == pytest.approx(joint_leakage(0.25, dropped), rel=0, abs=2e-15)
+        expanded = np.einsum("ijk,ai,bj,ck->abc", factors.core, *factors.bases)
+        assert np.linalg.norm(expanded - state.tensor_view()) ** 2 == pytest.approx(
+            dropped, rel=0, abs=2e-15)
+
+    @pytest.mark.parametrize("backend", ["ideal", "homodyne"])
+    def test_draws_and_conditionals_equal_the_identity_reading(self, backend):
+        config = make_config(target=SuperpositionSpec(0.6, 0.8, 1.0), alpha=CoherentSpec(1.0),
+                             beta=CoherentSpec(1j), cutoff=FockCutoff(12),
+                             measurement_backend=backend)
+        state = build_protocol_state(config)
+        bell = BellMeasurement(state, config)
+        reference = BellMeasurement(identity_reading(state), config)
+        for seed in (79, 83, 89):
+            u = substream(seed).random((10_000, 4))
+            drawn = bell.draw(u)
+            assert all(np.array_equal(a, b) for a, b in zip(drawn, reference.draw(u)))
+            np.testing.assert_allclose(bell.conditionals(*drawn[:2]),
+                                       reference.conditionals(*drawn[:2]), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("backend, n_max, weights", [
+        pytest.param("ideal", 26, (0.6, 0.8), id="ideal-26"),
+        pytest.param("homodyne", 40, (0.6, 0.8), id="homodyne-40"),
+        pytest.param("homodyne", 40, (1.0, 1.0), id="homodyne-40-equal")])
+    def test_draws_equal_the_identity_reading_at_large_cutoffs(self, backend, n_max, weights):
+        # at n_max 26-40 the identity reading's homodyne stage-1 law sums
+        # d^2 row products, and its conditionals stray up to ~1e-12 from the
+        # exact parity core's; the factored ones stay within 1e-13 of it
+        config = make_config(target=SuperpositionSpec(*weights, 2.0), cutoff=FockCutoff(n_max),
+                             measurement_backend=backend)
+        state = build_protocol_state(config)
+        bell = BellMeasurement(state, config)
+        reference = BellMeasurement(identity_reading(state), config)
+        exact = BellMeasurement(protocol_factors(config), config)
+        for seed in (97, 101):
+            u = substream(seed).random((10_000, 4))
+            drawn = bell.draw(u)
+            assert all(np.array_equal(a, b) for a, b in zip(drawn, reference.draw(u)))
+            np.testing.assert_allclose(bell.conditionals(*drawn[:2]),
+                                       exact.conditionals(*drawn[:2]), rtol=0, atol=1e-13)
+
+
 FACTOR_CASES = {
     "unbalanced": lambda amp: dict(target=SuperpositionSpec(0.6, 0.8j, amp),
                                    beta=CoherentSpec(1j * amp)),
@@ -495,7 +613,11 @@ class TestProtocolFactors:
             np.testing.assert_allclose(probs_by_outcome(bell._first, bell.stages[0]),
                                        probs_by_outcome(full._first, full.stages[0]),
                                        rtol=0, atol=1e-14)
-            assert bell.leakage == full.leakage
+            # the full state's factors drop the mass their core misses
+            mass = np.linalg.norm(oracle.amplitudes) ** 2
+            dropped = max(0.0, 1.0 - np.linalg.norm(full._core) ** 2 / mass)
+            assert full.leakage == joint_leakage(oracle.leakage, dropped)
+            assert dropped < 1e-14
 
     def test_run_reads_the_homodyne_rows_over_each_basis_alone(self, monkeypatch):
         # the pair propagator is built over each mode's basis (r <= 2
