@@ -183,8 +183,8 @@ def josephson_collision_columns(cutoff: FockCutoff, jp: JosephsonParams,
     U is unitary within each total-number sector N, so a normalised signal
     puts at most ``B_N = sum_{n+m=N} |basis[n, :]|^2 |reference[m]|^2`` into
     sector N, and no row of the sector reads more. Sectors with ``B_N <
-    floor`` are skipped and their rows left zero; the others are one
-    ``_propagate_packs`` product on the inputs ``basis[n] reference[N - n]``.
+    floor`` are skipped: their inputs are zero, so are their rows, and their
+    eigenvalues are zeroed to spare the exponential; packs past the last live one are left out.
     """
     d = cutoff.dim
     if reference.shape != (d,) or basis.ndim != 2 or len(basis) != d:
@@ -195,11 +195,10 @@ def josephson_collision_columns(cutoff: FockCutoff, jp: JosephsonParams,
                          np.abs(reference) ** 2)
     rest = index % d  # pack b holds |n, (b - n) mod d>
     live = weight[np.arange(d) + rest] >= floor
-    kept = np.flatnonzero(live.any(axis=1))
-    source = reference[rest[kept]] * live[kept]  # zero on the states of skipped sectors
-    inputs = np.multiply(basis, source[..., None], dtype=np.complex128)
+    kept = d - np.argmax(live.any(axis=1)[::-1])  # up to the last live pack, read in place
+    inputs = np.multiply(basis, (reference[rest[:kept]] * live[:kept])[..., None], dtype=complex)
     rows = np.zeros((d * d, basis.shape[1]), dtype=np.complex128)
-    rows[index[kept]] = _propagate_packs(inputs, vals[kept], vecs[kept], t)
+    rows[index[:kept]] = _propagate_packs(inputs, vals[:kept] * live[:kept], vecs[:kept], t)
     return rows
 
 

@@ -165,27 +165,27 @@ def _check_mode(state: StateVector, mode: int) -> None:
 # preparations
 
 
-def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
-    """Untruncated-normalized coefficients exp(-|a|^2/2) a^n / sqrt(n!)."""
+def coherent_amplitudes(alpha, dim: int) -> np.ndarray:
+    """Untruncated-normalized coefficients exp(-|a|^2/2) a^n / sqrt(n!); a
+    sequence of amplitudes gives one row each, from one running product."""
+    alphas = np.atleast_1d(alpha)
     try:
-        weight = math.exp(-abs(alpha) ** 2 / 2)
+        weights = np.array([math.exp(-abs(a) ** 2 / 2) for a in alphas.tolist()])
     except OverflowError:  # |a|^2 past float range: no cutoff holds the state
-        raise CutoffTooSmall(f"coherent amplitude {abs(alpha):.3e}: |a|^2 overflows") from None
-    # c_n = c_{n-1} alpha / sqrt(n) on Python complex numbers (NaN past float
-    # range); the factor (1/sqrt(n), -0.0) gives numpy's complex-by-real
-    # quotient bit for bit, a product with the reciprocal, signed zeros included
-    scale = np.empty(dim - 1, dtype=np.complex128)
-    scale.real = 1.0 / np.sqrt(np.arange(1, dim))
-    scale.imag = -0.0
-    c, amplitudes = 1.0 + 0j, [1.0 + 0j]
-    for factor in scale.tolist():
-        c = c * alpha * factor
-        amplitudes.append(c)
-    return np.array(amplitudes) * weight
+        raise CutoffTooSmall(f"coherent amplitude {abs(alphas).max():.3e}: |a|^2 overflows"
+                             ) from None
+    # c_n = (c_{n-1} alpha) (1/sqrt(n), -0.0) over the factors 1, alpha, 1/sqrt(1), alpha, ...
+    # (NaN past float range), numpy's complex-by-real quotient bit for bit
+    steps = np.empty((len(alphas), 2 * dim - 1), dtype=np.complex128)
+    steps[:, 0], steps[:, 1::2] = 1.0, alphas[:, None]
+    steps[:, 2::2].real, steps[:, 2::2].imag = 1.0 / np.sqrt(np.arange(1, dim)), -0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        products = np.cumprod(steps, axis=1)[:, ::2] * weights[:, None]
+    return products if np.ndim(alpha) else products[0]
 
 
-def _finalize_preparation(raw: np.ndarray, exact_sq: float, cutoff: FockCutoff,
-                          max_leakage: float, what: str) -> StateVector:
+def _finalize_preparation(raw: np.ndarray, cutoff: FockCutoff, exact_sq=1.0,
+                          max_leakage=DEFAULT_MAX_LEAKAGE, what="prepare_coherent") -> StateVector:
     """Renormalize ``raw``; its leakage is the share of ``exact_sq``, the
     untruncated squared norm, that the cutoff dropped."""
     kept = float(np.vdot(raw, raw).real)
@@ -202,7 +202,7 @@ def prepare_coherent(spec: CoherentSpec, cutoff: FockCutoff,
                      max_leakage: float = DEFAULT_MAX_LEAKAGE) -> StateVector:
     """Coherent state |alpha| in the truncated basis, renormalized."""
     raw = coherent_amplitudes(spec.amplitude, cutoff.dim)
-    return _finalize_preparation(raw, 1.0, cutoff, max_leakage, "prepare_coherent")
+    return _finalize_preparation(raw, cutoff, max_leakage=max_leakage)
 
 
 def prepare_number(n: int, cutoff: FockCutoff) -> StateVector:
@@ -230,7 +230,7 @@ def prepare_squeezed_vacuum(spec: SqueezedVacuumSpec, cutoff: FockCutoff,
         # c_{2k} = c_{2k-2} * factor * sqrt((2k)(2k-1)) / (2k)
         raw[2 * k] = raw[2 * k - 2] * factor * math.sqrt((2 * k) * (2 * k - 1)) / (2 * k)
         k += 1
-    return _finalize_preparation(raw, 1.0, cutoff, max_leakage, "prepare_squeezed_vacuum")
+    return _finalize_preparation(raw, cutoff, 1.0, max_leakage, "prepare_squeezed_vacuum")
 
 
 def prepare_cat_superposition(spec: SuperpositionSpec, cutoff: FockCutoff,
@@ -242,10 +242,15 @@ def prepare_cat_superposition(spec: SuperpositionSpec, cutoff: FockCutoff,
     the exact overlap <gamma|-gamma> = exp(-2|gamma|^2) carried by the
     truncated coefficients themselves.
     """
+    return cat_from_table(spec, coherent_amplitudes(spec.gamma, cutoff.dim), cutoff, max_leakage)
+
+
+def cat_from_table(spec: SuperpositionSpec, plus: np.ndarray, cutoff: FockCutoff,
+                   max_leakage: float = DEFAULT_MAX_LEAKAGE) -> StateVector:
+    """``prepare_cat_superposition`` from gamma's table ``plus``; -gamma's is its parity flip."""
     scale = max(abs(spec.a), abs(spec.b)) or 1.0
     a, b = spec.a / scale, spec.b / scale
-    plus = coherent_amplitudes(spec.gamma, cutoff.dim)
-    raw = a * plus + b * coherent_amplitudes(-spec.gamma, cutoff.dim)
+    raw = a * plus + b * np.where(np.arange(cutoff.dim) % 2, -plus, plus)
     # Untruncated squared norm; detects A|g> - A|g>-type cancellations exactly.
     exact_sq = (
         abs(a) ** 2 + abs(b) ** 2
@@ -255,8 +260,7 @@ def prepare_cat_superposition(spec: SuperpositionSpec, cutoff: FockCutoff,
         raise DegenerateSuperposition(
             "superposition weights cancel: unnormalized norm below 1e-12"
         )
-    return _finalize_preparation(raw, exact_sq, cutoff, max_leakage,
-                                 "prepare_cat_superposition")
+    return _finalize_preparation(raw, cutoff, exact_sq, max_leakage, "prepare_cat_superposition")
 
 
 # ---------------------------------------------------------------------------

@@ -223,7 +223,7 @@ def helstrom_vectors(amplitude: complex, cutoff: FockCutoff):
     """
     _pair_overlap_guard(abs(amplitude))
     plus = prepare_coherent(CoherentSpec(amplitude), cutoff).amplitudes
-    minus = prepare_coherent(CoherentSpec(-amplitude), cutoff).amplitudes
+    minus = np.where(np.arange(cutoff.dim) % 2, -plus, plus)  # |-a>, the parity flip of |a>
     overlap = float(np.vdot(plus, minus).real)  # real: sum |c_n|^2 (-1)^n
     e_sym = (plus + minus) / math.sqrt(2 * (1 + overlap))
     e_anti = (plus - minus) / math.sqrt(2 * (1 - overlap))
@@ -257,7 +257,7 @@ class Readout(NamedTuple):
         """The bits of the drawn rows ``k``: 1 for a negative value, 0 for a
         positive one, and for a zero value 1 iff ``u_tie`` < 0.5."""
         value = self.values[k]
-        return np.where(value == 0, u_tie < 0.5, value < 0).astype(np.int64)
+        return ((value < 0) | ((value == 0) & (u_tie < 0.5))).astype(np.int64)
 
 
 def _block_probabilities(rows, blocks: np.ndarray) -> np.ndarray:
@@ -265,7 +265,9 @@ def _block_probabilities(rows, blocks: np.ndarray) -> np.ndarray:
     stack of (r x w) coefficient blocks. That is linear in each block's
     reduced density matrix rho: ``Re sum_ij rho[i, j] rows[o, i]
     conj(rows[o, j])``. So each row's r^2 products are built once, and every
-    law is one real (keys x 2 r^2) @ (2 r^2 x rows) product, clipped at 0."""
+    law is one real (keys x 2 r^2) @ (2 r^2 x rows) product, clipped at 0.
+    Its rounding is absolute, from the 2 r^2 products, so a small probability
+    on a wide basis (r near d) loses relative accuracy: 1e-11 at 1.2e-6 (r = d, n_max 32)."""
     rho = np.matmul(blocks, blocks.conj().transpose(0, 2, 1), dtype=complex)
     products = rows.conj()[:, :, None] * rows[:, None, :]
     # Re(x conj(y)) summed as the dot product of the interleaved parts
@@ -383,11 +385,10 @@ class HomodynePhaseDiscriminator(_Discriminator):
         self.reference = reference_magnitude * cmath.exp(1j * (axis_phase + math.pi / 2))
         self.reference_amplitudes = prepare_coherent(CoherentSpec(self.reference),
                                                      cutoff).amplitudes
-        d = cutoff.dim
-        m_c, m_b = np.indices((d, d)).reshape(2, d * d)
-        self.values = (m_c - m_b) / (2 * reference_magnitude)
-        # stable: tied values keep the count order m_c * dim + m_b
-        self.order = np.argsort(self.values, kind="stable")
+        d, m, k = cutoff.dim, np.arange(cutoff.dim), np.arange(1 - cutoff.dim, cutoff.dim)[:, None]
+        self.values = (m[:, None] - m).ravel() / (2 * reference_magnitude)  # id m_c d + m_b
+        # ascending value, ties by id: diagonal k = m_c - m_b holds ids m_c (d + 1) - k
+        self.order = (m * (d + 1) - k)[(m >= k) & (m < d + k)]
 
     @property
     def rows(self) -> np.ndarray:

@@ -33,11 +33,11 @@ Bell stages: at the quarter period with e0 = kappa every self-collision
 phase is 1 on even n and -i on odd n, and every cross phase is the sign
 (-1)^(n_i n_j). So each mode stays in the span of its even and odd parts,
 and the state above is a core T (r1 x r2 x r3, each r at most 2) over one
-exact orthonormal parity basis per mode (``protocol_factors``): Z1 the
-normalised parity parts of the self-collided target, Z2 the channel's
-basis of mode 2 (``channel.channel_factors``) times mode 2's second
-self-collision phase, which is diagonal, and Z3 the channel's basis of mode
-3. The channel's core carries the 2-3 sign and the 1-2 cross-collision is
+exact orthonormal parity basis per mode (``protocol_factors``): Z1, Z2, Z3
+the normalised parity parts of the self-collided target and wells, split in
+one ``parity_bases`` pass from one running product of coherent tables (each
+distinct amplitude once), Z2 times mode 2's second self-collision phase.
+The channel's core carries the 2-3 sign and the 1-2 cross-collision is
 the sign (-1)^(p1 p2) of the parities on T, so no d-wide array is formed;
 ``build_protocol_state`` is the expansion. A vacuum amplitude has no odd
 part, which gives r = 1. Stage k reads its mode through ``R_k = rows_k @
@@ -95,7 +95,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import channel_factors, channel_family_index, parity_basis
+from .channel import channel_core, channel_family_index, parity_bases
 from .corrections import (
     AuxiliaryPrep,
     displacement_offset,
@@ -110,12 +110,15 @@ from .fock import (
     StateVector,
     SuperpositionSpec,
     _displacement_matrix,
+    _finalize_preparation,
+    cat_from_table,
     check_displaced_top_shell,
+    coherent_amplitudes,
     joint_leakage,
     prepare_cat_superposition,
 )
 from .homodyne import HomodynePhaseDiscriminator, IdealPhaseDiscriminator
-from .rng import MIN_OUTCOME_PROBABILITY, inverse_cdf, stacked_search, substream
+from .rng import MIN_OUTCOME_PROBABILITY, indexed_search, inverse_cdf, stacked_search, substream
 
 BACKENDS = ("ideal", "homodyne")
 
@@ -282,8 +285,8 @@ def tucker_factors(state: StateVector) -> ReceiverFactors:
     """A three-mode state as its truncated higher-order SVD (De Lathauwer,
     De Moor and Vandewalle, 2000): each mode's basis holds the eigenvectors
     of its unfolding's Gram matrix above ``TUCKER_TOLERANCE`` of the squared
-    norm, the core is the state over the conjugate bases, and the mass the
-    core misses is joined into the leakage. A full-rank mode keeps r = d."""
+    norm (a full-rank mode keeps r = d), the core is the state over the
+    conjugate bases, and |state - expansion|^2 / |state|^2 joins the leakage."""
     if state.modes != 3:
         raise ValueError("Bell measurement expects the three-mode protocol state")
     core = tensor = state.tensor_view()
@@ -294,7 +297,8 @@ def tucker_factors(state: StateVector) -> ReceiverFactors:
         values, vectors = np.linalg.eigh(unfolding @ unfolding.conj().T)
         bases.append(vectors[:, values > TUCKER_TOLERANCE * mass])
         core = np.tensordot(core, bases[-1].conj(), axes=(0, 0))  # mode i goes last
-    dropped = max(0.0, 1.0 - np.linalg.norm(core) ** 2 / mass)
+    expansion = np.einsum("ijk,ai,bj,ck->abc", core, *bases, optimize=True)
+    dropped = np.linalg.norm(tensor - expansion) ** 2 / mass
     return ReceiverFactors(core, tuple(bases), joint_leakage(state.leakage, dropped))
 
 
@@ -303,19 +307,27 @@ def protocol_factors(config: ProtocolConfig) -> ReceiverFactors:
     core of at most 2 x 2 x 2 over the modes' parity bases: the self-collided
     target's parity parts, the channel's bases with mode 2's second
     self-collision phase, and the 1-2 cross-collision sign on the core."""
+    return _protocol_factors(config)[0]
+
+
+def _protocol_factors(config: ProtocolConfig) -> tuple:
+    """``protocol_factors`` and its tables: each distinct amplitude's built once."""
     if channel_family_index(config.kerr) != 0:
         raise FrequencyConditionViolated(
             "protocol state generation requires e0 = kappa (family index 0)"
         )
-    target = prepare_cat_superposition(config.target, config.cutoff)
-    core, (second, third), leakage = channel_factors(config.alpha, config.beta, config.kerr,
-                                                     config.cutoff)
+    gamma, alpha, beta = config.target.gamma, config.alpha.amplitude, config.beta.amplitude
+    amplitudes = list(dict.fromkeys((gamma, alpha, beta)))
+    tables = dict(zip(amplitudes, coherent_amplitudes(amplitudes, config.cutoff.dim)))
+    modes = [cat_from_table(config.target, tables[gamma], config.cutoff),
+             *(_finalize_preparation(tables[amp], config.cutoff) for amp in (alpha, beta))]
     self_kerr = kerr_phases(config.cutoff.dim, config.kerr, math.pi / (2 * config.kerr.kappa))
-    first = parity_basis(target.amplitudes * self_kerr)
+    first, second, third = parity_bases(np.stack([mode.amplitudes for mode in modes]) * self_kerr)
     sign = (-1.0) ** np.outer(first.parities, second.parities)
-    return ReceiverFactors((first.norms[:, None] * sign)[:, :, None] * core,
+    leakage = joint_leakage(modes[0].leakage, joint_leakage(modes[1].leakage, modes[2].leakage))
+    return ReceiverFactors((first.norms[:, None] * sign)[:, :, None] * channel_core(second, third),
                            (first.basis, second.basis * self_kerr[:, None], third.basis),
-                           joint_leakage(target.leakage, leakage))
+                           leakage), tables
 
 
 def build_protocol_state(config: ProtocolConfig) -> StateVector:
@@ -405,12 +417,13 @@ class BellMeasurement:
         the stack of stage-2 laws: the drawn stage-1 rows ``keys`` and each
         trial's ``place`` in them. Selector and tie of stage 1, then of stage
         2, every trial drawn on its place's row of the stacked CDFs."""
-        first, bit1 = self._first.draw(u[:, 0], u[:, 1])
+        # contiguous copies of the selectors, which the searches read in several passes
+        first, bit1 = self._first.draw(u[:, 0].copy(), u[:, 1])
         drawn = np.bincount(first) > 0
         keys = np.flatnonzero(drawn)
         _, cdfs = self._second_laws(keys)
         place = (np.cumsum(drawn) - 1)[first]
-        second = stacked_search(cdfs, place, u[:, 2])
+        second = stacked_search(cdfs, place, u[:, 2].copy())
         bit2 = self._readouts[1].bits(second, u[:, 3])
         return first, second, 2 * (bit1 ^ bit2) + 1 - bit2, keys, place
 
@@ -477,10 +490,10 @@ class _Receiver:
     D[n_max, :] reads D|post> on the top shell.
     """
 
-    def __init__(self, config: ProtocolConfig):
+    def __init__(self, config: ProtocolConfig, reference: StateVector):
         self.config = config
-        self.reference = reference_state(config)
-        ref = self.reference.amplitudes
+        self.reference = reference
+        ref = reference.amplitudes
         probes = np.conj([ref, (-1.0) ** np.arange(len(ref)) * ref]).T
         try:
             self.delta = displacement_offset(complex(config.beta.amplitude), 0)
@@ -514,7 +527,7 @@ class _Receiver:
         success = (u[:, 0] < self.config.p_d) & (self.delta is not None)
         aux_m = np.full(len(branch), NOT_DRAWN)
         if parity.any():  # the count CDF (and its conditions) only when needed
-            aux_m[parity] = np.searchsorted(self.count_cdf, u[parity, 1], side="right")
+            aux_m = np.where(parity, indexed_search(self.count_cdf, u[:, 1].copy()), NOT_DRAWN)
         flipped = parity & ((aux_m & 1) == 0)
         columns = {
             "stage1": first, "stage2": second, "branch": branch,
@@ -539,8 +552,8 @@ class _Receiver:
         displaced = column >= 2
         if displaced.any():
             warn_large_offset(self.delta, self.config.beta.amplitude)
-            check_displaced_top_shell(float(mass[pair[displaced], -1].max()))
-        return mass[pair, column]
+            check_displaced_top_shell(float(mass[:, -1][pair[displaced]].max()))
+        return mass.ravel().take(pair * mass.shape[1] + column)
 
 
 def correct_and_score(mode3: StateVector, outcome: MeasurementOutcome,
@@ -549,7 +562,7 @@ def correct_and_score(mode3: StateVector, outcome: MeasurementOutcome,
     applied to ``mode3`` and scored, keeping ``outcome``'s stage outcomes."""
     if outcome.branch not in CORRECTIONS_FOR_BRANCH:
         raise ValueError(f"branch {outcome.branch} outside 0..3")
-    receiver = _Receiver(config)
+    receiver = _Receiver(config, reference_state(config))
     first, second = (np.array([index]) for index in outcome.raw)
     columns, column = receiver.draw(first, second, np.array([outcome.branch]),
                                     rng.random((1, 2)))
@@ -560,9 +573,11 @@ def correct_and_score(mode3: StateVector, outcome: MeasurementOutcome,
 
 def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     """Run ``config.trials`` seeded trials; deterministic given the seed."""
-    bell = BellMeasurement(protocol_factors(config), config)
+    factors, tables = _protocol_factors(config)
+    bell = BellMeasurement(factors, config)
     u = substream(config.seed).random((config.trials, 6))  # trial i: row i
-    receiver = _Receiver(config)
+    spec = SuperpositionSpec(config.target.a, config.target.b, config.beta.amplitude)
+    receiver = _Receiver(config, cat_from_table(spec, tables[spec.gamma], config.cutoff))
     first, second, branch, keys, place = bell._draw_rows(u[:, :4])
     columns, column = receiver.draw(*bell._outcomes(first, second), branch, u[:, 4:])
     pair, coeff = bell._pairs(keys, place, second)  # each distinct pair scored once

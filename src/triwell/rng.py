@@ -17,7 +17,7 @@ own row: it counts the row's entries ``<= u``, which is the same index.
 ``indexed_search`` is the same draw on one CDF through an exact guide table
 (Chen and Asau, 1974): a power-of-two number of equal buckets over [0, 1)
 settles every uniform whose bucket holds at most one entry with one
-comparison, and ``stacked_search`` takes the rest.
+comparison, and ``np.searchsorted`` takes the rest.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ def indexed_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     exact. ``edges[b]`` counts the entries ``<= b / M`` (those with
     ``ceil(cdf M) <= b``), so bucket b holds the answer in ``[edges[b],
     edges[b + 1]]``: one comparison settles a bucket of at most one entry,
-    and ``stacked_search`` the uniforms of the others."""
+    and one ``np.searchsorted`` the few uniforms of the others."""
     buckets = 1 << (2 * len(cdf) - 1).bit_length()
     edges = np.cumsum(np.bincount(np.ceil(cdf * buckets).astype(np.intp), minlength=buckets + 1))
     b = (u * buckets).astype(np.intp)
@@ -86,5 +86,5 @@ def indexed_search(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
     k = lo + ((held > 0) & (cdf.take(lo, mode="clip") <= u))
     many = np.flatnonzero(held > 1)
     if len(many):
-        k[many] = stacked_search(cdf[None], np.zeros(len(many), np.intp), u[many])
+        k[many] = np.searchsorted(cdf, u[many], side="right")
     return k

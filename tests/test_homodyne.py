@@ -575,3 +575,22 @@ class TestBlockProbabilities:
             np.testing.assert_allclose(_block_probabilities(rows, stack),
                                        block_probabilities_by_density_matrix(rows, stack),
                                        rtol=0, atol=1e-15)
+
+    def test_full_rank_state_to_an_absolute_bound(self):
+        # a full-rank d = 10 state over the identity basis (r = d): each law
+        # is a sum of 2 r^2 = 200 real terms whose magnitudes add up to at most
+        # trace(rho) |R[o]|^2 <= 1 (|rho_ij| <= sqrt(rho_ii rho_jj), Cauchy-
+        # Schwarz), so it rounds by at most 200 x 1.1e-16 = 2.2e-14, absolute,
+        # however small the probability; the bound is 2.5e-14 on every row
+        cutoff = FockCutoff(9)
+        d = cutoff.dim
+        disc = HomodynePhaseDiscriminator(0.0, cutoff, 0.5, JosephsonParams(1000.0),
+                                          KerrParams(1.0, 1.0))
+        readout = disc.readout(np.eye(d))
+        for seed in (101, 103, 107):
+            gen = substream(seed)
+            state = gen.normal(size=(d, d * d)) + 1j * gen.normal(size=(d, d * d))
+            block = state / np.linalg.norm(state)
+            direct = np.sum(np.abs(readout.rows @ block) ** 2, axis=1)
+            probs = _block_probabilities(readout.rows, block[None])[0]
+            assert np.abs(probs - direct).max() <= 2.5e-14

@@ -1,3 +1,4 @@
+import cmath
 import dataclasses
 import math
 import pickle
@@ -34,6 +35,9 @@ from triwell import (
     tensor,
     virtual_displacement,
 )
+import triwell.channel
+import triwell.dynamics
+import triwell.fock
 import triwell.homodyne
 import triwell.protocol
 from triwell.cli import main
@@ -534,6 +538,22 @@ class TestTuckerFactors:
         assert np.linalg.norm(expanded - state.tensor_view()) ** 2 == pytest.approx(
             dropped, rel=0, abs=2e-15)
 
+    @pytest.mark.parametrize("mass", [1e-14, 3e-14, 0.5 * TUCKER_TOLERANCE])
+    def test_dropped_mass_is_recovered_to_the_leakage_rounding(self, mass):
+        # the planted third component of squared norm ``mass`` is dropped, and
+        # the leakage 1 - (1 - 0)(1 - dropped) carries it to within half an ulp
+        # below 1, 5.6e-17: 0.55 % of 1e-14, so the bound is 1 % relative.
+        # Taken as 1 - |core|^2 / |state|^2, the mass read up to ~9 % off.
+        cutoff, rng = FockCutoff(9), substream(97)
+        d = cutoff.dim
+        q = [np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+             for _ in range(3)]
+        parts = [np.einsum("a,b,c->abc", q[0][:, k], q[1][:, k], q[2][:, k]) for k in range(3)]
+        amps = math.sqrt(1 - mass) * (0.6 * parts[0] + 0.8 * parts[1]) + math.sqrt(mass) * parts[2]
+        factors = tucker_factors(StateVector(3, cutoff, amps.ravel()))
+        assert factors.core.shape == (2, 2, 2)
+        assert factors.leakage == pytest.approx(mass, rel=1e-2, abs=0)
+
     @pytest.mark.parametrize("backend", ["ideal", "homodyne"])
     def test_draws_and_conditionals_equal_the_identity_reading(self, backend):
         config = make_config(target=SuperpositionSpec(0.6, 0.8, 1.0), alpha=CoherentSpec(1.0),
@@ -613,9 +633,12 @@ class TestProtocolFactors:
             np.testing.assert_allclose(probs_by_outcome(bell._first, bell.stages[0]),
                                        probs_by_outcome(full._first, full.stages[0]),
                                        rtol=0, atol=1e-14)
-            # the full state's factors drop the mass their core misses
-            mass = np.linalg.norm(oracle.amplitudes) ** 2
-            dropped = max(0.0, 1.0 - np.linalg.norm(full._core) ** 2 / mass)
+            # the full state's factors drop the mass their expansion misses
+            tucker = tucker_factors(oracle)
+            expanded = np.einsum("ijk,ai,bj,ck->abc", tucker.core, *tucker.bases, optimize=True)
+            dropped = (np.linalg.norm(oracle.tensor_view() - expanded) ** 2
+                       / np.linalg.norm(oracle.amplitudes) ** 2)
+            assert np.array_equal(full._core, tucker.core)
             assert full.leakage == joint_leakage(oracle.leakage, dropped)
             assert dropped < 1e-14
 
@@ -664,6 +687,45 @@ class TestProtocolFactors:
         assert run_protocol(config) == expected
 
 
+class TestRunSetUp:
+    """A run builds each table of its set-up once: one coherent table per
+    distinct amplitude, the -gamma and -beta tables being parity flips, and
+    one quarter-period self-collision phase table for all three modes. A
+    change that builds a table twice fails here on a count, not on a timing.
+    The homodyne discriminator builds its reference well's table and the
+    auxiliary's count law its own; on the ideal backend the Helstrom pair's
+    discriminator, whose constructor takes only the amplitude and cutoff,
+    builds gamma's table a second time."""
+
+    @pytest.mark.parametrize("backend, n_max", [("ideal", 26), ("homodyne", 40)])
+    def test_each_table_is_built_once(self, backend, n_max, monkeypatch):
+        config = make_config(target=SuperpositionSpec(0.6, 0.8, 2.0), cutoff=FockCutoff(n_max),
+                             measurement_backend=backend, p_d=0.7, trials=2000,
+                             aux=AuxiliaryPrep("coherent", 2.0))
+        expected = run_protocol(config)
+        tables, phases = [], []
+        amplitudes, kerr = triwell.fock.coherent_amplitudes, triwell.dynamics.kerr_phases
+
+        def counted_amplitudes(alpha, dim):
+            tables.extend(np.atleast_1d(alpha).tolist())
+            return amplitudes(alpha, dim)
+
+        def counted_phases(*args):
+            phases.append(args)
+            return kerr(*args)
+
+        for module in (triwell.fock, triwell.channel, triwell.protocol):
+            monkeypatch.setattr(module, "coherent_amplitudes", counted_amplitudes)
+        for module in (triwell.dynamics, triwell.channel, triwell.protocol):
+            monkeypatch.setattr(module, "kerr_phases", counted_phases)
+        assert run_protocol(config) == expected
+        # gamma = alpha = 2 and beta = 2i in one running product, then the
+        # stage discriminator's table, then the auxiliary's, sqrt(2)
+        stage = 2.0 if backend == "ideal" else 2.0 * cmath.exp(1j * math.pi / 2)
+        assert tables == [2.0, 2j, stage, math.sqrt(2.0)]
+        assert len(phases) == 1
+
+
 class TestScoringAtReceiverRank:
     """A run scores each distinct row from its r coefficients over the
     receiver basis, never from the d-wide conditional amplitudes."""
@@ -697,7 +759,7 @@ class TestScoringAtReceiverRank:
                              trials=2000, seed=seed, aux=AuxiliaryPrep("coherent", 2.0))
         bell = BellMeasurement(protocol_factors(config), config)
         assert (bell.stages[0] is bell.stages[1]) == (gamma == 2.0)
-        receiver = _Receiver(config)
+        receiver = _Receiver(config, reference_state(config))
         u = substream(seed).random((config.trials, 6))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the displacement-ratio warning
@@ -738,8 +800,8 @@ class TestScoringAtReceiverRank:
         config = make_config(p_d=0.5, aux=AuxiliaryPrep("coherent", 2.0))
         branch = np.tile(np.arange(4), 50)
         zeros = np.zeros(len(branch), int)
-        columns, _ = _Receiver(config).draw(zeros, zeros, branch,
-                                            substream(5).random((len(branch), 2)))
+        columns, _ = _Receiver(config, reference_state(config)).draw(
+            zeros, zeros, branch, substream(5).random((len(branch), 2)))
         for b, ops in CORRECTIONS_FOR_BRANCH.items():
             rows = branch == b
             assert all((v == NOT_DRAWN) != ("displacement" in ops)
