@@ -27,7 +27,8 @@ and trial i reads row i only, one fixed column per draw whatever its branch:
 columns 0-1 are the first Bell stage (selector, tie-breaker), 2-3 the second,
 4 the displacement success and 5 the auxiliary count. Outcome and count
 draws are ``rng.inverse_cdf`` draws, so none selects an outcome below
-``MIN_OUTCOME_PROBABILITY``.
+``MIN_OUTCOME_PROBABILITY``. The seed and the trial count enter a run only
+there, so calls that differ only in them share one set-up (``_run_set_up``).
 
 Bell stages: at the quarter period with e0 = kappa every self-collision
 phase is 1 on even n and -i on odd n, and every cross phase is the sign
@@ -89,8 +90,8 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass, field, replace
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -506,11 +507,14 @@ class _Receiver:
 
     @cached_property
     def count_cdf(self) -> np.ndarray:
-        """Auxiliary count CDF, built (and its conditions checked) on first use."""
-        return inverse_cdf(parity_count_distribution(
+        """Auxiliary count CDF, built (and its conditions checked) on first
+        use; read-only, since a run's receiver is shared by its later calls."""
+        cdf = inverse_cdf(parity_count_distribution(
             self.reference, self.config.aux, self.config.cross_species,
             self.config.parity_kerr(), self.config.cutoff,
         ))
+        cdf.setflags(write=False)
+        return cdf
 
     def draw(self, first, second, branch, u) -> tuple:
         """Draw each row's corrections from its two uniforms ``u``.
@@ -571,13 +575,50 @@ def correct_and_score(mode3: StateVector, outcome: MeasurementOutcome,
     return ProtocolResult(columns).records[0]
 
 
-def run_protocol(config: ProtocolConfig) -> ProtocolResult:
-    """Run ``config.trials`` seeded trials; deterministic given the seed."""
+def _read_only(*parts) -> None:
+    """Set every array held by ``parts``, their items and their attributes
+    read-only."""
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            part.setflags(write=False)
+        elif isinstance(part, (tuple, list)):
+            _read_only(*part)
+        elif hasattr(part, "__dict__"):
+            _read_only(*vars(part).values())
+
+
+def _run_set_up(config: ProtocolConfig) -> tuple:
+    """The ``BellMeasurement`` and ``_Receiver`` of ``config``, shared by
+    every run that differs from it only in ``seed`` and ``trials``."""
+    bare = replace(config, seed=0, trials=1)
+    return _set_up_of(repr(bare), bare)
+
+
+@lru_cache(maxsize=4)
+def _set_up_of(key: str, config: ProtocolConfig) -> tuple:
+    """``_run_set_up`` built once per ``key``, the repr of ``config``. The
+    repr keeps the signs of zeros that ``==`` and ``hash`` merge, and the
+    discriminator's axis (``cmath.phase``) reads them. Its arrays are
+    read-only, and a set-up that raises is not kept."""
     factors, tables = _protocol_factors(config)
     bell = BellMeasurement(factors, config)
-    u = substream(config.seed).random((config.trials, 6))  # trial i: row i
     spec = SuperpositionSpec(config.target.a, config.target.b, config.beta.amplitude)
     receiver = _Receiver(config, cat_from_table(spec, tables[spec.gamma], config.cutoff))
+    _read_only(bell, receiver)
+    return bell, receiver
+
+
+def run_protocol(config: ProtocolConfig) -> ProtocolResult:
+    """Run ``config.trials`` seeded trials; deterministic given the seed.
+
+    The seed and the trial count enter a run only through its block of
+    uniforms, so the set-up (factors, Bell stages and receiver) is built
+    once and reused by every call that differs only in them. The reuse is
+    keyed on the exact bits of the rest of the config (its repr, which tells
+    -0.0 from 0.0), keeps the last four set-ups, holds them read-only, and
+    keeps no set-up that raised."""
+    bell, receiver = _run_set_up(config)
+    u = substream(config.seed).random((config.trials, 6))  # trial i: row i
     first, second, branch, keys, place = bell._draw_rows(u[:, :4])
     columns, column = receiver.draw(*bell._outcomes(first, second), branch, u[:, 4:])
     pair, coeff = bell._pairs(keys, place, second)  # each distinct pair scored once

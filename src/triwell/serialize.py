@@ -29,7 +29,9 @@ def write_csv(path: Path, columns, rows, metadata=()) -> Path:
     lines = [f"# {line}" for line in metadata]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(format_cell(cell) for cell in row))
+        # a plain float, the common cell, is ``format_cell``'s repr without its type checks
+        lines.append(",".join(repr(cell) if type(cell) is float else format_cell(cell)
+                              for cell in row))
     path = Path(path)
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -2,8 +2,10 @@ import cmath
 import dataclasses
 import math
 import pickle
+import sys
 import warnings
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -660,6 +662,7 @@ class TestProtocolFactors:
 
         monkeypatch.setattr(triwell.homodyne, "josephson_collision_columns", recorded)
         monkeypatch.setattr(triwell.homodyne.HomodynePhaseDiscriminator, "rows", property(refuse))
+        triwell.protocol._set_up_of.cache_clear()  # a cold call builds the readouts
         assert run_protocol(config) == expected
         assert widths == [2, 2]  # one call per stage: gamma and alpha differ
 
@@ -684,6 +687,7 @@ class TestProtocolFactors:
         monkeypatch.setattr(StateVector, "__post_init__", checked)
         with pytest.raises(AssertionError):
             triwell.protocol.build_protocol_state(config)
+        triwell.protocol._set_up_of.cache_clear()  # a cold call builds the set-up
         assert run_protocol(config) == expected
 
 
@@ -695,16 +699,22 @@ class TestRunSetUp:
     The homodyne discriminator builds its reference well's table and the
     auxiliary's count law its own; on the ideal backend the Helstrom pair's
     discriminator, whose constructor takes only the amplitude and cutoff,
-    builds gamma's table a second time."""
+    builds gamma's table a second time. A later call that differs only in
+    seed and trials builds none of it."""
 
-    @pytest.mark.parametrize("backend, n_max", [("ideal", 26), ("homodyne", 40)])
-    def test_each_table_is_built_once(self, backend, n_max, monkeypatch):
-        config = make_config(target=SuperpositionSpec(0.6, 0.8, 2.0), cutoff=FockCutoff(n_max),
-                             measurement_backend=backend, p_d=0.7, trials=2000,
-                             aux=AuxiliaryPrep("coherent", 2.0))
-        expected = run_protocol(config)
-        tables, phases = [], []
+    @staticmethod
+    def config(backend, n_max):
+        return make_config(target=SuperpositionSpec(0.6, 0.8, 2.0), cutoff=FockCutoff(n_max),
+                           measurement_backend=backend, p_d=0.7, trials=2000,
+                           aux=AuxiliaryPrep("coherent", 2.0))
+
+    @staticmethod
+    def counted(monkeypatch) -> tuple:
+        """Lists that record each coherent table's amplitudes, each phase
+        table's arguments and each pair-propagator product's basis width."""
+        tables, phases, products = [], [], []
         amplitudes, kerr = triwell.fock.coherent_amplitudes, triwell.dynamics.kerr_phases
+        columns = triwell.homodyne.josephson_collision_columns
 
         def counted_amplitudes(alpha, dim):
             tables.extend(np.atleast_1d(alpha).tolist())
@@ -714,16 +724,149 @@ class TestRunSetUp:
             phases.append(args)
             return kerr(*args)
 
+        def counted_columns(*args):
+            products.append(args[5].shape[1])
+            return columns(*args)
+
         for module in (triwell.fock, triwell.channel, triwell.protocol):
             monkeypatch.setattr(module, "coherent_amplitudes", counted_amplitudes)
         for module in (triwell.dynamics, triwell.channel, triwell.protocol):
             monkeypatch.setattr(module, "kerr_phases", counted_phases)
+        monkeypatch.setattr(triwell.homodyne, "josephson_collision_columns", counted_columns)
+        return tables, phases, products
+
+    @pytest.mark.parametrize("backend, n_max", [("ideal", 26), ("homodyne", 40)])
+    def test_each_table_is_built_once(self, backend, n_max, monkeypatch):
+        config = self.config(backend, n_max)
+        expected = run_protocol(config)
+        tables, phases, products = self.counted(monkeypatch)
+        triwell.protocol._set_up_of.cache_clear()  # a cold call builds the set-up
         assert run_protocol(config) == expected
         # gamma = alpha = 2 and beta = 2i in one running product, then the
         # stage discriminator's table, then the auxiliary's, sqrt(2)
         stage = 2.0 if backend == "ideal" else 2.0 * cmath.exp(1j * math.pi / 2)
         assert tables == [2.0, 2j, stage, math.sqrt(2.0)]
         assert len(phases) == 1
+        # gamma == alpha: one product reads both stage bases
+        assert products == ([] if backend == "ideal" else [4])
+
+    @pytest.mark.parametrize("backend, n_max", [("ideal", 26), ("homodyne", 40)])
+    def test_a_call_with_another_seed_builds_nothing(self, backend, n_max, monkeypatch):
+        config = self.config(backend, n_max)
+        run_protocol(config)
+        tables, phases, products = self.counted(monkeypatch)
+        warm = run_protocol(dataclasses.replace(config, seed=1, trials=500))
+        assert (tables, phases, products) == ([], [], [])
+        triwell.protocol._set_up_of.cache_clear()
+        assert run_protocol(dataclasses.replace(config, seed=1, trials=500)) == warm
+        assert len(phases) == 1 and len(products) == (backend == "homodyne")
+
+
+def column_bytes(result) -> dict:
+    """Each column of a run as its dtype and raw bytes."""
+    return {name: (column.dtype.str, column.tobytes()) for name, column in result.columns.items()}
+
+
+def held_arrays(*parts) -> list:
+    """Every array held by ``parts``, their items and their attributes."""
+    found = []
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            found.append(part)
+        elif isinstance(part, (tuple, list)):
+            found += held_arrays(*part)
+        elif hasattr(part, "__dict__"):
+            found += held_arrays(*vars(part).values())
+    return found
+
+
+class TestSetUpReuse:
+    """``run_protocol`` reuses the set-up of a config across calls that
+    differ only in seed and trials; reuse never changes an output byte."""
+
+    config = staticmethod(TestRunSetUp.config)
+
+    @staticmethod
+    def cold(config):
+        triwell.protocol._set_up_of.cache_clear()
+        return column_bytes(run_protocol(config))
+
+    def test_warm_and_evicted_calls_equal_cold_calls(self):
+        configs = [self.config("ideal", 26), self.config("homodyne", 40)]
+        cold = {(i, seed): self.cold(dataclasses.replace(config, seed=seed))
+                for i, config in enumerate(configs) for seed in range(5)}
+        # four other keys, each a different p_d, fill the memo and evict both
+        fillers = [dataclasses.replace(configs[0], p_d=p_d) for p_d in (0.1, 0.2, 0.3, 0.4)]
+        triwell.protocol._set_up_of.cache_clear()
+        for seed in range(5):
+            for i, config in enumerate(configs):  # interleaved
+                assert column_bytes(run_protocol(dataclasses.replace(config, seed=seed))) \
+                    == cold[i, seed], (i, seed)
+            if seed % 2:
+                for filler in fillers:
+                    triwell.protocol._run_set_up(filler)
+        # seeds 1 and 3 hit; seeds 0, 2 and 4 and every filler build
+        info = triwell.protocol._set_up_of.cache_info()
+        assert (info.hits, info.misses, info.maxsize) == (4, 14, 4)
+
+    def test_signed_zeros_keep_their_own_set_up(self):
+        # equal and equal-hashing configs whose homodyne axes differ: phase
+        # pi against -pi, so their fidelities differ in the last bits
+        plus, minus = (make_config(target=SuperpositionSpec(0.6, 0.8, complex(-2.0, zero)),
+                                   alpha=CoherentSpec(complex(-2.0, zero)), cutoff=FockCutoff(40),
+                                   measurement_backend="homodyne", p_d=0.7, trials=2000,
+                                   aux=AuxiliaryPrep("coherent", 2.0))
+                       for zero in (0.0, -0.0))
+        assert plus == minus and hash(plus) == hash(minus)
+        cold = {"plus": self.cold(plus), "minus": self.cold(minus)}
+        assert cold["plus"]["fidelity"] != cold["minus"]["fidelity"]
+        for order in (("plus", "minus"), ("minus", "plus")):
+            triwell.protocol._set_up_of.cache_clear()
+            for name in order + order:
+                assert column_bytes(run_protocol({"plus": plus, "minus": minus}[name])) \
+                    == cold[name], (order, name)
+
+    @pytest.mark.parametrize("backend, n_max", [("ideal", 26), ("homodyne", 40)])
+    def test_set_up_is_read_only_and_shares_no_memory_with_results(self, backend, n_max):
+        config = self.config(backend, n_max)
+        results = [run_protocol(dataclasses.replace(config, seed=seed)) for seed in (0, 1)]
+        bell, receiver = triwell.protocol._run_set_up(config)
+        assert "count_cdf" in vars(receiver)  # drawn by the parity branches
+        arrays = held_arrays(bell, receiver)
+        assert len(arrays) > 10 and not any(array.flags.writeable for array in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            bell._core[0, 0, 0] = 0
+        for result in results:
+            for name, column in result.columns.items():
+                assert column.flags.writeable, name
+                assert not any(np.shares_memory(column, array) for array in arrays), name
+
+    @pytest.mark.parametrize("overrides, error", [
+        (dict(kerr=KerrParams(2.0, 1.0)), FrequencyConditionViolated),  # e0 != kappa
+        (dict(cutoff=FockCutoff(12)), CutoffTooSmall),  # the target's tail
+        (dict(aux=AuxiliaryPrep("coherent", 200.0), trials=50), CutoffTooSmall),  # count law
+    ])
+    def test_a_set_up_that_raises_raises_on_every_call(self, overrides, error):
+        config = make_config(**overrides)
+        triwell.protocol._set_up_of.cache_clear()
+        for seed in range(3):
+            with pytest.raises(error):
+                run_protocol(dataclasses.replace(config, seed=seed))
+
+    @pytest.mark.parametrize("backend, n_max", [("ideal", 26), ("homodyne", 40)])
+    def test_threads_give_the_serial_bytes(self, backend, n_max):
+        configs = [dataclasses.replace(self.config(backend, n_max), seed=seed) for seed in range(4)]
+        serial = [self.cold(config) for config in configs]
+        triwell.protocol._set_up_of.cache_clear()  # both threads start cold
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                parallel = list(pool.map(lambda config: column_bytes(run_protocol(config)),
+                                         configs, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert parallel == serial
 
 
 class TestScoringAtReceiverRank:
@@ -792,6 +935,7 @@ class TestScoringAtReceiverRank:
 
         monkeypatch.setattr(triwell.homodyne, "_block_probabilities", recorded)
         monkeypatch.setattr(BellMeasurement, "conditionals", refuse)
+        triwell.protocol._set_up_of.cache_clear()  # a cold call prepares the first stage
         assert run_protocol(config) == expected
         assert len(shapes) == 2  # the first stage, then every second stage at once
         assert all(rows <= 2 and width <= 4 for rows, width in shapes)
