@@ -14,6 +14,8 @@ from pathlib import Path
 
 
 def format_cell(value) -> str:
+    if type(value) is float:  # the common cell; float subclasses take the checks below
+        return repr(value)
     if value is None:
         return ""
     if isinstance(value, bool):
@@ -29,9 +31,7 @@ def write_csv(path: Path, columns, rows, metadata=()) -> Path:
     lines = [f"# {line}" for line in metadata]
     lines.append(",".join(columns))
     for row in rows:
-        # a plain float, the common cell, is ``format_cell``'s repr without its type checks
-        lines.append(",".join(repr(cell) if type(cell) is float else format_cell(cell)
-                              for cell in row))
+        lines.append(",".join(format_cell(cell) for cell in row))
     path = Path(path)
     path.write_text("\n".join(lines) + "\n")
     return path

@@ -7,7 +7,6 @@ import pytest
 
 from triwell import LatticeParams, density_map
 from triwell.cli import COMMON, SCHEMAS, _parse_complex, main
-from triwell.serialize import format_cell, write_csv
 
 
 def run(args):
@@ -388,13 +387,3 @@ class TestFormats:
         payload = json.loads((out / "efficiency.json").read_text())
         assert len(payload["rows"]) == 4
         assert {"r", "p_d", "p_even", "p_total"} <= set(payload["rows"][0])
-
-    def test_csv_cells_are_format_cell(self, tmp_path):
-        # plain floats skip format_cell's type checks; every other cell,
-        # float subclasses and bools included, goes through it
-        row = (0.1, -0.0, 1e-320, float("inf"), np.float64(0.25), True, np.bool_(False), 3,
-               np.int64(-4), 1 + 2j, None, "text")
-        lines = write_csv(tmp_path / "t.csv", [f"c{i}" for i in range(len(row))], [row, row[::-1]],
-                          ["meta"]).read_text().splitlines()
-        assert lines[0] == "# meta"
-        assert lines[2:] == [",".join(format_cell(c) for c in r) for r in (row, row[::-1])]
