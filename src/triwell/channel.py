@@ -34,8 +34,7 @@ import numpy as np
 
 from .dynamics import KerrParams, kerr_phases
 from .errors import FrequencyConditionViolated, ShapeMismatch
-from .fock import (CoherentSpec, FockCutoff, StateVector, _finalize_preparation,
-                   coherent_amplitudes, joint_leakage)
+from .fock import CoherentSpec, FockCutoff, StateVector, joint_leakage, prepare_coherent
 
 FREQUENCY_RTOL = 1e-9
 
@@ -69,17 +68,12 @@ class ParityBasis(NamedTuple):
 
 def parity_basis(amplitudes: np.ndarray) -> ParityBasis:
     """``amplitudes`` split by parity, a zero part dropped (r = 1 or 2)."""
-    return parity_bases(amplitudes[None])[0]
-
-
-def parity_bases(amplitudes: np.ndarray) -> list:
-    """The ``parity_basis`` of each row of ``amplitudes`` (modes x d), in one pass."""
-    parts = np.zeros((len(amplitudes), 2, amplitudes.shape[1]), dtype=amplitudes.dtype)
-    parts[:, 0, 0::2], parts[:, 1, 1::2] = amplitudes[:, 0::2], amplitudes[:, 1::2]
-    # each part's 2-norm as np.linalg.norm takes it, one BLAS dot per real part
-    norms = np.sqrt(np.vecdot(parts.real, parts.real) + np.vecdot(parts.imag, parts.imag))
-    return [ParityBasis(p, norm[p], np.ascontiguousarray((part[p] / norm[p, None]).T))
-            for part, norm in zip(parts, norms) for p in [norm.nonzero()[0]]]
+    n = np.arange(len(amplitudes))
+    parts = [np.where(n % 2 == p, amplitudes, 0) for p in (0, 1)]
+    norms = np.array([np.linalg.norm(part) for part in parts])
+    parities = np.flatnonzero(norms)
+    return ParityBasis(parities, norms[parities],
+                       np.stack([parts[p] / norms[p] for p in parities], axis=1))
 
 
 def channel_factors(alpha: CoherentSpec, beta: CoherentSpec, params: KerrParams,
@@ -89,16 +83,11 @@ def channel_factors(alpha: CoherentSpec, beta: CoherentSpec, params: KerrParams,
     ``parity_basis`` of each well's self-collided amplitudes. beta = 0 gives
     a core of one column."""
     channel_family_index(params)
-    first, second = (_finalize_preparation(table, cutoff) for table in
-                     coherent_amplitudes([alpha.amplitude, beta.amplitude], cutoff.dim))
-    a, b = parity_bases(np.stack([first.amplitudes, second.amplitudes])
-                        * kerr_phases(cutoff.dim, params, np.pi / (2 * params.kappa)))
-    return channel_core(a, b), (a, b), joint_leakage(first.leakage, second.leakage)
-
-
-def channel_core(a: ParityBasis, b: ParityBasis) -> np.ndarray:
-    """The channel's core C[j, k] = |a_j| |b_k| (-1)^(jk) over its wells' parity bases."""
-    return np.outer(a.norms, b.norms) * (-1.0) ** np.outer(a.parities, b.parities)
+    first, second = prepare_coherent(alpha, cutoff), prepare_coherent(beta, cutoff)
+    phases = kerr_phases(cutoff.dim, params, np.pi / (2 * params.kappa))
+    a, b = (parity_basis(well.amplitudes * phases) for well in (first, second))
+    core = np.outer(a.norms, b.norms) * (-1.0) ** np.outer(a.parities, b.parities)
+    return core, (a, b), joint_leakage(first.leakage, second.leakage)
 
 
 def generate_channel(alpha: CoherentSpec, beta: CoherentSpec, params: KerrParams,

@@ -173,32 +173,24 @@ def evolve_josephson(state: StateVector, modes: tuple, jp: JosephsonParams,
 
 def josephson_collision_columns(cutoff: FockCutoff, jp: JosephsonParams,
                                 kp: KerrParams, t: float, reference: np.ndarray,
-                                basis: np.ndarray, floor: float = 0.0) -> np.ndarray:
+                                basis: np.ndarray) -> np.ndarray:
     """Rows ``U(t) (basis (x) |reference>)`` of the pair propagator: the
     (dim^2, r) map from a signal mode's coefficients over ``basis`` (dim x r,
     orthonormal columns) onto the coupled signal+reference pair after
     tunnelling for time t. The identity basis gives the d columns
-    U (|n> (x) |reference>).
-
-    U is unitary within each total-number sector N, so a normalised signal
-    puts at most ``B_N = sum_{n+m=N} |basis[n, :]|^2 |reference[m]|^2`` into
-    sector N, and no row of the sector reads more. Sectors with ``B_N <
-    floor`` are skipped: their inputs are zero, so are their rows, and their
-    eigenvalues are zeroed to spare the exponential; packs past the last live one are left out.
+    U (|n> (x) |reference>). One ``_propagate_packs`` product over the sector
+    packs of ``_josephson_sectors``, which hold every pair state once, on the
+    input ``basis[n] reference[N - n]`` of each sector state.
     """
     d = cutoff.dim
     if reference.shape != (d,) or basis.ndim != 2 or len(basis) != d:
         raise ShapeMismatch("reference vector or basis has the wrong dimension")
     basis = np.ascontiguousarray(basis)  # the packs are viewed as float pairs
     index, vals, vecs = _josephson_sectors(d, jp.omega, kp.e0_over_hbar, kp.kappa)
-    weight = np.convolve(np.einsum("ni,ni->n", basis, basis.conj()).real,
-                         np.abs(reference) ** 2)
-    rest = index % d  # pack b holds |n, (b - n) mod d>
-    live = weight[np.arange(d) + rest] >= floor
-    kept = d - np.argmax(live.any(axis=1)[::-1])  # up to the last live pack, read in place
-    inputs = np.multiply(basis, (reference[rest[:kept]] * live[:kept])[..., None], dtype=complex)
-    rows = np.zeros((d * d, basis.shape[1]), dtype=np.complex128)
-    rows[index[:kept]] = _propagate_packs(inputs, vals[:kept] * live[:kept], vecs[:kept], t)
+    # pack b holds |n, (b - n) mod d>
+    inputs = np.multiply(basis, reference[index % d][..., None], dtype=complex)
+    rows = np.empty((d * d, basis.shape[1]), dtype=np.complex128)
+    rows[index] = _propagate_packs(inputs, vals, vecs, t)
     return rows
 
 

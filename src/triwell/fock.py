@@ -27,7 +27,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -165,27 +164,23 @@ def _check_mode(state: StateVector, mode: int) -> None:
 # preparations
 
 
-def coherent_amplitudes(alpha, dim: int) -> np.ndarray:
-    """Untruncated-normalized coefficients exp(-|a|^2/2) a^n / sqrt(n!); a
-    sequence of amplitudes gives one row each, from one running product."""
-    alphas = np.atleast_1d(alpha)
+def coherent_amplitudes(alpha: complex, dim: int) -> np.ndarray:
+    """Untruncated-normalized coefficients exp(-|a|^2/2) a^n / sqrt(n!)."""
     try:
-        weights = np.array([math.exp(-abs(a) ** 2 / 2) for a in alphas.tolist()])
+        weight = math.exp(-abs(alpha) ** 2 / 2)
     except OverflowError:  # |a|^2 past float range: no cutoff holds the state
-        raise CutoffTooSmall(f"coherent amplitude {abs(alphas).max():.3e}: |a|^2 overflows"
-                             ) from None
+        raise CutoffTooSmall(f"coherent amplitude {abs(alpha):.3e}: |a|^2 overflows") from None
     # c_n = (c_{n-1} alpha) (1/sqrt(n), -0.0) over the factors 1, alpha, 1/sqrt(1), alpha, ...
     # (NaN past float range), numpy's complex-by-real quotient bit for bit
-    steps = np.empty((len(alphas), 2 * dim - 1), dtype=np.complex128)
-    steps[:, 0], steps[:, 1::2] = 1.0, alphas[:, None]
-    steps[:, 2::2].real, steps[:, 2::2].imag = 1.0 / np.sqrt(np.arange(1, dim)), -0.0
+    steps = np.empty(2 * dim - 1, dtype=np.complex128)
+    steps[0], steps[1::2] = 1.0, alpha
+    steps[2::2].real, steps[2::2].imag = 1.0 / np.sqrt(np.arange(1, dim)), -0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        products = np.cumprod(steps, axis=1)[:, ::2] * weights[:, None]
-    return products if np.ndim(alpha) else products[0]
+        return np.cumprod(steps)[::2] * weight
 
 
-def _finalize_preparation(raw: np.ndarray, cutoff: FockCutoff, exact_sq=1.0,
-                          max_leakage=DEFAULT_MAX_LEAKAGE, what="prepare_coherent") -> StateVector:
+def _finalize_preparation(raw: np.ndarray, cutoff: FockCutoff, exact_sq: float,
+                          max_leakage: float, what: str) -> StateVector:
     """Renormalize ``raw``; its leakage is the share of ``exact_sq``, the
     untruncated squared norm, that the cutoff dropped."""
     kept = float(np.vdot(raw, raw).real)
@@ -202,7 +197,7 @@ def prepare_coherent(spec: CoherentSpec, cutoff: FockCutoff,
                      max_leakage: float = DEFAULT_MAX_LEAKAGE) -> StateVector:
     """Coherent state |alpha| in the truncated basis, renormalized."""
     raw = coherent_amplitudes(spec.amplitude, cutoff.dim)
-    return _finalize_preparation(raw, cutoff, max_leakage=max_leakage)
+    return _finalize_preparation(raw, cutoff, 1.0, max_leakage, "prepare_coherent")
 
 
 def prepare_number(n: int, cutoff: FockCutoff) -> StateVector:
@@ -242,15 +237,10 @@ def prepare_cat_superposition(spec: SuperpositionSpec, cutoff: FockCutoff,
     the exact overlap <gamma|-gamma> = exp(-2|gamma|^2) carried by the
     truncated coefficients themselves.
     """
-    return cat_from_table(spec, coherent_amplitudes(spec.gamma, cutoff.dim), cutoff, max_leakage)
-
-
-def cat_from_table(spec: SuperpositionSpec, plus: np.ndarray, cutoff: FockCutoff,
-                   max_leakage: float = DEFAULT_MAX_LEAKAGE) -> StateVector:
-    """``prepare_cat_superposition`` from gamma's table ``plus``; -gamma's is its parity flip."""
     scale = max(abs(spec.a), abs(spec.b)) or 1.0
     a, b = spec.a / scale, spec.b / scale
-    raw = a * plus + b * np.where(np.arange(cutoff.dim) % 2, -plus, plus)
+    plus = coherent_amplitudes(spec.gamma, cutoff.dim)
+    raw = a * plus + b * np.where(np.arange(cutoff.dim) % 2, -plus, plus)  # |-gamma>: parity flip
     # Untruncated squared norm; detects A|g> - A|g>-type cancellations exactly.
     exact_sq = (
         abs(a) ** 2 + abs(b) ** 2
@@ -357,18 +347,13 @@ def apply_mode_matrix(state: StateVector, mode: int, matrix: np.ndarray) -> Stat
     return state.replace_amplitudes(out.ravel())
 
 
-@lru_cache(maxsize=16)
 def quadrature_eigensystem(dim: int) -> tuple:
     """``(x, W)`` with X = W diag(x) W^T for the truncated X = a + a^dag (real,
-    symmetric, tridiagonal), so exp(i t X) = (W * exp(i t x)) @ W.T. Cached and
-    shared, hence read-only."""
+    symmetric, tridiagonal), so exp(i t X) = (W * exp(i t x)) @ W.T."""
     off = np.sqrt(np.arange(1, dim))
-    x, w = np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
-    x.flags.writeable = w.flags.writeable = False
-    return x, w
+    return np.linalg.eigh(np.diag(off, -1) + np.diag(off, 1))
 
 
-@lru_cache(maxsize=64)
 def _displacement_matrix(delta: complex, dim: int) -> np.ndarray:
     # delta a^dag - conj(delta) a = -i |delta| R X R^dag with X = a + a^dag and
     # R = diag(e^{i n (arg(delta) + pi/2)}), so D = (R W) diag(e^{-i |delta| x}) (R W)^dag

@@ -45,28 +45,25 @@ of the measured mode, the rows ``R = rows Z``, stored in CDF order with each
 row's outcome id and value (``Readout``); ``readout(Z)`` is
 ``readouts([Z])[0]``. The homodyne builds ``R = U (Z (x) |r>)`` directly,
 never the d columns, for every basis from one pair-propagator product over
-their columns side by side, and keeps only the outcomes a draw can reach. U
-is unitary within each total-number sector N, so a normalised signal gives
-no outcome of sector N more than ``B_N = sum_{n+m=N} |Z[n, :]|^2 |r_m|^2``,
-and no outcome o more than ``|R[o]|^2``. Rows below half of
-``MIN_OUTCOME_PROBABILITY`` are dropped, each basis over its own columns,
-and the product skips the sectors below it for every basis: their outcomes
-would have zero CDF width anyway. ``prepare(state, mode)`` reads a state's
-full view over the identity basis; ``block_laws`` reads a stack of
-coefficient blocks through one readout at once, as the protocol's Bell
-stages do on the parity bases of their core. A prepared readout is the
-outcome law alone: ``probs[k] = |R[k] . c|^2`` for each kept row (equal on
-the state, since Z is orthonormal), already in CDF order, and their
-``rng.inverse_cdf``, in which outcomes below the floor have zero width. The
-law is linear in the measured mode's reduced density matrix rho, ``Re
-sum_ij rho[i, j] R[k, i] conj(R[k, j])``, so every block's law is one real
-product of its rho with the rows' r^2 products, clipped at 0. A prepared
-readout gives the exact bit probabilities and array draws ``draw(u_select,
-u_tie) -> (row, bit)``: ``rng.indexed_search`` finds the rows, and
-``Readout.bits`` gives their bits, reading the tie-breaker only on a zero
-value; ``Readout.outcomes`` holds the rows' outcome ids. The state left
-after an outcome is the row product ``R[k] . c``, which the caller forms
-from its own arrays.
+their columns side by side, and keeps only the outcomes a draw can reach: a
+normalised signal gives no outcome o more than ``|R[o]|^2``, so rows below
+half of ``MIN_OUTCOME_PROBABILITY`` are dropped, each basis over its own
+columns (their outcomes would have zero CDF width anyway). ``prepare(state,
+mode)`` reads a state's full view over the identity basis; ``block_laws``
+reads a stack of coefficient blocks through one readout at once, as the
+protocol's Bell stages do on the parity bases of their core. A prepared
+readout is the outcome law alone: ``probs[k] = |R[k] . c|^2`` for each kept
+row (equal on the state, since Z is orthonormal), already in CDF order, and
+their ``rng.inverse_cdf``, in which outcomes below the floor have zero
+width. The law is linear in the measured mode's reduced density matrix rho,
+``Re sum_ij rho[i, j] R[k, i] conj(R[k, j])``, so every block's law is one
+real product of its rho with the rows' r^2 products, clipped at 0. A
+prepared readout gives the exact bit probabilities and array draws
+``draw(u_select, u_tie) -> (row, bit)``: ``rng.indexed_search`` finds the
+rows, and ``Readout.bits`` gives their bits, reading the tie-breaker only on
+a zero value; ``Readout.outcomes`` holds the rows' outcome ids. The state
+left after an outcome is the row product ``R[k] . c``, which the caller
+forms from its own arrays.
 """
 
 from __future__ import annotations
@@ -379,6 +376,8 @@ class HomodynePhaseDiscriminator(_Discriminator):
                  josephson: JosephsonParams, kerr: KerrParams):
         if josephson.omega <= 0:
             raise ValidityDomainExceeded("atom-counting readout needs omega > 0")
+        if not reference_magnitude > 0:
+            raise AmbiguousSupport(f"reference magnitude {reference_magnitude:.3g}: needs |r| > 0")
         self.axis_phase = axis_phase
         self.cutoff = cutoff
         self.josephson, self.kerr = josephson, kerr
@@ -397,25 +396,22 @@ class HomodynePhaseDiscriminator(_Discriminator):
         ``readout(basis)`` instead."""
         return self.rows_over(np.eye(self.cutoff.dim))
 
-    def rows_over(self, basis: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    def rows_over(self, basis: np.ndarray) -> np.ndarray:
         """Row ``m_c * dim + m_b`` over ``basis`` of every count outcome: the
         pair propagator for a quarter tunnelling period on ``basis (x)
-        |reference>``, with the sectors that read less than ``floor`` left
-        zero."""
+        |reference>``."""
         return josephson_collision_columns(
             self.cutoff, self.josephson, self.kerr, math.pi / (2 * self.josephson.omega),
-            self.reference_amplitudes, basis, floor)
+            self.reference_amplitudes, basis)
 
     def readouts(self, bases) -> list:
         """The rows over each basis of ``bases`` of the outcomes a draw can
         reach, in CDF order, from one pair-propagator product over the bases
         side by side. A normalised signal gives outcome o at most
         ``|rows[o]|^2``, so each basis drops its rows below half the
-        probability floor over its own columns. The product skips the sectors
-        whose bound over all columns is below it; a sector below it for one
-        basis alone has every row of that basis below it too."""
+        probability floor over its own columns."""
         floor = MIN_OUTCOME_PROBABILITY / 2
-        rows = self.rows_over(np.hstack(bases), floor)
+        rows = self.rows_over(np.hstack(bases))
         readouts = []
         for part in np.split(rows, np.cumsum([len(basis.T) for basis in bases[:-1]]), axis=1):
             weight = np.einsum("oi,oi->o", part.view(float), part.view(float))

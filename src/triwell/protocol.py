@@ -28,17 +28,17 @@ columns 0-1 are the first Bell stage (selector, tie-breaker), 2-3 the second,
 4 the displacement success and 5 the auxiliary count. Outcome and count
 draws are ``rng.inverse_cdf`` draws, so none selects an outcome below
 ``MIN_OUTCOME_PROBABILITY``. The seed and the trial count enter a run only
-there, so calls that differ only in them share one set-up (``_run_set_up``).
+there, so calls that differ only in them share one set-up (``_set_up_of``).
 
 Bell stages: at the quarter period with e0 = kappa every self-collision
 phase is 1 on even n and -i on odd n, and every cross phase is the sign
 (-1)^(n_i n_j). So each mode stays in the span of its even and odd parts,
 and the state above is a core T (r1 x r2 x r3, each r at most 2) over one
-exact orthonormal parity basis per mode (``protocol_factors``): Z1, Z2, Z3
-the normalised parity parts of the self-collided target and wells, split in
-one ``parity_bases`` pass from one running product of coherent tables (each
-distinct amplitude once), Z2 times mode 2's second self-collision phase.
-The channel's core carries the 2-3 sign and the 1-2 cross-collision is
+exact orthonormal parity basis per mode (``protocol_factors``): Z1 the
+normalised parity parts of the self-collided target, Z2 the channel's
+basis of mode 2 (``channel.channel_factors``) times mode 2's second
+self-collision phase, which is diagonal, and Z3 the channel's basis of mode
+3. The channel's core carries the 2-3 sign and the 1-2 cross-collision is
 the sign (-1)^(p1 p2) of the parities on T, so no d-wide array is formed;
 ``build_protocol_state`` is the expansion. A vacuum amplitude has no odd
 part, which gives r = 1. Stage k reads its mode through ``R_k = rows_k @
@@ -96,7 +96,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import channel_core, channel_family_index, parity_bases
+from .channel import channel_factors, channel_family_index, parity_basis
 from .corrections import (
     AuxiliaryPrep,
     displacement_offset,
@@ -111,10 +111,7 @@ from .fock import (
     StateVector,
     SuperpositionSpec,
     _displacement_matrix,
-    _finalize_preparation,
-    cat_from_table,
     check_displaced_top_shell,
-    coherent_amplitudes,
     joint_leakage,
     prepare_cat_superposition,
 )
@@ -308,27 +305,19 @@ def protocol_factors(config: ProtocolConfig) -> ReceiverFactors:
     core of at most 2 x 2 x 2 over the modes' parity bases: the self-collided
     target's parity parts, the channel's bases with mode 2's second
     self-collision phase, and the 1-2 cross-collision sign on the core."""
-    return _protocol_factors(config)[0]
-
-
-def _protocol_factors(config: ProtocolConfig) -> tuple:
-    """``protocol_factors`` and its tables: each distinct amplitude's built once."""
     if channel_family_index(config.kerr) != 0:
         raise FrequencyConditionViolated(
             "protocol state generation requires e0 = kappa (family index 0)"
         )
-    gamma, alpha, beta = config.target.gamma, config.alpha.amplitude, config.beta.amplitude
-    amplitudes = list(dict.fromkeys((gamma, alpha, beta)))
-    tables = dict(zip(amplitudes, coherent_amplitudes(amplitudes, config.cutoff.dim)))
-    modes = [cat_from_table(config.target, tables[gamma], config.cutoff),
-             *(_finalize_preparation(tables[amp], config.cutoff) for amp in (alpha, beta))]
+    target = prepare_cat_superposition(config.target, config.cutoff)
+    core, (second, third), leakage = channel_factors(config.alpha, config.beta, config.kerr,
+                                                     config.cutoff)
     self_kerr = kerr_phases(config.cutoff.dim, config.kerr, math.pi / (2 * config.kerr.kappa))
-    first, second, third = parity_bases(np.stack([mode.amplitudes for mode in modes]) * self_kerr)
+    first = parity_basis(target.amplitudes * self_kerr)
     sign = (-1.0) ** np.outer(first.parities, second.parities)
-    leakage = joint_leakage(modes[0].leakage, joint_leakage(modes[1].leakage, modes[2].leakage))
-    return ReceiverFactors((first.norms[:, None] * sign)[:, :, None] * channel_core(second, third),
+    return ReceiverFactors((first.norms[:, None] * sign)[:, :, None] * core,
                            (first.basis, second.basis * self_kerr[:, None], third.basis),
-                           leakage), tables
+                           joint_leakage(target.leakage, leakage))
 
 
 def build_protocol_state(config: ProtocolConfig) -> StateVector:
@@ -376,7 +365,8 @@ class BellMeasurement:
         def discriminator(amp):
             if config.measurement_backend == "ideal":
                 return IdealPhaseDiscriminator(amp, config.cutoff)
-            return HomodynePhaseDiscriminator(cmath.phase(amp), config.cutoff,
+            # + 0j makes a signed zero positive: equal amplitudes read one axis
+            return HomodynePhaseDiscriminator(cmath.phase(amp + 0j), config.cutoff,
                                               abs(amp) if ref is None else ref,
                                               config.josephson, config.kerr)
 
@@ -491,10 +481,10 @@ class _Receiver:
     D[n_max, :] reads D|post> on the top shell.
     """
 
-    def __init__(self, config: ProtocolConfig, reference: StateVector):
+    def __init__(self, config: ProtocolConfig):
         self.config = config
-        self.reference = reference
-        ref = reference.amplitudes
+        self.reference = reference_state(config)
+        ref = self.reference.amplitudes
         probes = np.conj([ref, (-1.0) ** np.arange(len(ref)) * ref]).T
         try:
             self.delta = displacement_offset(complex(config.beta.amplitude), 0)
@@ -566,7 +556,7 @@ def correct_and_score(mode3: StateVector, outcome: MeasurementOutcome,
     applied to ``mode3`` and scored, keeping ``outcome``'s stage outcomes."""
     if outcome.branch not in CORRECTIONS_FOR_BRANCH:
         raise ValueError(f"branch {outcome.branch} outside 0..3")
-    receiver = _Receiver(config, reference_state(config))
+    receiver = _Receiver(config)
     first, second = (np.array([index]) for index in outcome.raw)
     columns, column = receiver.draw(first, second, np.array([outcome.branch]),
                                     rng.random((1, 2)))
@@ -587,23 +577,13 @@ def _read_only(*parts) -> None:
             _read_only(*vars(part).values())
 
 
-def _run_set_up(config: ProtocolConfig) -> tuple:
-    """The ``BellMeasurement`` and ``_Receiver`` of ``config``, shared by
-    every run that differs from it only in ``seed`` and ``trials``."""
-    bare = replace(config, seed=0, trials=1)
-    return _set_up_of(repr(bare), bare)
-
-
 @lru_cache(maxsize=4)
-def _set_up_of(key: str, config: ProtocolConfig) -> tuple:
-    """``_run_set_up`` built once per ``key``, the repr of ``config``. The
-    repr keeps the signs of zeros that ``==`` and ``hash`` merge, and the
-    discriminator's axis (``cmath.phase``) reads them. Its arrays are
-    read-only, and a set-up that raises is not kept."""
-    factors, tables = _protocol_factors(config)
-    bell = BellMeasurement(factors, config)
-    spec = SuperpositionSpec(config.target.a, config.target.b, config.beta.amplitude)
-    receiver = _Receiver(config, cat_from_table(spec, tables[spec.gamma], config.cutoff))
+def _set_up_of(config: ProtocolConfig) -> tuple:
+    """The ``BellMeasurement`` and ``_Receiver`` of ``config``, built once
+    and shared by every run that differs from it only in ``seed`` and
+    ``trials``. Its arrays are read-only, and a set-up that raises is not
+    kept."""
+    bell, receiver = BellMeasurement(protocol_factors(config), config), _Receiver(config)
     _read_only(bell, receiver)
     return bell, receiver
 
@@ -614,10 +594,9 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     The seed and the trial count enter a run only through its block of
     uniforms, so the set-up (factors, Bell stages and receiver) is built
     once and reused by every call that differs only in them. The reuse is
-    keyed on the exact bits of the rest of the config (its repr, which tells
-    -0.0 from 0.0), keeps the last four set-ups, holds them read-only, and
-    keeps no set-up that raised."""
-    bell, receiver = _run_set_up(config)
+    keyed on the rest of the config, compared with ``==``; it keeps the last
+    four set-ups, holds them read-only, and keeps no set-up that raised."""
+    bell, receiver = _set_up_of(replace(config, seed=0, trials=1))
     u = substream(config.seed).random((config.trials, 6))  # trial i: row i
     first, second, branch, keys, place = bell._draw_rows(u[:, :4])
     columns, column = receiver.draw(*bell._outcomes(first, second), branch, u[:, 4:])

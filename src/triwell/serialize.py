@@ -14,16 +14,12 @@ from pathlib import Path
 
 
 def format_cell(value) -> str:
-    if type(value) is float:  # the common cell; float subclasses take the checks below
+    if isinstance(value, (float, complex)):
         return repr(value)
     if value is None:
         return ""
     if isinstance(value, bool):
         return "1" if value else "0"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, complex):
-        return repr(value)
     return str(value)
 
 

@@ -49,6 +49,9 @@ RUNS = {
     "teleport-homodyne-real-beta": ["teleport", *HOMODYNE_TELEPORT, "--beta", "2"],
     "teleport-homodyne-reference-4": ["teleport", *HOMODYNE_TELEPORT,
                                       "--reference-magnitude", "4"],
+    "teleport-homodyne-negative-zero": ["teleport", *HOMODYNE_TELEPORT, "--gamma", "-2-0j",
+                                        "--alpha", "-2-0j"],
+    "teleport-homodyne-gamma-0": ["teleport", *HOMODYNE_TELEPORT, "--gamma", "0"],
     "teleport-real-beta": ["teleport", "--beta", "2"],
     "teleport-pd0": ["teleport", "--p-d", "0"],
     "teleport-seed-1": ["teleport", "--seed", "-1", "--trials", "200"],

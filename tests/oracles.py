@@ -15,7 +15,7 @@ from triwell.corrections import parity_count_distribution
 from triwell.fock import apply_mode_phases, mean_occupation, quadrature_eigensystem
 from triwell.homodyne import EPSILON_N_LIMIT
 from triwell.protocol import (BellMeasurement, ProtocolResult, ReceiverFactors, _Receiver,
-                              protocol_factors, reference_state)
+                              protocol_factors)
 from triwell.rng import inverse_cdf
 
 
@@ -136,7 +136,7 @@ def run_scored_in_full(config) -> ProtocolResult:
     trial by trial."""
     bell = BellMeasurement(protocol_factors(config), config)
     u = substream(config.seed).random((config.trials, 6))
-    receiver = _Receiver(config, reference_state(config))
+    receiver = _Receiver(config)
     columns, column = receiver.draw(*bell.draw(u[:, :4]), u[:, 4:])
     post = bell.conditionals(columns["stage1"], columns["stage2"])
     overlaps = np.abs(np.sum(post * receiver.probes.T[column], axis=1)) ** 2

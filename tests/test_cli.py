@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +343,16 @@ class TestExitCodes:
     def test_zero_omega_is_exit_3_before_any_work(self, tmp_path, args, capsys):
         assert run(args + ["--out", tmp_path / "x"]) == 3
         assert "atom-counting readout needs omega > 0" in capsys.readouterr().err
+        assert not list((tmp_path / "x").iterdir())
+
+    @pytest.mark.parametrize("flag", ["--gamma", "--alpha"])
+    def test_zero_amplitude_homodyne_teleport_is_exit_3(self, tmp_path, flag, capsys):
+        # the reference magnitude defaults to |0| = 0: no sample value, no output
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run(["teleport", "--backend", "homodyne", flag, "0",
+                        "--out", tmp_path / "x"]) == 3
+        assert "reference magnitude 0" in capsys.readouterr().err
         assert not list((tmp_path / "x").iterdir())
 
     def test_empty_homodyne_pair_is_exit_3(self, tmp_path, capsys):

@@ -369,6 +369,13 @@ class TestPhaseBit:
         with pytest.raises(AmbiguousSupport):
             IdealPhaseDiscriminator(0.0, FockCutoff(12))
 
+    @pytest.mark.parametrize("magnitude", [0.0, -1.0, math.nan])
+    def test_reference_magnitude_must_be_positive(self, magnitude):
+        # the sample value (m_c - m_b) / (2 |r|) needs |r| > 0
+        with pytest.raises(AmbiguousSupport, match="reference magnitude"):
+            HomodynePhaseDiscriminator(0.0, FockCutoff(12), magnitude, JosephsonParams(1000.0),
+                                       KerrParams(1.0, 1.0))
+
     def test_support_leftover_guard(self):
         # a number state far from the +-2 pair is rejected by the ideal backend
         cutoff = FockCutoff(28)

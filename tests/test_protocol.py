@@ -12,6 +12,7 @@ import pytest
 from scipy.stats import chisquare
 
 from triwell import (
+    AmbiguousSupport,
     AuxiliaryPrep,
     CoherentSpec,
     CrossSpeciesParams,
@@ -692,15 +693,14 @@ class TestProtocolFactors:
 
 
 class TestRunSetUp:
-    """A run builds each table of its set-up once: one coherent table per
-    distinct amplitude, the -gamma and -beta tables being parity flips, and
-    one quarter-period self-collision phase table for all three modes. A
-    change that builds a table twice fails here on a count, not on a timing.
-    The homodyne discriminator builds its reference well's table and the
-    auxiliary's count law its own; on the ideal backend the Helstrom pair's
-    discriminator, whose constructor takes only the amplitude and cutoff,
-    builds gamma's table a second time. A later call that differs only in
-    seed and trials builds none of it."""
+    """A run builds the set-up once per config, from the public
+    preparations: the target's coherent table (gamma, -gamma being its
+    parity flip), the channel's (alpha, beta), the stage discriminator's,
+    the receiver's reference (beta) and the auxiliary's count law, and a
+    quarter-period self-collision phase table each for the channel and the
+    target. A change that builds more fails here on a count, not on a
+    timing. A later call that differs only in seed and trials builds none of
+    it."""
 
     @staticmethod
     def config(backend, n_max):
@@ -717,7 +717,7 @@ class TestRunSetUp:
         columns = triwell.homodyne.josephson_collision_columns
 
         def counted_amplitudes(alpha, dim):
-            tables.extend(np.atleast_1d(alpha).tolist())
+            tables.append(alpha)
             return amplitudes(alpha, dim)
 
         def counted_phases(*args):
@@ -728,8 +728,7 @@ class TestRunSetUp:
             products.append(args[5].shape[1])
             return columns(*args)
 
-        for module in (triwell.fock, triwell.channel, triwell.protocol):
-            monkeypatch.setattr(module, "coherent_amplitudes", counted_amplitudes)
+        monkeypatch.setattr(triwell.fock, "coherent_amplitudes", counted_amplitudes)
         for module in (triwell.dynamics, triwell.channel, triwell.protocol):
             monkeypatch.setattr(module, "kerr_phases", counted_phases)
         monkeypatch.setattr(triwell.homodyne, "josephson_collision_columns", counted_columns)
@@ -742,11 +741,12 @@ class TestRunSetUp:
         tables, phases, products = self.counted(monkeypatch)
         triwell.protocol._set_up_of.cache_clear()  # a cold call builds the set-up
         assert run_protocol(config) == expected
-        # gamma = alpha = 2 and beta = 2i in one running product, then the
-        # stage discriminator's table, then the auxiliary's, sqrt(2)
+        # the target's gamma = 2, the channel's alpha = 2 and beta = 2i, the
+        # stage discriminator's table, the reference's beta, then the
+        # auxiliary's, sqrt(2), when a parity branch first draws its count
         stage = 2.0 if backend == "ideal" else 2.0 * cmath.exp(1j * math.pi / 2)
-        assert tables == [2.0, 2j, stage, math.sqrt(2.0)]
-        assert len(phases) == 1
+        assert tables == [2.0, 2.0, 2j, stage, 2j, math.sqrt(2.0)]
+        assert len(phases) == 2
         # gamma == alpha: one product reads both stage bases
         assert products == ([] if backend == "ideal" else [4])
 
@@ -759,7 +759,7 @@ class TestRunSetUp:
         assert (tables, phases, products) == ([], [], [])
         triwell.protocol._set_up_of.cache_clear()
         assert run_protocol(dataclasses.replace(config, seed=1, trials=500)) == warm
-        assert len(phases) == 1 and len(products) == (backend == "homodyne")
+        assert len(phases) == 2 and len(products) == (backend == "homodyne")
 
 
 def column_bytes(result) -> dict:
@@ -804,33 +804,54 @@ class TestSetUpReuse:
                     == cold[i, seed], (i, seed)
             if seed % 2:
                 for filler in fillers:
-                    triwell.protocol._run_set_up(filler)
+                    triwell.protocol._set_up_of(dataclasses.replace(filler, trials=1))
         # seeds 1 and 3 hit; seeds 0, 2 and 4 and every filler build
         info = triwell.protocol._set_up_of.cache_info()
         assert (info.hits, info.misses, info.maxsize) == (4, 14, 4)
 
-    def test_signed_zeros_keep_their_own_set_up(self):
-        # equal and equal-hashing configs whose homodyne axes differ: phase
-        # pi against -pi, so their fidelities differ in the last bits
+    @pytest.mark.parametrize("backend, n_max", [("ideal", 26), ("homodyne", 40)])
+    def test_equal_configs_give_equal_bytes(self, backend, n_max):
+        # the memo keys on ==, so every config equal to another must run to
+        # its bytes: int, float and complex amplitudes, signed zeros, int rates
+        config = self.config(backend, n_max)
+        variants = [
+            dict(target=SuperpositionSpec(0.6, 0.8, 2), alpha=CoherentSpec(2),
+                 beta=CoherentSpec(complex(0, 2))),
+            dict(target=SuperpositionSpec(0.6, 0.8, 2 + 0j), alpha=CoherentSpec(complex(2, -0.0)),
+                 beta=CoherentSpec(complex(-0.0, 2))),
+            dict(kerr=KerrParams(1, 1), josephson=JosephsonParams(1000),
+                 aux=AuxiliaryPrep("coherent", 2)),
+        ]
+        for seed in range(3):
+            base = dataclasses.replace(config, seed=seed)
+            want = self.cold(base)
+            for overrides in variants:
+                variant = dataclasses.replace(base, **overrides)
+                assert variant == base and hash(variant) == hash(base)
+                assert self.cold(variant) == want, (seed, overrides)
+
+    def test_signed_zeros_share_one_set_up(self):
+        # equal and equal-hashing configs whose amplitudes differ in the sign
+        # of a zero imaginary part: the homodyne axis reads both as +pi
         plus, minus = (make_config(target=SuperpositionSpec(0.6, 0.8, complex(-2.0, zero)),
                                    alpha=CoherentSpec(complex(-2.0, zero)), cutoff=FockCutoff(40),
                                    measurement_backend="homodyne", p_d=0.7, trials=2000,
                                    aux=AuxiliaryPrep("coherent", 2.0))
                        for zero in (0.0, -0.0))
         assert plus == minus and hash(plus) == hash(minus)
-        cold = {"plus": self.cold(plus), "minus": self.cold(minus)}
-        assert cold["plus"]["fidelity"] != cold["minus"]["fidelity"]
-        for order in (("plus", "minus"), ("minus", "plus")):
-            triwell.protocol._set_up_of.cache_clear()
-            for name in order + order:
-                assert column_bytes(run_protocol({"plus": plus, "minus": minus}[name])) \
-                    == cold[name], (order, name)
+        cold = self.cold(plus)
+        assert self.cold(minus) == cold
+        triwell.protocol._set_up_of.cache_clear()
+        for config in (minus, plus, minus, plus):
+            assert column_bytes(run_protocol(config)) == cold
+        info = triwell.protocol._set_up_of.cache_info()
+        assert (info.hits, info.misses) == (3, 1)
 
     @pytest.mark.parametrize("backend, n_max", [("ideal", 26), ("homodyne", 40)])
     def test_set_up_is_read_only_and_shares_no_memory_with_results(self, backend, n_max):
         config = self.config(backend, n_max)
         results = [run_protocol(dataclasses.replace(config, seed=seed)) for seed in (0, 1)]
-        bell, receiver = triwell.protocol._run_set_up(config)
+        bell, receiver = triwell.protocol._set_up_of(dataclasses.replace(config, trials=1))
         assert "count_cdf" in vars(receiver)  # drawn by the parity branches
         arrays = held_arrays(bell, receiver)
         assert len(arrays) > 10 and not any(array.flags.writeable for array in arrays)
@@ -902,7 +923,7 @@ class TestScoringAtReceiverRank:
                              trials=2000, seed=seed, aux=AuxiliaryPrep("coherent", 2.0))
         bell = BellMeasurement(protocol_factors(config), config)
         assert (bell.stages[0] is bell.stages[1]) == (gamma == 2.0)
-        receiver = _Receiver(config, reference_state(config))
+        receiver = _Receiver(config)
         u = substream(seed).random((config.trials, 6))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the displacement-ratio warning
@@ -944,7 +965,7 @@ class TestScoringAtReceiverRank:
         config = make_config(p_d=0.5, aux=AuxiliaryPrep("coherent", 2.0))
         branch = np.tile(np.arange(4), 50)
         zeros = np.zeros(len(branch), int)
-        columns, _ = _Receiver(config, reference_state(config)).draw(
+        columns, _ = _Receiver(config).draw(
             zeros, zeros, branch, substream(5).random((len(branch), 2)))
         for b, ops in CORRECTIONS_FOR_BRANCH.items():
             rows = branch == b
@@ -1066,6 +1087,18 @@ class TestCorrectAndScore:
 
 
 class TestRunProtocol:
+    @pytest.mark.parametrize("amplitude", ["target", "alpha"])
+    def test_zero_amplitude_homodyne_run_is_refused(self, amplitude):
+        # the stage's reference magnitude defaults to |0| = 0, where no count
+        # gives a sample value; refused before any division by it
+        zero = {"target": dict(target=SuperpositionSpec(1.0, 1.0, 0.0)),
+                "alpha": dict(alpha=CoherentSpec(0.0))}[amplitude]
+        config = make_config(measurement_backend="homodyne", trials=50, **zero)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(AmbiguousSupport, match="reference magnitude 0"):
+                run_protocol(config)
+
     @pytest.mark.parametrize("backend, cutoff", [("ideal", 26), ("homodyne", 32)])
     def test_records_match_direct_corrections(self, backend, cutoff):
         # every trial rescored by applying the corrections to its own posterior
