@@ -34,7 +34,6 @@ from .dynamics import (
     evolve_josephson,
     evolve_self_kerr,
     oracle_evolve,
-    parse_terms,
 )
 from .errors import (
     AmbiguousSupport,

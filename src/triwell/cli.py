@@ -154,7 +154,13 @@ SCHEMAS = {
 }
 
 
-_PLOTTED = ("parity-sweep", "efficiency-sweep", "homodyne", "lattice-map")  # write .gp stubs
+# --gnuplot: subcommand -> (table stem, title, using, style) of its .gp stub
+PLOTS = {
+    "parity-sweep": ("parity", "P_even vs parameter", "2:3", "lines"),
+    "efficiency-sweep": ("efficiency", "P vs p_D", "2:4", "lines"),
+    "homodyne": ("sx_timeseries", "S_x(t)", "1:2", "lines"),
+    "lattice-map": ("lattice_map", "lower band", "1:2:3", "image"),
+}
 
 
 def _dest(name: str) -> str:
@@ -244,8 +250,8 @@ def resolve_options(subcommand: str, args: argparse.Namespace) -> dict:
             values[name] = _parse_with(opt, raw)
     if values["jobs"] < 1:
         raise ConfigError(f"'jobs' must be >= 1, got {values['jobs']}")
-    if values["gnuplot"] and subcommand not in _PLOTTED:
-        raise ConfigError(f"'gnuplot' writes stubs only for {', '.join(_PLOTTED)}")
+    if values["gnuplot"] and subcommand not in PLOTS:
+        raise ConfigError(f"'gnuplot' writes stubs only for {', '.join(PLOTS)}")
     if values["gnuplot"] and values["format"] != "csv":
         raise ConfigError("'gnuplot' stubs plot the CSV tables; it needs format csv")
     return values
@@ -313,7 +319,7 @@ def _emit_manifest(outdir: Path, subcommand: str, values: dict, files: list,
 # subcommands
 
 
-def cmd_channel(values: dict, outdir: Path) -> list:
+def cmd_channel(values: dict, outdir: Path) -> tuple:
     with _building():
         cutoff = FockCutoff(values["cutoff"])
         kp = KerrParams(values["e0"], values["kappa"])
@@ -335,7 +341,7 @@ def cmd_channel(values: dict, outdir: Path) -> list:
         "entropy_bits": channel_entanglement(state),
         "leakage": state.leakage,
     }))
-    return files
+    return files, None
 
 
 def cmd_teleport(values: dict, outdir: Path) -> tuple:
@@ -368,7 +374,7 @@ def cmd_teleport(values: dict, outdir: Path) -> tuple:
     return files, result.summary
 
 
-def cmd_parity_sweep(values: dict, outdir: Path) -> list:
+def cmd_parity_sweep(values: dict, outdir: Path) -> tuple:
     families = AUX_KINDS if values["family"] == "all" else (values["family"],)
     kappa = values["kappa"]
     with _building():
@@ -392,13 +398,10 @@ def cmd_parity_sweep(values: dict, outdir: Path) -> list:
          "mc_stderr"), rows,
         ("even-count probability by auxiliary family",),
     )]
-    if values["gnuplot"]:
-        files.append(gnuplot_stub(outdir / "parity.gp", "parity.csv",
-                                  "P_even vs parameter", "2:3"))
-    return files
+    return files, None
 
 
-def cmd_efficiency_sweep(values: dict, outdir: Path) -> list:
+def cmd_efficiency_sweep(values: dict, outdir: Path) -> tuple:
     with _building():
         r_grid = _grid(values["r-min"], values["r-max"], values["r-points"])
         pd_grid = _grid(values["pd-min"], values["pd-max"], values["pd-points"])
@@ -411,13 +414,10 @@ def cmd_efficiency_sweep(values: dict, outdir: Path) -> list:
         ("r", "p_d", "p_even", "p_total"), rows,
         ("total protocol efficiency, squeezed-vacuum auxiliary",),
     )]
-    if values["gnuplot"]:
-        files.append(gnuplot_stub(outdir / "efficiency.gp", "efficiency.csv",
-                                  "P vs p_D", "2:4"))
-    return files
+    return files, None
 
 
-def cmd_homodyne(values: dict, outdir: Path) -> list:
+def cmd_homodyne(values: dict, outdir: Path) -> tuple:
     with _building():
         cutoff = FockCutoff(values["cutoff"])
         jp = JosephsonParams(values["omega"])
@@ -445,13 +445,10 @@ def cmd_homodyne(values: dict, outdir: Path) -> list:
          "raw_half_diff"), rows,
         (f"pseudo-spin S_x, epsilon={eps!r}",),
     )]
-    if values["gnuplot"]:
-        files.append(gnuplot_stub(outdir / "sx_timeseries.gp", "sx_timeseries.csv",
-                                  "S_x(t)", "1:2"))
-    return files
+    return files, None
 
 
-def cmd_lattice_map(values: dict, outdir: Path) -> list:
+def cmd_lattice_map(values: dict, outdir: Path) -> tuple:
     with _building():
         thetas = _grid(values["theta-min"], values["theta-max"], values["theta-points"])
         z_primes = _grid(values["zprime-min"], values["zprime-max"], values["zprime-points"])
@@ -468,10 +465,7 @@ def cmd_lattice_map(values: dict, outdir: Path) -> list:
         ("theta", "z_prime", "band_lower", "band_upper", "gap"), rows,
         (f"adiabatic band energies, b_perp={values['b-perp']!r}",),
     )]
-    if values["gnuplot"]:
-        files.append(gnuplot_stub(outdir / "lattice_map.gp", "lattice_map.csv",
-                                  "lower band", "1:2:3", style="image"))
-    return files
+    return files, None
 
 
 HANDLERS = {
@@ -497,10 +491,10 @@ def main(argv=None) -> int:
         values = resolve_options(args.subcommand, args)
         outdir = Path(values["out"])
         outdir.mkdir(parents=True, exist_ok=True)
-        produced = HANDLERS[args.subcommand](values, outdir)
-        summary = None
-        if isinstance(produced, tuple):
-            produced, summary = produced
+        produced, summary = HANDLERS[args.subcommand](values, outdir)
+        if values["gnuplot"]:
+            stem, *plot = PLOTS[args.subcommand]
+            produced.append(gnuplot_stub(outdir / f"{stem}.gp", f"{stem}.csv", *plot))
         manifest = _emit_manifest(outdir, args.subcommand, values, produced,
                                   CAVEATS.get(args.subcommand, ()), summary)
         produced.append(manifest)

@@ -221,26 +221,6 @@ class HamiltonianTerm:
             raise ValueError(f"term {self.kind!r} needs two distinct modes")
 
 
-def parse_terms(text: str) -> list:
-    """Parse `kind:mode[:mode]:coefficient` items separated by commas/semicolons.
-
-    Example: ``"number:0:1.0, kerr:0:0.5, exchange:0:1:0.25"``.
-    """
-    terms = []
-    for item in text.replace(";", ",").split(","):
-        item = item.strip()
-        if not item:
-            continue
-        parts = item.split(":")
-        kind = parts[0].strip()
-        arity = _TERM_ARITY.get(kind)
-        if arity is None or len(parts) != arity + 2:
-            raise ValueError(f"malformed Hamiltonian term {item!r}")
-        modes = tuple(int(p) for p in parts[1:1 + arity])
-        terms.append(HamiltonianTerm(kind, modes, float(parts[-1])))
-    return terms
-
-
 def build_hamiltonian(terms, modes: int, cutoff: FockCutoff) -> np.ndarray:
     """Dense Hamiltonian over the full lexicographic product basis."""
     d = cutoff.dim
@@ -271,13 +251,16 @@ def build_hamiltonian(terms, modes: int, cutoff: FockCutoff) -> np.ndarray:
     return ham
 
 
-def oracle_evolve(state: StateVector, terms, t: float,
-                  dimension_cap: int = ORACLE_DIMENSION_CAP) -> StateVector:
-    """Brute-force exp(-iHt) via dense eigendecomposition (the ground truth)."""
+def oracle_evolve(state: StateVector, terms, t: float) -> StateVector:
+    """Brute-force exp(-iHt) via dense eigendecomposition (the ground truth).
+
+    Refuses (``DimensionTooLarge``) a state of more than
+    ``ORACLE_DIMENSION_CAP`` amplitudes before building the Hamiltonian.
+    """
     dim_total = state.dim**state.modes
-    if dim_total > dimension_cap:
+    if dim_total > ORACLE_DIMENSION_CAP:
         raise DimensionTooLarge(
-            f"oracle refuses dimension {dim_total} > cap {dimension_cap}"
+            f"oracle refuses dimension {dim_total} > cap {ORACLE_DIMENSION_CAP}"
         )
     for term in terms:
         for m in term.modes:

@@ -13,10 +13,12 @@ Truncation policy
 Coherent-like preparations drop the probability mass above ``n_max``
 ("leakage"), renormalize, and record the dropped mass on the state, so
 downstream fidelities are not polluted by sub-normalization. A preparation
-refuses (``CutoffTooSmall``) when the leakage exceeds ``max_leakage``
-(default 1e-10). The rule of thumb ``n_max >= |a|**2 + 6|a| + 10`` keeps the
-Poisson tail of an amplitude-``a`` coherent state below that default bound;
-``FockCutoff.for_amplitude`` applies it.
+refuses (``CutoffTooSmall``) when the leakage exceeds 1e-10
+(``DEFAULT_MAX_LEAKAGE``), or the ``max_leakage`` that ``prepare_coherent``
+and ``prepare_squeezed_vacuum`` take. The rule of thumb
+``n_max >= |a|**2 + 6|a| + 10`` keeps the Poisson tail of an amplitude-``a``
+coherent state below that default bound; ``FockCutoff.for_amplitude``
+applies it.
 
 States are immutable values; all operations return new states and are safe
 to evaluate concurrently.
@@ -228,8 +230,7 @@ def prepare_squeezed_vacuum(spec: SqueezedVacuumSpec, cutoff: FockCutoff,
     return _finalize_preparation(raw, cutoff, 1.0, max_leakage, "prepare_squeezed_vacuum")
 
 
-def prepare_cat_superposition(spec: SuperpositionSpec, cutoff: FockCutoff,
-                              max_leakage: float = DEFAULT_MAX_LEAKAGE) -> StateVector:
+def prepare_cat_superposition(spec: SuperpositionSpec, cutoff: FockCutoff) -> StateVector:
     """Normalized A|gamma> + B|-gamma>.
 
     The weights act as a ray: A and B are scaled by the larger of |A| and |B|
@@ -250,7 +251,8 @@ def prepare_cat_superposition(spec: SuperpositionSpec, cutoff: FockCutoff,
         raise DegenerateSuperposition(
             "superposition weights cancel: unnormalized norm below 1e-12"
         )
-    return _finalize_preparation(raw, cutoff, exact_sq, max_leakage, "prepare_cat_superposition")
+    return _finalize_preparation(raw, cutoff, exact_sq, DEFAULT_MAX_LEAKAGE,
+                                 "prepare_cat_superposition")
 
 
 # ---------------------------------------------------------------------------

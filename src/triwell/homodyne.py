@@ -172,12 +172,12 @@ def simulate_sx(signal: StateVector, beta: CoherentSpec, jp: JosephsonParams,
 
 
 def perturbative_sx(init: PerturbativeInit, total_number: float, omega: float,
-                    t: float, equal_populations: bool = False) -> complex:
+                    t: float) -> complex:
     """First-order closed form for S_x(t), evaluated verbatim.
 
-    ``equal_populations`` zeroes the x0-dependent terms (equal initial well
-    populations make x0 = 0). Refuses when epsilon * N > 0.1 and warns above
-    0.02, where the first-order solution starts to degrade.
+    Equal initial well populations are ``init`` with x0 = 0. Refuses when
+    epsilon * N > 0.1 and warns above 0.02, where the first-order solution
+    starts to degrade.
     """
     eps = init.epsilon
     eps_n = eps * total_number
@@ -191,8 +191,7 @@ def perturbative_sx(init: PerturbativeInit, total_number: float, omega: float,
             f"epsilon*N = {eps_n:.3g} above warning band {EPSILON_N_WARN}",
             stacklevel=2,
         )
-    x0 = 0.0 if equal_populations else init.x0
-    y0, z0 = init.y0, init.z0
+    x0, y0, z0 = init.x0, init.y0, init.z0
     n2 = 2 * total_number
     cos_t, sin_t = math.cos(omega * t), math.sin(omega * t)
     return complex(
@@ -348,7 +347,6 @@ class IdealPhaseDiscriminator(_Discriminator):
     prepared = _PreparedIdeal
 
     def __init__(self, amplitude: complex, cutoff: FockCutoff):
-        self.amplitude = amplitude
         self.cutoff = cutoff
         self.w0, self.w1 = helstrom_vectors(amplitude, cutoff)
         self.rows = np.conj([self.w0, self.w1])
@@ -378,12 +376,10 @@ class HomodynePhaseDiscriminator(_Discriminator):
             raise ValidityDomainExceeded("atom-counting readout needs omega > 0")
         if not reference_magnitude > 0:
             raise AmbiguousSupport(f"reference magnitude {reference_magnitude:.3g}: needs |r| > 0")
-        self.axis_phase = axis_phase
         self.cutoff = cutoff
         self.josephson, self.kerr = josephson, kerr
-        self.reference = reference_magnitude * cmath.exp(1j * (axis_phase + math.pi / 2))
-        self.reference_amplitudes = prepare_coherent(CoherentSpec(self.reference),
-                                                     cutoff).amplitudes
+        reference = reference_magnitude * cmath.exp(1j * (axis_phase + math.pi / 2))
+        self.reference_amplitudes = prepare_coherent(CoherentSpec(reference), cutoff).amplitudes
         d, m, k = cutoff.dim, np.arange(cutoff.dim), np.arange(1 - cutoff.dim, cutoff.dim)[:, None]
         self.values = (m[:, None] - m).ravel() / (2 * reference_magnitude)  # id m_c d + m_b
         # ascending value, ties by id: diagonal k = m_c - m_b holds ids m_c (d + 1) - k

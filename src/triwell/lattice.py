@@ -111,25 +111,15 @@ class ScheduleReport:
     violations: tuple
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "max_rate": self.max_rate,
-            "max_depth_rate": self.max_depth_rate,
-            "max_separation_rate": self.max_separation_rate,
-            "threshold": self.threshold,
-            "violations": list(self.violations),
-            "passed": self.passed,
-        }
-
 
 def schedule_check(times, thetas, gap: float, params: LatticeParams,
-                   threshold_factor: float = 0.1, hbar: float = 1.0) -> ScheduleReport:
-    """Finite-difference rates of U_p and k_L dz along theta(t) vs. gap/hbar.
+                   threshold_factor: float = 0.1) -> ScheduleReport:
+    """Finite-difference rates of U_p and k_L dz along theta(t) vs. the gap.
 
     ``gap`` is the excitation gap E' - E0 supplied by the caller (band
-    structure is out of scope here). A sample violates when either rate
-    exceeds threshold_factor * gap / hbar; consistent units are the caller's
-    responsibility.
+    structure is out of scope here), an angular frequency since hbar = 1. A
+    sample violates when either rate exceeds threshold_factor * gap;
+    consistent units are the caller's responsibility.
     """
     times = np.asarray(times, dtype=float)
     thetas = np.asarray(thetas, dtype=float)
@@ -143,7 +133,7 @@ def schedule_check(times, thetas, gap: float, params: LatticeParams,
     separation = np.unwrap(separation_phase(thetas))
     depth_rate = np.abs(np.gradient(depth, times))
     separation_rate = np.abs(np.gradient(separation, times))
-    threshold = threshold_factor * gap / hbar
+    threshold = threshold_factor * gap
     bad = (depth_rate > threshold) | (separation_rate > threshold)
     violations = tuple(int(i) for i in np.flatnonzero(bad))
     return ScheduleReport(

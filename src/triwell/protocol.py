@@ -115,7 +115,7 @@ from .fock import (
     joint_leakage,
     prepare_cat_superposition,
 )
-from .homodyne import HomodynePhaseDiscriminator, IdealPhaseDiscriminator
+from .homodyne import HomodynePhaseDiscriminator, IdealPhaseDiscriminator, _pair_overlap_guard
 from .rng import MIN_OUTCOME_PROBABILITY, indexed_search, inverse_cdf, stacked_search, substream
 
 BACKENDS = ("ideal", "homodyne")
@@ -352,7 +352,8 @@ class BellMeasurement:
     stage-2 CDFs of the stage-1 rows it drew, without a sort, and draws every
     trial on its place's row of the stack in one ``rng.stacked_search``.
     ``draw``, ``coefficients``, ``conditionals`` and ``sample`` give and take
-    outcome ids.
+    outcome ids. Both backends refuse (``AmbiguousSupport``) a stage
+    amplitude a with |<a|-a>| > 0.5.
     """
 
     def __init__(self, state: StateVector | ReceiverFactors, config: ProtocolConfig):
@@ -364,11 +365,14 @@ class BellMeasurement:
 
         def discriminator(amp):
             if config.measurement_backend == "ideal":
-                return IdealPhaseDiscriminator(amp, config.cutoff)
-            # + 0j makes a signed zero positive: equal amplitudes read one axis
-            return HomodynePhaseDiscriminator(cmath.phase(amp + 0j), config.cutoff,
-                                              abs(amp) if ref is None else ref,
-                                              config.josephson, config.kerr)
+                made = IdealPhaseDiscriminator(amp, config.cutoff)
+            else:
+                # + 0j makes a signed zero positive: equal amplitudes read one axis
+                made = HomodynePhaseDiscriminator(cmath.phase(amp + 0j), config.cutoff,
+                                                  abs(amp) if ref is None else ref,
+                                                  config.josephson, config.kerr)
+            _pair_overlap_guard(abs(amp))  # both backends refuse the same stages
+            return made
 
         built = {amp: discriminator(amp) for amp in dict.fromkeys((gamma, alpha))}
         self.stages = (built[gamma], built[alpha])

@@ -74,8 +74,7 @@ def build_manifest(subcommand: str, config: dict, outputs, versions: dict,
     return manifest
 
 
-def gnuplot_stub(path: Path, data_file: str, title: str, using: str,
-                 style: str = "lines") -> Path:
+def gnuplot_stub(path: Path, data_file: str, title: str, using: str, style: str) -> Path:
     """Minimal gnuplot script for quick looks at an emitted CSV."""
     text = "\n".join(
         [

@@ -52,6 +52,9 @@ RUNS = {
     "teleport-homodyne-negative-zero": ["teleport", *HOMODYNE_TELEPORT, "--gamma", "-2-0j",
                                         "--alpha", "-2-0j"],
     "teleport-homodyne-gamma-0": ["teleport", *HOMODYNE_TELEPORT, "--gamma", "0"],
+    "teleport-homodyne-gamma-0-reference-2": ["teleport", *HOMODYNE_TELEPORT, "--gamma", "0",
+                                              "--reference-magnitude", "2"],
+    "teleport-homodyne-gamma-0.5": ["teleport", *HOMODYNE_TELEPORT, "--gamma", "0.5"],
     "teleport-real-beta": ["teleport", "--beta", "2"],
     "teleport-pd0": ["teleport", "--p-d", "0"],
     "teleport-seed-1": ["teleport", "--seed", "-1", "--trials", "200"],

@@ -191,3 +191,30 @@ def estimate_quadrature(signal: StateVector, beta: CoherentSpec, jp: JosephsonPa
         reference_phase=cmath.phase(beta.amplitude),
         reference_magnitude=magnitude,
     )
+
+
+def homodyne_bit_error(a: float, r: float) -> float:
+    """P(bit 1) of the atom-counting readout of |a>, real a > 0 on axis 0,
+    against reference magnitude r at kappa = 0, free of any cutoff.
+
+    At kappa = 0 a quarter tunnelling period is a 50:50 beam splitter, so
+    the counts are independent: m_c ~ Poisson((a + r)^2 / 2) and m_b ~
+    Poisson((r - a)^2 / 2). The bit is 1 when m_c < m_b, and a tie splits
+    evenly: P = sum_k P(m_b = k) [P(m_c < k) + P(m_c = k) / 2]. The sum stops
+    at the first K >= E[m_b] whose Chernoff bound P(m_b > K) <= e^{-mu}
+    (e mu / (K + 1))^(K + 1) is below 1e-20, which bounds the dropped terms;
+    every kept term is a finite sum.
+    """
+    mu_c, mu_b = (a + r) ** 2 / 2, (r - a) ** 2 / 2
+    last = math.ceil(mu_b)
+    while mu_b > 0 and math.exp(-mu_b) * (math.e * mu_b / (last + 1)) ** (last + 1) > 1e-20:
+        last += 1
+
+    def pmf(mu):
+        p = [math.exp(-mu)]
+        for j in range(1, last + 1):
+            p.append(p[-1] * mu / j)
+        return p
+
+    p_c, p_b = pmf(mu_c), pmf(mu_b)
+    return sum(p_b[k] * (sum(p_c[:k]) + p_c[k] / 2) for k in range(last + 1))

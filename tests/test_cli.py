@@ -355,6 +355,15 @@ class TestExitCodes:
         assert "reference magnitude 0" in capsys.readouterr().err
         assert not list((tmp_path / "x").iterdir())
 
+    @pytest.mark.parametrize("args", [["--gamma", "0", "--reference-magnitude", "2"],
+                                      ["--gamma", "0.5"]])
+    def test_indistinguishable_homodyne_stage_is_exit_3(self, tmp_path, args, capsys):
+        # refused as on the ideal backend: no branch histogram of a vacuum's phase
+        assert run(["teleport", "--backend", "homodyne", *args, "--trials", "50",
+                    "--out", tmp_path / "x"]) == 3
+        assert "branches not distinguishable" in capsys.readouterr().err
+        assert not list((tmp_path / "x").iterdir())
+
     def test_empty_homodyne_pair_is_exit_3(self, tmp_path, capsys):
         # vacuum signal and reference: S_x = (n_c - n_b) / 2N has N = 0
         assert run(["homodyne", "--gamma", "0", "--beta", "0", "--out", tmp_path / "x"]) == 3

@@ -17,7 +17,6 @@ from triwell import (
     fidelity,
     norm,
     oracle_evolve,
-    parse_terms,
     prepare_coherent,
     prepare_number,
     tensor,
@@ -262,10 +261,10 @@ class TestOracle:
             assert np.abs(cols[:, n] - want.amplitudes).max() < 1e-9
 
     def test_dimension_cap(self):
-        state = prepare_number(0, FockCutoff(70))
+        # 4,097 amplitudes, one above the cap; refused before any Hamiltonian
+        state = prepare_number(0, FockCutoff(4096))
         with pytest.raises(DimensionTooLarge):
-            oracle_evolve(state, [HamiltonianTerm("number", (0,), 1.0)], 1.0,
-                          dimension_cap=64)
+            oracle_evolve(state, [HamiltonianTerm("number", (0,), 1.0)], 1.0)
 
 
 class TestParameterValidation:
@@ -296,21 +295,6 @@ class TestParameterValidation:
 
 
 class TestTermParsing:
-    def test_round_trip(self):
-        terms = parse_terms("number:0:1.0, kerr:1:0.5; exchange:0:1:0.25, cross_kerr:0:1:2")
-        assert terms == [
-            HamiltonianTerm("number", (0,), 1.0),
-            HamiltonianTerm("kerr", (1,), 0.5),
-            HamiltonianTerm("exchange", (0, 1), 0.25),
-            HamiltonianTerm("cross_kerr", (0, 1), 2.0),
-        ]
-
-    def test_malformed(self):
-        with pytest.raises(ValueError):
-            parse_terms("wiggle:0:1.0")
-        with pytest.raises(ValueError):
-            parse_terms("exchange:0:1")
-
     def test_distinct_modes_required(self):
         with pytest.raises(ValueError):
             HamiltonianTerm("cross_kerr", (1, 1), 1.0)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -37,7 +38,8 @@ from triwell.homodyne import (
 )
 from triwell.channel import parity_basis
 
-from oracles import block_probabilities_by_density_matrix, estimate_quadrature
+from oracles import (block_probabilities_by_density_matrix, estimate_quadrature,
+                     homodyne_bit_error)
 
 
 def probability(prepared, outcome: int) -> float:
@@ -101,8 +103,8 @@ class TestPerturbative:
     def test_quarter_period_equal_populations(self):
         init = PerturbativeInit(0.4, -0.2, 0.1, 0.0)
         omega = 2.0
-        value = perturbative_sx(init, 4.0, omega, math.pi / (2 * omega),
-                                equal_populations=True)
+        value = perturbative_sx(dataclasses.replace(init, x0=0.0), 4.0, omega,
+                                math.pi / (2 * omega))
         assert value == pytest.approx(0.2, abs=1e-12)
 
     def test_validity_domain(self):
@@ -228,6 +230,24 @@ class TestPhaseBit:
         draws = substream(7).random((200, 2))
         _, bits = prepared.draw(draws[:, 0], draws[:, 1])
         assert np.mean(bits) >= 0.98
+
+    @pytest.mark.parametrize("magnitude, n_max", [(2.0, 40), (4.0, 60), (6.0, 80)])
+    def test_homodyne_bit_error_at_zero_kappa_is_the_poisson_law(self, magnitude, n_max):
+        # at kappa = 0 the readout is a beam splitter, so the error of |2> is the
+        # cutoff-free Poisson law; it moves by at most what the two tables drop
+        # plus one rounding unit per count outcome
+        a, cutoff = 2.0, FockCutoff(n_max)
+        signal = prepare_coherent(CoherentSpec(a), cutoff)
+        reference = prepare_coherent(CoherentSpec(magnitude * 1j), cutoff)
+        bound = signal.leakage + reference.leakage + cutoff.dim**2 * np.finfo(float).eps
+        disc = HomodynePhaseDiscriminator(0.0, cutoff, magnitude, JosephsonParams(1000.0),
+                                          KerrParams(0.0, 0.0))
+        error = disc.prepare(signal, 0).bit_probabilities[1]
+        assert abs(error - homodyne_bit_error(a, magnitude)) <= bound
+        if magnitude == a:  # m_b = 0 always: the bit is 1 only on a tie at m_c = 0
+            assert homodyne_bit_error(a, a) == pytest.approx(math.exp(-2 * a**2) / 2,
+                                                             rel=1e-15, abs=0)
+            assert abs(error - math.exp(-2 * a**2) / 2) <= bound
 
     def test_homodyne_sign_fidelity_with_collisions(self):
         # |g| = 1.5, eps*N <= 0.02: sampled sign matches the branch >= 99%

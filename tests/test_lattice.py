@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -184,7 +185,8 @@ class TestScheduleCheck:
 
     def test_report_serialization(self):
         report = schedule_check(np.linspace(0, 10, 11), np.linspace(0, 1, 11), 2.0,
-                                params(), threshold_factor=0.2, hbar=2.0)
-        payload = report.to_dict()
+                                params(), threshold_factor=0.1)
+        payload = json.loads(json.dumps(dataclasses.asdict(report)))
         assert payload["threshold"] == pytest.approx(0.2)
+        assert payload["violations"] == list(report.violations)
         assert set(payload) >= {"max_rate", "threshold", "violations"}

@@ -1099,6 +1099,19 @@ class TestRunProtocol:
             with pytest.raises(AmbiguousSupport, match="reference magnitude 0"):
                 run_protocol(config)
 
+    @pytest.mark.parametrize("backend", ["ideal", "homodyne"])
+    @pytest.mark.parametrize("stage", [
+        dict(target=SuperpositionSpec(1.0, 1.0, 0.0), reference_magnitude=2.0),
+        dict(target=SuperpositionSpec(1.0, 1.0, 0.5)),
+        dict(alpha=CoherentSpec(0.5)),
+    ], ids=["gamma-0-reference-2", "gamma-0.5", "alpha-0.5"])
+    def test_indistinguishable_stage_is_refused_on_both_backends(self, backend, stage):
+        # |<a|-a>| = exp(-2|a|^2) > 0.5 below |a| = sqrt(ln 2 / 2): the counts
+        # of a homodyne stage are refused where the ideal projectors are
+        config = make_config(measurement_backend=backend, trials=50, **stage)
+        with pytest.raises(AmbiguousSupport, match="branches not distinguishable"):
+            run_protocol(config)
+
     @pytest.mark.parametrize("backend, cutoff", [("ideal", 26), ("homodyne", 32)])
     def test_records_match_direct_corrections(self, backend, cutoff):
         # every trial rescored by applying the corrections to its own posterior
