@@ -37,7 +37,8 @@ from .corrections import (
     total_efficiency,
 )
 from .dynamics import CrossSpeciesParams, JosephsonParams, KerrParams
-from .errors import ConfigError, NumericError, PreconditionError, TriwellError, ValidityDomainExceeded
+from .errors import (ConfigError, FrequencyConditionViolated, NumericError, PreconditionError,
+                     TriwellError, ValidityDomainExceeded)
 from .fock import CoherentSpec, FockCutoff, SuperpositionSpec, prepare_cat_superposition, state_to_dict
 from .homodyne import initial_schwinger, perturbative_sx, simulate_sx
 from .lattice import LatticeParams, density_map
@@ -348,6 +349,8 @@ def cmd_teleport(values: dict, outdir: Path) -> tuple:
     kappa = values["kappa"]
     lam = values["lam"] if values["lam"] is not None else kappa / 2
     with _building():
+        if kappa == 0:  # named before lambda = kappa / 2 is refused
+            raise FrequencyConditionViolated("teleportation needs kappa > 0")
         config = ProtocolConfig(
             target=SuperpositionSpec(values["a-weight"], values["b-weight"], values["gamma"]),
             alpha=CoherentSpec(values["alpha"]),
@@ -382,7 +385,9 @@ def cmd_parity_sweep(values: dict, outdir: Path) -> tuple:
             raise ValueError("trials must be >= 1")
         grid = _grid(values["param-min"], values["param-max"], values["points"])
         auxes = [AuxiliaryPrep(family, float(p)) for family in families for p in grid]
-        lam, kp = CrossSpeciesParams(kappa / 2), KerrParams(1.5 * kappa, kappa)
+        if kappa == 0:  # named before lambda = kappa / 2 is refused
+            raise FrequencyConditionViolated("parity collision needs kappa > 0")
+        kp, lam = KerrParams(1.5 * kappa, kappa), CrossSpeciesParams(kappa / 2)
         cutoff = FockCutoff(values["cutoff"])
     # the count distribution reads only the central state's basis size
     central = prepare_cat_superposition(SuperpositionSpec(1.0, 1.0, values["beta"]), cutoff)
@@ -426,6 +431,9 @@ def cmd_homodyne(values: dict, outdir: Path) -> tuple:
         kp = KerrParams(values["e0"], values["kappa"])
         beta = CoherentSpec(values["beta"])
         t_max = values["t-max"] if values["t-max"] is not None else math.pi / values["omega"]
+        if not math.isfinite(t_max):  # a given t-max is finite; pi / omega may overflow
+            raise ValidityDomainExceeded(
+                f"omega = {jp.omega:.3g} has no finite default t-max pi / omega")
         if not t_max >= 0:
             raise ValueError(f"t-max must be >= 0, got {t_max}")
         t_grid = _grid(0.0, t_max, values["steps"])

@@ -86,7 +86,6 @@ from .errors import (
     AmbiguousSupport,
     ShapeMismatch,
     ValidityDomainExceeded,
-    ZeroProbabilityBranch,
 )
 from .fock import (
     CoherentSpec,
@@ -237,18 +236,6 @@ class Readout(NamedTuple):
     outcomes: np.ndarray
     values: np.ndarray
 
-    def index(self, ids) -> np.ndarray:
-        """The row of each outcome of ``ids``; raises ``ZeroProbabilityBranch``
-        for an outcome off the support, which no draw reaches."""
-        sorter = np.argsort(self.outcomes)
-        at = np.searchsorted(self.outcomes, ids, sorter=sorter)
-        rows = sorter[np.minimum(at, len(sorter) - 1)]
-        missing = self.outcomes[rows] != ids
-        if np.any(missing):
-            raise ZeroProbabilityBranch(
-                f"outcomes {np.asarray(ids)[missing].tolist()} lie off the drawable support")
-        return rows
-
     def bits(self, k: np.ndarray, u_tie: np.ndarray) -> np.ndarray:
         """The bits of the drawn rows ``k``: 1 for a negative value, 0 for a
         positive one, and for a zero value 1 iff ``u_tie`` < 0.5."""
@@ -374,6 +361,9 @@ class HomodynePhaseDiscriminator(_Discriminator):
                  josephson: JosephsonParams, kerr: KerrParams):
         if josephson.omega <= 0:
             raise ValidityDomainExceeded("atom-counting readout needs omega > 0")
+        if not math.isfinite(math.pi / (2 * josephson.omega)):
+            raise ValidityDomainExceeded(f"omega = {josephson.omega:.3g} has no finite quarter "
+                                         "period pi / (2 omega)")
         if not reference_magnitude > 0:
             raise AmbiguousSupport(f"reference magnitude {reference_magnitude:.3g}: needs |r| > 0")
         self.cutoff = cutoff

@@ -59,12 +59,14 @@ R_2[k2]) T / sqrt(p1[k1])``. ``BellMeasurement`` reads any other three-mode
 state through the same code as its Tucker factors (``tucker_factors``), a
 core over one orthonormal basis per mode at the state's numerical rank.
 
-Rows inside, ids at the edges: a run reads the stages by readout row from
-the draw to the scoring. Outcome ids, the discriminators' own (``m_c * dim +
-m_b`` on the homodyne), appear only in the result's ``stage1`` and
-``stage2`` columns and at the entry points that take or give ids (``draw``,
-``coefficients``, ``conditionals``, ``sample``), which find a row from its
-id with ``Readout.index``.
+Rows inside, ids at the edges: ``BellMeasurement.draw`` is the one draw.
+It gives each trial's readout rows, its branch and its pair, and the
+distinct pairs' mode-3 coefficients (``BellDraw``), and ``coefficients``
+reads any pairs of rows; the run scores from these. Outcome ids, the
+discriminators' own (``m_c * dim + m_b`` on the homodyne), are read from
+the rows as ``readouts[k].outcomes[rows]`` only where they leave the
+library: the result's ``stage1`` and ``stage2`` columns and ``sample``'s
+``MeasurementOutcome.raw``.
 
 Scoring: the receiver's correction depends only on the two bits and the
 auxiliary count, and the parity collision acts on mode 3 as an exact sign.
@@ -74,11 +76,11 @@ G is |<G^dag ref|post>|^2, and ``post = c Z^T`` for the pair's r3
 coefficients c over the receiver basis Z = Z3, read off the core. The pair
 table is a presence mask over (stack place x stage-2 row), whose
 ``cumsum`` numbers the pairs and gives each trial its pair, with no sort.
-The receiver's probe matrix is projected once, ``Z^T probes`` (r3 rows),
-one product ``c @ (Z^T probes)`` gives every correction's overlap for every
-pair, the norms |c|^2, equal to |post|^2 since Z is orthonormal, normalise
-it, and each trial reads its (pair, probe column) cell; no row is expanded
-to d amplitudes.
+The receiver's probe matrix is projected once per set-up, ``Z^T probes``
+(r3 rows), one product ``c @ (Z^T probes)`` gives every correction's
+overlap for every pair, the norms |c|^2, equal to |post|^2 since Z is
+orthonormal, normalise it, and each trial reads its (pair, probe column)
+cell; no row is expanded to d amplitudes.
 Trials stay typed columns from the draw to the summary, with ``NOT_DRAWN``
 where a branch needs no such correction, and a result holds only its
 columns: ``ProtocolResult.records`` is a view over them that builds each
@@ -335,6 +337,19 @@ def reference_state(config: ProtocolConfig) -> StateVector:
     )
 
 
+class BellDraw(NamedTuple):
+    """Both Bell stages drawn for a block of trials: each trial's stage-1 and
+    stage-2 readout rows ``first`` and ``second``, its ``branch``, and its
+    ``pair``, the row of ``coefficients`` (mode 3 over the receiver basis)
+    that holds its distinct (first, second) pair."""
+
+    first: np.ndarray
+    second: np.ndarray
+    branch: np.ndarray
+    pair: np.ndarray
+    coefficients: np.ndarray
+
+
 class BellMeasurement:
     """Sequential two-mode phase discrimination on a three-mode protocol state.
 
@@ -348,12 +363,13 @@ class BellMeasurement:
     coefficients after the rows (k1, k2) are (R_1[k1] (x) R_2[k2]) T /
     sqrt(p1[k1]), over ``receiver_basis``, its orthonormal columns. When the
     two stages share a discriminator, one ``readouts`` call reads both
-    bases. Inside, the stages are read by readout row: a draw stacks the
-    stage-2 CDFs of the stage-1 rows it drew, without a sort, and draws every
-    trial on its place's row of the stack in one ``rng.stacked_search``.
-    ``draw``, ``coefficients``, ``conditionals`` and ``sample`` give and take
-    outcome ids. Both backends refuse (``AmbiguousSupport``) a stage
-    amplitude a with |<a|-a>| > 0.5.
+    bases. The stages are read by readout row: ``draw`` stacks the stage-2
+    CDFs of the stage-1 rows it drew, without a sort, draws every trial on
+    its place's row of the stack in one ``rng.stacked_search``, and gives a
+    ``BellDraw`` of rows, branches and each distinct pair's coefficients;
+    ``coefficients`` reads any row pairs. Row k of stage j is the outcome id
+    ``readouts[j].outcomes[k]``, which only ``sample`` reads. Both backends
+    refuse (``AmbiguousSupport``) a stage amplitude a with |<a|-a>| > 0.5.
     """
 
     def __init__(self, state: StateVector | ReceiverFactors, config: ProtocolConfig):
@@ -381,11 +397,11 @@ class BellMeasurement:
         self._core = state.core
         first, second = self.stages
         if first is second:  # one discriminator reads both bases in one call
-            self._readouts = first.readouts(state.bases[:2])
+            self.readouts = first.readouts(state.bases[:2])
         else:
-            self._readouts = [first.readout(state.bases[0]), second.readout(state.bases[1])]
+            self.readouts = [first.readout(state.bases[0]), second.readout(state.bases[1])]
         block = state.core.reshape(len(state.core), -1)  # one r1 x (r2 r3) block
-        self._first = self.stages[0].prepare_block(self._readouts[0], block)
+        self._first = self.stages[0].prepare_block(self.readouts[0], block)
 
     def _first_probs(self, rows) -> np.ndarray:
         """Stage-1 probabilities of the readout rows ``rows``; raises
@@ -393,7 +409,7 @@ class BellMeasurement:
         prob = self._first.probs[rows]
         if np.any(prob < MIN_OUTCOME_PROBABILITY):
             raise ZeroProbabilityBranch(
-                f"stage-1 outcomes {self._readouts[0].outcomes[rows]} reach probability "
+                f"stage-1 outcomes {self.readouts[0].outcomes[rows]} reach probability "
                 f"{np.min(prob):.3e}")
         return prob
 
@@ -403,15 +419,16 @@ class BellMeasurement:
         ``ZeroProbabilityBranch`` for a row below the floor."""
         prob = self._first_probs(rows)
         block = self._core.reshape(len(self._core), -1)
-        blocks = self._readouts[0].rows[rows] @ block / np.sqrt(prob)[:, None]
+        blocks = self.readouts[0].rows[rows] @ block / np.sqrt(prob)[:, None]
         return self.stages[1].block_laws(
-            self._readouts[1], blocks.reshape(len(prob), self._core.shape[1], -1))
+            self.readouts[1], blocks.reshape(len(prob), self._core.shape[1], -1))
 
-    def _draw_rows(self, u: np.ndarray) -> tuple:
-        """(stage-1 row, stage-2 row, branch) arrays for the rows of ``u``, and
-        the stack of stage-2 laws: the drawn stage-1 rows ``keys`` and each
-        trial's ``place`` in them. Selector and tie of stage 1, then of stage
-        2, every trial drawn on its place's row of the stacked CDFs."""
+    def draw(self, u: np.ndarray) -> BellDraw:
+        """Both stages for the rows of ``u``: selector and tie of stage 1,
+        then of stage 2, every trial drawn on its place's row of the stacked
+        stage-2 CDFs. Each distinct drawn (stack place, stage-2 row) pair is
+        numbered by the ``cumsum`` of a presence mask over places x stage-2
+        rows, and its mode-3 coefficients are read once."""
         # contiguous copies of the selectors, which the searches read in several passes
         first, bit1 = self._first.draw(u[:, 0].copy(), u[:, 1])
         drawn = np.bincount(first) > 0
@@ -419,73 +436,51 @@ class BellMeasurement:
         _, cdfs = self._second_laws(keys)
         place = (np.cumsum(drawn) - 1)[first]
         second = stacked_search(cdfs, place, u[:, 2].copy())
-        bit2 = self._readouts[1].bits(second, u[:, 3])
-        return first, second, 2 * (bit1 ^ bit2) + 1 - bit2, keys, place
-
-    def _outcomes(self, first: np.ndarray, second: np.ndarray) -> tuple:
-        """The outcome ids of stage-1 rows ``first`` and stage-2 rows ``second``."""
-        return self._readouts[0].outcomes[first], self._readouts[1].outcomes[second]
-
-    def draw(self, u: np.ndarray) -> tuple:
-        """(stage-1 outcome, stage-2 outcome, branch) arrays for the rows of
-        ``u``: selector and tie of stage 1, then of stage 2, every row drawn
-        on its stage-1 outcome's row of the stacked stage-2 CDFs."""
-        first, second, branch, _, _ = self._draw_rows(u)
-        return *self._outcomes(first, second), branch
-
-    def _coefficients(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        """Unnormalised mode-3 coefficients over ``receiver_basis`` after each
-        (stage-1 row ``first``, stage-2 row ``second``) pair, one row per pair."""
-        r1 = self._readouts[0].rows[first] / np.sqrt(self._first_probs(first))[:, None]
-        pair = r1[:, :, None] * self._readouts[1].rows[second][:, None, :]
-        return pair.reshape(len(first), -1) @ self._core.reshape(-1, self._core.shape[2])
-
-    def _pairs(self, keys: np.ndarray, place: np.ndarray, second: np.ndarray) -> tuple:
-        """Each trial's pair, its index into the distinct drawn (stack place,
-        stage-2 row) pairs, and the mode-3 coefficients of every pair: a
-        presence mask over places x stage-2 rows, whose cumsum numbers them."""
-        width = len(self._readouts[1].rows)
+        bit2 = self.readouts[1].bits(second, u[:, 3])
+        width = len(self.readouts[1].rows)
         cell = place * width + second
         present = np.zeros(len(keys) * width, dtype=bool)
         present[cell] = True
         pairs = np.flatnonzero(present)
-        return np.cumsum(present)[cell] - 1, self._coefficients(keys[pairs // width], pairs % width)
+        return BellDraw(first, second, 2 * (bit1 ^ bit2) + 1 - bit2, np.cumsum(present)[cell] - 1,
+                        self.coefficients(keys[pairs // width], pairs % width))
 
     def coefficients(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """Unnormalised mode-3 coefficients over ``receiver_basis`` after each
-        drawn (``first``, ``second``) outcome pair, one row per pair; raises
-        ``ZeroProbabilityBranch`` for an outcome no draw reaches."""
-        return self._coefficients(self._readouts[0].index(first),
-                                  self._readouts[1].index(second))
-
-    def conditionals(self, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-        """Unnormalised mode-3 amplitudes after each drawn (``first``,
-        ``second``) outcome pair, one row per pair."""
-        return self.coefficients(first, second) @ self.receiver_basis.T
+        (stage-1 row ``first``, stage-2 row ``second``) pair, one row per pair;
+        raises ``ZeroProbabilityBranch`` for a stage-1 row below the floor."""
+        r1 = self.readouts[0].rows[first] / np.sqrt(self._first_probs(first))[:, None]
+        pair = r1[:, :, None] * self.readouts[1].rows[second][:, None, :]
+        return pair.reshape(len(first), -1) @ self._core.reshape(-1, self._core.shape[2])
 
     def sample(self, rng: np.random.Generator):
         """Measure both modes; returns (outcome, conditional mode-3 state)."""
-        first, second, branch = self.draw(rng.random((1, 4)))
-        mode3 = self.conditionals(first, second)[0]
-        (first,), (second,), (branch,) = first.tolist(), second.tolist(), branch.tolist()
-        outcome = MeasurementOutcome(branch >> 1, branch & 1, branch, (first, second))
+        drawn = self.draw(rng.random((1, 4)))
+        mode3 = (drawn.coefficients @ self.receiver_basis.T)[0]
+        raw = tuple(readout.outcomes[rows].item()
+                    for readout, rows in zip(self.readouts, drawn[:2]))
+        branch = drawn.branch.item()
+        outcome = MeasurementOutcome(branch >> 1, branch & 1, branch, raw)
         return outcome, StateVector(1, self.stages[1].cutoff, mode3 / np.linalg.norm(mode3),
                                     self.leakage)
 
 
 class _Receiver:
-    """Receiver of one configuration: reference probes and count CDF.
+    """Receiver of one configuration over an orthonormal mode-3 basis:
+    reference probes and count CDF.
 
     A correction is one of four probe columns, ``2 * displaced + flipped``.
     With P the parity sign and D the displacement, the overlap of the
     corrected mode 3 with the reference is <ref| P^f D^s |post> =
-    <D^-s P^f ref|post>, so column j of ``probes`` holds conj(D^-s P^f ref)
-    and one product ``post @ probes`` scores every correction; for post =
-    c Z^T that is ``c @ (Z^T probes)``. With a displacement, a last column
-    D[n_max, :] reads D|post> on the top shell.
+    <D^-s P^f ref|post>, so column j of the d-wide probes holds
+    conj(D^-s P^f ref), and for post = c Z^T one product ``c @ (Z^T
+    probes)`` scores every correction. ``probes`` holds ``Z^T probes``,
+    projected once onto ``basis`` Z (d x r; the identity for amplitudes).
+    With a displacement, a last column D[n_max, :] reads D|post> on the top
+    shell.
     """
 
-    def __init__(self, config: ProtocolConfig):
+    def __init__(self, config: ProtocolConfig, basis: np.ndarray):
         self.config = config
         self.reference = reference_state(config)
         ref = self.reference.amplitudes
@@ -497,7 +492,7 @@ class _Receiver:
         else:
             shift = _displacement_matrix(complex(self.delta), len(ref))
             probes = np.hstack([probes, shift.T @ probes, shift[-1:].T])
-        self.probes = probes
+        self.probes = basis.T @ probes
 
     @cached_property
     def count_cdf(self) -> np.ndarray:
@@ -510,7 +505,7 @@ class _Receiver:
         cdf.setflags(write=False)
         return cdf
 
-    def draw(self, first, second, branch, u) -> tuple:
+    def draw(self, branch, u) -> tuple:
         """Draw each row's corrections from its two uniforms ``u``.
 
         Displacement success is a Bernoulli(p_d) draw on the first uniform
@@ -518,7 +513,8 @@ class _Receiver:
         draw on the second uniform, being even. Both uniforms belong to every
         row, and each draw counts only where the branch needs its correction.
         A row is corrected when every drawn correction succeeded. Returns the
-        run's columns but ``fidelity``, and each row's probe column.
+        receiver's columns, ``p_d_success``, ``aux_m`` and ``corrected``, and
+        each row's probe column.
         """
         # branch bits: 1 needs the displacement, 2 the parity (CORRECTIONS_FOR_BRANCH)
         displacing, parity = (branch & 1).astype(bool), (branch >> 1).astype(bool)
@@ -528,25 +524,23 @@ class _Receiver:
             aux_m = np.where(parity, indexed_search(self.count_cdf, u[:, 1].copy()), NOT_DRAWN)
         flipped = parity & ((aux_m & 1) == 0)
         columns = {
-            "stage1": first, "stage2": second, "branch": branch,
             "p_d_success": np.where(displacing, success, NOT_DRAWN).astype(np.int8),
             "aux_m": aux_m,
             "corrected": (success | ~displacing) & (flipped | ~parity),
         }
         return columns, 2 * (displacing & success) + flipped
 
-    def fidelities(self, coefficients: np.ndarray, basis: np.ndarray, pair: np.ndarray,
+    def fidelities(self, coefficients: np.ndarray, pair: np.ndarray,
                    column: np.ndarray) -> np.ndarray:
         """Fidelity with the reference, modulo global phase, of each trial i:
         row ``pair[i]`` of ``coefficients`` after the corrections of its probe
-        ``column[i]``. A row holds unnormalised mode-3 coefficients over
-        ``basis``, orthonormal columns (d x r; the identity for amplitudes),
-        so c @ (basis^T probes) gives every probe's overlap and |c|^2 the
-        norm, once per row. Raises ``CutoffTooSmall`` when a displaced
+        ``column[i]``. A row holds unnormalised mode-3 coefficients over the
+        receiver's basis, so c @ probes gives every probe's overlap and |c|^2
+        the norm, once per row. Raises ``CutoffTooSmall`` when a displaced
         trial's row leaves more than ``DEFAULT_MAX_LEAKAGE`` on the n_max
         shell."""
         norms = np.einsum("ij,ij->i", coefficients, coefficients.conj()).real
-        mass = np.abs(coefficients @ (basis.T @ self.probes)) ** 2 / norms[:, None]
+        mass = np.abs(coefficients @ self.probes) ** 2 / norms[:, None]
         displaced = column >= 2
         if displaced.any():
             warn_large_offset(self.delta, self.config.beta.amplitude)
@@ -560,12 +554,12 @@ def correct_and_score(mode3: StateVector, outcome: MeasurementOutcome,
     applied to ``mode3`` and scored, keeping ``outcome``'s stage outcomes."""
     if outcome.branch not in CORRECTIONS_FOR_BRANCH:
         raise ValueError(f"branch {outcome.branch} outside 0..3")
-    receiver = _Receiver(config)
-    first, second = (np.array([index]) for index in outcome.raw)
-    columns, column = receiver.draw(first, second, np.array([outcome.branch]),
-                                    rng.random((1, 2)))
-    columns["fidelity"] = receiver.fidelities(mode3.amplitudes[None], np.eye(mode3.dim),
-                                              np.zeros(1, np.intp), column)
+    receiver = _Receiver(config, np.eye(mode3.dim))
+    branch = np.array([outcome.branch])
+    own, column = receiver.draw(branch, rng.random((1, 2)))
+    columns = {"stage1": np.array(outcome.raw[:1]), "stage2": np.array(outcome.raw[1:]),
+               "branch": branch, **own}
+    columns["fidelity"] = receiver.fidelities(mode3.amplitudes[None], np.zeros(1, np.intp), column)
     return ProtocolResult(columns).records[0]
 
 
@@ -587,7 +581,8 @@ def _set_up_of(config: ProtocolConfig) -> tuple:
     and shared by every run that differs from it only in ``seed`` and
     ``trials``. Its arrays are read-only, and a set-up that raises is not
     kept."""
-    bell, receiver = BellMeasurement(protocol_factors(config), config), _Receiver(config)
+    bell = BellMeasurement(protocol_factors(config), config)
+    receiver = _Receiver(config, bell.receiver_basis)
     _read_only(bell, receiver)
     return bell, receiver
 
@@ -602,8 +597,10 @@ def run_protocol(config: ProtocolConfig) -> ProtocolResult:
     four set-ups, holds them read-only, and keeps no set-up that raised."""
     bell, receiver = _set_up_of(replace(config, seed=0, trials=1))
     u = substream(config.seed).random((config.trials, 6))  # trial i: row i
-    first, second, branch, keys, place = bell._draw_rows(u[:, :4])
-    columns, column = receiver.draw(*bell._outcomes(first, second), branch, u[:, 4:])
-    pair, coeff = bell._pairs(keys, place, second)  # each distinct pair scored once
-    columns["fidelity"] = receiver.fidelities(coeff, bell.receiver_basis, pair, column)
+    drawn = bell.draw(u[:, :4])
+    own, column = receiver.draw(drawn.branch, u[:, 4:])
+    columns = {"stage1": bell.readouts[0].outcomes[drawn.first],
+               "stage2": bell.readouts[1].outcomes[drawn.second], "branch": drawn.branch, **own}
+    # each distinct pair of stage rows scored once
+    columns["fidelity"] = receiver.fidelities(drawn.coefficients, drawn.pair, column)
     return ProtocolResult(columns)

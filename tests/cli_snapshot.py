@@ -38,6 +38,8 @@ RUNS = {
     "teleport-weights-huge": ["teleport", "--a-weight", "1e200"],
     "teleport-weights-tiny": ["teleport", "--a-weight", "1e-7", "--b-weight", "1e-7"],
     "teleport-kappa-subnormal": ["teleport", "--kappa", "1e-320", "--e0", "1e-320"],
+    "teleport-kappa-0": ["teleport", "--kappa", "0"],
+    "teleport-homodyne-omega-subnormal": ["teleport", "--backend", "homodyne", "--omega", "1e-320"],
     "teleport-beta-negative": ["teleport", "--beta", "-2j"],
     "teleport-weight-exponent": ["teleport", "--b-weight", "-1e-7"],
     "teleport-homodyne": ["teleport", *HOMODYNE_TELEPORT],
@@ -68,6 +70,8 @@ RUNS = {
     "parity-sweep-json": ["parity-sweep", "--family", "all", *SMALL_SWEEP, "--format", "json"],
     "parity-sweep-gnuplot": ["parity-sweep", "--family", "all", *SMALL_SWEEP, "--gnuplot", "1"],
     "parity-sweep-leaky": ["parity-sweep", "--beta", "9", "--cutoff", "20"],
+    "parity-sweep-kappa-0": ["parity-sweep", "--kappa", "0"],
+    "parity-sweep-kappa-negative": ["parity-sweep", "--kappa", "-1"],
     "channel-pair": ["channel", "--alpha", "1.5", "--beta", "1j"],
     "channel-kappa-subnormal": ["channel", "--kappa", "1e-320", "--e0", "1e-320"],
     "channel-json": ["channel", "--format", "json"],
@@ -75,6 +79,8 @@ RUNS = {
     "efficiency-sweep-jobs2": ["efficiency-sweep", "--jobs", "2"],
     "efficiency-sweep-gnuplot": ["efficiency-sweep", "--gnuplot", "1"],
     "homodyne-gnuplot": ["homodyne", "--steps", "5", "--gnuplot", "1"],
+    "homodyne-omega-subnormal": ["homodyne", "--omega", "1e-320"],
+    "homodyne-omega-subnormal-t-max": ["homodyne", "--omega", "1e-320", "--t-max", "1"],
     "lattice-map-json": ["lattice-map", "--format", "json"],
     "lattice-map-jobs2": ["lattice-map", "--theta-points", "7", "--zprime-points", "11",
                           "--jobs", "2"],

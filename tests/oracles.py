@@ -12,7 +12,8 @@ from triwell import (AuxiliaryPrep, CoherentSpec, CrossSpeciesParams, FockCutoff
                      prepare_cat_superposition, prepare_coherent, simulate_sx, substream,
                      tensor)
 from triwell.corrections import parity_count_distribution
-from triwell.fock import apply_mode_phases, mean_occupation, quadrature_eigensystem
+from triwell.fock import (apply_mode_phases, coherent_amplitudes, mean_occupation,
+                          quadrature_eigensystem)
 from triwell.homodyne import EPSILON_N_LIMIT
 from triwell.protocol import (BellMeasurement, ProtocolResult, ReceiverFactors, _Receiver,
                               protocol_factors)
@@ -132,16 +133,20 @@ def identity_reading(state: StateVector) -> ReceiverFactors:
 
 def run_scored_in_full(config) -> ProtocolResult:
     """``run_protocol`` with every trial scored on its d-wide conditional
-    mode-3 amplitudes ``post``: |post @ probes|^2 over the rows' own norms,
-    trial by trial."""
+    mode-3 amplitudes ``post``, read from its own rows' ``coefficients``
+    rather than the draw's pair table: |post @ probes|^2 over the rows' own
+    norms, trial by trial, with the receiver's d-wide probes."""
     bell = BellMeasurement(protocol_factors(config), config)
     u = substream(config.seed).random((config.trials, 6))
-    receiver = _Receiver(config)
-    columns, column = receiver.draw(*bell.draw(u[:, :4]), u[:, 4:])
-    post = bell.conditionals(columns["stage1"], columns["stage2"])
+    drawn = bell.draw(u[:, :4])
+    receiver = _Receiver(config, np.eye(config.cutoff.dim))
+    own, column = receiver.draw(drawn.branch, u[:, 4:])
+    post = bell.coefficients(drawn.first, drawn.second) @ bell.receiver_basis.T
     overlaps = np.abs(np.sum(post * receiver.probes.T[column], axis=1)) ** 2
-    columns["fidelity"] = overlaps / np.sum(np.abs(post) ** 2, axis=1)
-    return ProtocolResult(columns)
+    return ProtocolResult({"stage1": bell.readouts[0].outcomes[drawn.first],
+                           "stage2": bell.readouts[1].outcomes[drawn.second],
+                           "branch": drawn.branch, **own,
+                           "fidelity": overlaps / np.sum(np.abs(post) ** 2, axis=1)})
 
 
 def displacement_linearization_error(delta: float, cutoff: FockCutoff) -> float:
@@ -191,6 +196,35 @@ def estimate_quadrature(signal: StateVector, beta: CoherentSpec, jp: JosephsonPa
         reference_phase=cmath.phase(beta.amplitude),
         reference_magnitude=magnitude,
     )
+
+
+def beam_splitter_rows(a: complex, r: complex, e0: float, omega: float, dim: int) -> np.ndarray:
+    """Every count outcome's row of the atom-counting readout at kappa = 0
+    over the one input |a>, with the reference well in |r>: (dim^2,) by id
+    m_c * dim + m_b, in closed form, free of any propagator.
+
+    At kappa = 0 the pair Hamiltonian e0 (n_c + n_b) + (omega/2)(c^dag b +
+    b^dag c) is linear, and at the quarter period t = pi / (2 omega) it maps
+    |a>|r> to |u>|v> with u = e^{-i e0 t} (a - i r) / sqrt(2) and v = e^{-i
+    e0 t} (r - i a) / sqrt(2). So the rows are the outer product of the two
+    coherent tables, each cut at dim levels and not renormalised.
+    """
+    phase = cmath.exp(-1j * e0 * math.pi / (2 * omega))
+    u, v = phase * (a - 1j * r) / math.sqrt(2), phase * (r - 1j * a) / math.sqrt(2)
+    return np.outer(coherent_amplitudes(u, dim), coherent_amplitudes(v, dim)).ravel()
+
+
+def poisson_tail(mu: float, n_max: int) -> float:
+    """P(N > n_max) for N ~ Poisson(mu), summed term by term from n_max + 1
+    until a term falls below 1e-40 of the sum (each term is at most mu / (n +
+    1) of the last, so the rest is geometric once n + 1 > 2 mu)."""
+    term = math.exp(-mu + (n_max + 1) * math.log(mu) - math.lgamma(n_max + 2)) if mu > 0 else 0.0
+    total, n = 0.0, n_max + 1
+    while term > 1e-40 * total or n <= 2 * mu:
+        total += term
+        n += 1
+        term *= mu / n
+    return total
 
 
 def homodyne_bit_error(a: float, r: float) -> float:

@@ -332,6 +332,35 @@ class TestExitCodes:
                     "--out", tmp_path / "x"]) == 3
         assert "no finite quarter period" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        (["teleport", "--backend", "homodyne"], "no finite quarter period pi / (2 omega)"),
+        (["homodyne"], "no finite default t-max pi / omega"),
+    ])
+    def test_subnormal_omega_is_exit_3(self, tmp_path, args, message, capsys):
+        # pi / (2 omega) and pi / omega overflow: refused, naming omega, before
+        # any readout row or time grid is formed
+        assert run([*args, "--omega", "1e-320", "--out", tmp_path / "x"]) == 3
+        assert f"omega = 1e-320 has {message}" in capsys.readouterr().err
+        assert not list((tmp_path / "x").iterdir())
+
+    def test_subnormal_omega_with_a_finite_t_max_runs(self, tmp_path):
+        assert run(["homodyne", "--omega", "1e-320", "--t-max", "1", "--out", tmp_path / "x"]) == 0
+
+    @pytest.mark.parametrize("subcommand, message", [
+        ("teleport", "teleportation needs kappa > 0"),
+        ("parity-sweep", "parity collision needs kappa > 0"),
+    ])
+    def test_zero_kappa_is_exit_3_naming_kappa(self, tmp_path, subcommand, message, capsys):
+        # lambda = kappa / 2 is derived only after kappa is checked
+        assert run([subcommand, "--kappa", "0", "--out", tmp_path / "x"]) == 3
+        assert message in capsys.readouterr().err
+        assert not list((tmp_path / "x").iterdir())
+
+    def test_negative_kappa_sweep_is_exit_2_naming_kappa(self, tmp_path, capsys):
+        assert run(["parity-sweep", "--kappa", "-1", "--out", tmp_path / "x"]) == 2
+        assert "kappa must be >= 0" in capsys.readouterr().err
+        assert not list((tmp_path / "x").iterdir())
+
     def test_precondition_keeps_exit_3(self, tmp_path):
         assert run(["teleport", "--p-d", "1.5", "--out", tmp_path / "x"]) == 3
 

@@ -1,8 +1,9 @@
-"""The --compare mode of tests/cli_snapshot.py on two tiny snapshot directories."""
+"""The --compare mode of tests/cli_snapshot.py on two tiny snapshot directories,
+and byte-identical reruns of every snapshot run."""
 
 import json
 
-from cli_snapshot import compare
+from cli_snapshot import compare, snapshot
 
 CSV_HEAD = "# trials\ntrial,branch,fidelity\n"
 
@@ -70,3 +71,17 @@ def test_a_changed_row_count_is_beyond_float_digits(tmp_path):
     lines, beyond = snapshot_pair(tmp_path, {"run/trials.csv": CSV_HEAD + "0,2,0.5\n"})
     assert beyond
     assert lines[0] == "run/trials.csv: differs beyond float digits: another number of entries"
+
+
+def test_every_snapshot_run_reruns_byte_identical(tmp_path):
+    # every subcommand and variant of the snapshot, twice in one process (the
+    # second teleport pass reuses the first's set-ups): no run may end in a
+    # traceback, and every file of the second pass must equal the first's
+    snapshot(tmp_path / "a")
+    snapshot(tmp_path / "b")
+    codes = {path.parent.name: path.read_text() for path in (tmp_path / "a").glob("*/exit_code")}
+    assert sorted(name for name, code in codes.items() if code.startswith("traceback")) == []
+    lines, beyond = compare(tmp_path / "a", tmp_path / "b")
+    files = sum(1 for path in (tmp_path / "a").rglob("*") if path.is_file())
+    assert lines == [f"{files} of {files} files identical, 0 differ"]
+    assert not beyond

@@ -26,7 +26,7 @@ from triwell import (
     substream,
     tensor,
 )
-from triwell.fock import quadrature_expectation
+from triwell.fock import coherent_amplitudes, quadrature_expectation
 from triwell.protocol import BellMeasurement, protocol_factors
 from triwell.rng import MIN_OUTCOME_PROBABILITY, inverse_cdf
 from triwell.homodyne import (
@@ -38,8 +38,8 @@ from triwell.homodyne import (
 )
 from triwell.channel import parity_basis
 
-from oracles import (block_probabilities_by_density_matrix, estimate_quadrature,
-                     homodyne_bit_error)
+from oracles import (beam_splitter_rows, block_probabilities_by_density_matrix,
+                     estimate_quadrature, homodyne_bit_error, poisson_tail)
 
 
 def probability(prepared, outcome: int) -> float:
@@ -417,6 +417,61 @@ class TestPhaseBit:
             assert abs(np.vdot(other.amplitudes, posterior)) == pytest.approx(1.0, abs=1e-10)
 
 
+class TestBeamSplitterLimit:
+    """At kappa = 0 the readout is a linear beam splitter, so its rows over
+    the parity basis of |2> have a closed form (``oracles.beam_splitter_rows``)
+    with no propagator and no cutoff but the coherent tables' own."""
+
+    @pytest.mark.parametrize("e0", [0.0, 1.0])
+    @pytest.mark.parametrize("n_max", [26, 40, 60])
+    def test_parity_basis_rows_are_the_closed_form(self, n_max, e0):
+        a, r, omega, cutoff = 2.0, 2.0, 1000.0, FockCutoff(n_max)
+        d = cutoff.dim
+        disc = HomodynePhaseDiscriminator(0.0, cutoff, r, JosephsonParams(omega),
+                                          KerrParams(e0, 0.0))
+        parity = parity_basis(prepare_coherent(CoherentSpec(a), cutoff).amplitudes)
+        readout = disc.readouts([parity.basis])[0]
+        # the prepared tables are the raw tables cut at d levels over their norms
+        scale = np.linalg.norm(coherent_amplitudes(a, d)) * np.linalg.norm(
+            coherent_amplitudes(1j * r, d))
+        plus, minus = (beam_splitter_rows(s * a, 1j * r, e0, omega, d) for s in (1, -1))
+        closed = np.stack([(plus + (-1) ** p * minus) / (2 * norm * scale)
+                           for p, norm in zip(parity.parities, parity.norms)], axis=1)
+        # Bound, fixed before measuring. The truncated propagator is exact on
+        # the sectors of total count N <= n_max and the closed form holds the
+        # same there; the product table |+-a>|r> holds P(N > n_max) =
+        # Poisson(|a|^2 + |r|^2) tail T outside them, so each side misses at
+        # most sqrt(T) in 2-norm (an amplitude goes with the root of a
+        # leakage). Each parity column divides the two inputs' 2 (2 sqrt(T))
+        # by 2 |part| x scale, plus d^2 float epsilons per entry.
+        tail = math.sqrt(poisson_tail(a**2 + r**2, n_max))
+        bound = 2 * tail / (parity.norms * scale) + d**2 * np.finfo(float).eps
+        assert (np.abs(readout.rows - closed[readout.outcomes]).max(axis=0) <= bound).all()
+        # the kept ids are the closed form's at or above half the floor, but
+        # for ids whose closed-form row norm lies within the bound of it
+        root_floor = math.sqrt(MIN_OUTCOME_PROBABILITY / 2)
+        norm = np.linalg.norm(closed, axis=1)
+        near = np.abs(norm - root_floor) <= bound.sum()
+        kept = np.zeros(d * d, dtype=bool)
+        kept[readout.outcomes] = True
+        assert np.array_equal(kept[~near], (norm >= root_floor)[~near])
+        assert kept[~near].any()  # at n_max 26 the bound (~4e-4) covers every dropped id
+        assert np.array_equal(readout.outcomes, disc.order[kept[disc.order]])  # in CDF order
+
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    def test_bit_error_is_at_least_the_helstrom_bound(self, kappa):
+        # no measurement tells |2> from |-2> (|<2|-2>|^2 = e^{-16}) with an
+        # error below (1 - sqrt(1 - e^{-16})) / 2
+        cutoff = FockCutoff(40)
+        disc = HomodynePhaseDiscriminator(0.0, cutoff, 2.0, JosephsonParams(1000.0),
+                                          KerrParams(kappa, kappa))
+        helstrom = (1 - math.sqrt(1 - math.exp(-16))) / 2
+        plus, minus = (disc.prepare(prepare_coherent(CoherentSpec(a), cutoff), 0).bit_probabilities
+                       for a in (2.0, -2.0))
+        assert plus[1] >= helstrom
+        assert (plus[1] + minus[0]) / 2 >= helstrom
+
+
 def teleport_config(n_max: int, **overrides) -> ProtocolConfig:
     """The benchmark's homodyne teleport run: target 0.6|2> + 0.8|-2>,
     channel alpha = 2, beta = 2i, e0 = kappa = 1, omega = 1000."""
@@ -445,11 +500,11 @@ def stage_laws(config: ProtocolConfig):
     first, core = bell._first, factors.core.reshape(len(factors.core), -1)
     laws = [(bell.stages[0], factors.bases[0], core, first)]
     drawable = first.probs >= MIN_OUTCOME_PROBABILITY
-    blocks = bell._readouts[0].rows[drawable] @ core / np.sqrt(first.probs[drawable])[:, None]
+    blocks = bell.readouts[0].rows[drawable] @ core / np.sqrt(first.probs[drawable])[:, None]
     probs, cdfs = bell._second_laws(np.flatnonzero(drawable))
     for block, law, cdf in zip(blocks, probs, cdfs):
         laws.append((bell.stages[1], factors.bases[1], block.reshape(factors.core.shape[1], -1),
-                     bell.stages[1].prepared(bell._readouts[1], law, cdf)))
+                     bell.stages[1].prepared(bell.readouts[1], law, cdf)))
     return laws
 
 
@@ -479,7 +534,7 @@ class TestDrawableSupport:
         factors = protocol_factors(config)
         bell = BellMeasurement(factors, config)
         rng = substream(61)
-        for disc, basis, readout in zip(bell.stages, factors.bases, bell._readouts):
+        for disc, basis, readout in zip(bell.stages, factors.bases, bell.readouts):
             rows = disc.rows
             dropped = np.setdiff1d(np.arange(len(rows)), readout.outcomes)
             for _ in range(20):
@@ -493,7 +548,7 @@ class TestDrawableSupport:
         # n_max 40: 312 of 1681 count outcomes are kept for stage 2
         config = SUPPORT_CONFIGS["bench-40"]
         bell = BellMeasurement(protocol_factors(config), config)
-        assert len(bell._readouts[1].outcomes) == 312
+        assert len(bell.readouts[1].outcomes) == 312
         assert len(bell.stages[1].values) == 1681
 
     @pytest.mark.parametrize("name", SUPPORT_CONFIGS)

@@ -114,10 +114,23 @@ def drawn_outcomes(prepared, u_select: np.ndarray, u_tie: np.ndarray) -> tuple:
     return prepared.readout.outcomes[rows], bits
 
 
+def outcome_ids(bell: BellMeasurement, drawn) -> tuple:
+    """(stage-1 id, stage-2 id, branch) arrays of a ``BellDraw``: its readout
+    rows read as the discriminators' outcome ids."""
+    return (bell.readouts[0].outcomes[drawn.first], bell.readouts[1].outcomes[drawn.second],
+            drawn.branch)
+
+
+def conditionals(bell: BellMeasurement, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Unnormalised mode-3 amplitudes after each (stage-1 row ``first``,
+    stage-2 row ``second``) pair, one row per pair."""
+    return bell.coefficients(first, second) @ bell.receiver_basis.T
+
+
 def mode3_states(bell: BellMeasurement, first: np.ndarray, second: np.ndarray) -> list:
-    """Normalised mode-3 state after each (``first``, ``second``) outcome pair."""
+    """Normalised mode-3 state after each (``first``, ``second``) row pair."""
     return [StateVector(1, bell.stages[1].cutoff, row / np.linalg.norm(row))
-            for row in bell.conditionals(first, second)]
+            for row in conditionals(bell, first, second)]
 
 
 def assert_python_types(rec):
@@ -207,7 +220,7 @@ class TestBellMeasurement:
         config = make_config()
         state = build_protocol_state(config)
         bell = BellMeasurement(state, config)
-        _, _, branch = bell.draw(substream(2).random((10_000, 4)))
+        branch = bell.draw(substream(2).random((10_000, 4))).branch
         assert chisquare(np.bincount(branch, minlength=4)).pvalue > 0.001
 
     @pytest.mark.parametrize("backend, cutoff, weights, trials", [
@@ -220,13 +233,13 @@ class TestBellMeasurement:
                              measurement_backend=backend)
         state = build_protocol_state(config)
         u = substream(31).random((trials, 4))
-        drawn = [a.tolist() for a in BellMeasurement(state, config).draw(u)]
+        drawn = BellMeasurement(state, config).draw(u)
         bell = BellMeasurement(state, config)
         rows = [bell.draw(u[i:i + 1]) for i in range(trials)]
-        assert drawn == [[row[k][0] for row in rows] for k in range(3)]
-        # each row against the two stages prepared directly
+        assert [a.tolist() for a in drawn[:3]] == [[row[k][0] for row in rows] for k in range(3)]
+        # each row, read as outcome ids, against the two stages prepared directly
         first, seconds, first_rows = bell.stages[0].prepare(state, 0), {}, bell.stages[0].rows
-        for i, (o1, o2, branch) in enumerate(zip(*drawn)):
+        for i, (o1, o2, branch) in enumerate(zip(*(a.tolist() for a in outcome_ids(bell, drawn)))):
             (ref1,), (bit1,) = drawn_outcomes(first, u[i:i + 1, 0], u[i:i + 1, 1])
             if o1 not in seconds:
                 after = after_outcome(first_rows, state, o1)
@@ -400,11 +413,15 @@ class TestReceiverFactoring:
         np.testing.assert_allclose(bell.receiver_basis.conj().T @ bell.receiver_basis,
                                    np.eye(rank), rtol=0, atol=1e-14)
         u = substream(43).random((2000, 4))
-        first, second, branch = bell.draw(u)
-        post = bell.conditionals(first, second)
+        drawn = bell.draw(u)
+        first, second, branch = outcome_ids(bell, drawn)
+        post = conditionals(bell, drawn.first, drawn.second)
         reference = BellMeasurement(identity_reading(state), config)
-        assert all(np.array_equal(a, b) for a, b in zip((first, second, branch), reference.draw(u)))
-        np.testing.assert_allclose(post, reference.conditionals(first, second), rtol=0, atol=1e-13)
+        along = reference.draw(u)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip((first, second, branch), outcome_ids(reference, along)))
+        np.testing.assert_allclose(post, conditionals(reference, along.first, along.second),
+                                   rtol=0, atol=1e-13)
         direct, seconds = bell.stages[0].prepare(state, 0), {}
         ref1, bit1 = drawn_outcomes(direct, u[:, 0], u[:, 1])
         assert first.tolist() == ref1.tolist()
@@ -425,9 +442,10 @@ class TestReceiverFactoring:
         config = make_config(cutoff=FockCutoff(26), measurement_backend=backend)
         state = build_protocol_state(config)
         bell = BellMeasurement(state, config)
-        first, second, _ = bell.draw(substream(47).random((500, 4)))
-        first, second = np.array(sorted(set(zip(first.tolist(), second.tolist())))).T
-        for o1, o2, mode3 in zip(first, second, mode3_states(bell, first, second)):
+        drawn = bell.draw(substream(47).random((500, 4)))
+        first, second = np.unique(np.stack(drawn[:2]), axis=1)
+        ids = (readout.outcomes[rows] for readout, rows in zip(bell.readouts, (first, second)))
+        for o1, o2, mode3 in zip(*ids, mode3_states(bell, first, second)):
             after = after_outcome(bell.stages[0].rows, state, o1)
             direct = after_outcome(bell.stages[1].rows, after, o2)
             np.testing.assert_allclose(mode3.amplitudes, direct.amplitudes, rtol=0, atol=1e-13)
@@ -437,15 +455,15 @@ class TestReceiverFactoring:
         # stacked probabilities, bit for bit the one-distribution rule
         config = make_config(cutoff=FockCutoff(32), measurement_backend="homodyne")
         bell = BellMeasurement(build_protocol_state(config), config)
-        first, _, _ = bell.draw(substream(53).random((2000, 4)))
-        probs, cdfs = bell._second_laws(bell._readouts[0].index(np.unique(first)))
+        first = bell.draw(substream(53).random((2000, 4))).first
+        probs, cdfs = bell._second_laws(np.unique(first))
         assert len(cdfs) > 10
         # and each is the CDF of the full-outcome law, read at the support's
         # outcomes: the rows are stored in CDF order
         order = bell.stages[1].order
         rank = np.argsort(order)
         for law, cdf in zip(probs, cdfs):
-            prepared = bell.stages[1].prepared(bell._readouts[1], law, cdf)
+            prepared = bell.stages[1].prepared(bell.readouts[1], law, cdf)
             assert np.array_equal(prepared.cdf, inverse_cdf(prepared.probs))
             full_cdf = inverse_cdf(probs_by_outcome(prepared, bell.stages[1])[order])
             assert np.array_equal(prepared.cdf, full_cdf[rank[prepared.readout.outcomes]])
@@ -453,21 +471,12 @@ class TestReceiverFactoring:
     def test_second_stage_refuses_a_sub_floor_first_outcome(self):
         config = make_config(cutoff=FockCutoff(26), measurement_backend="homodyne")
         bell = BellMeasurement(build_protocol_state(config), config)
-        outcomes = bell._first.readout.outcomes
         null_row = int(np.argmin(bell._first.probs))
-        null = int(outcomes[null_row])
-        assert probs_by_outcome(bell._first, bell.stages[0])[null] < MIN_OUTCOME_PROBABILITY
+        assert bell._first.probs[null_row] < MIN_OUTCOME_PROBABILITY
         with pytest.raises(ZeroProbabilityBranch):
             bell._second_laws([null_row])
-        second = bell._readouts[1].outcomes[:1]
         with pytest.raises(ZeroProbabilityBranch):
-            bell.coefficients([null], second)
-        # over the factored state's basis, some outcomes are off the support
-        factored = BellMeasurement(protocol_factors(config), config)
-        outcomes = factored._first.readout.outcomes
-        off_support = int(np.setdiff1d(np.arange(len(bell.stages[0].values)), outcomes)[0])
-        with pytest.raises(ZeroProbabilityBranch):
-            factored.coefficients([off_support], factored._readouts[1].outcomes[:1])
+            bell.coefficients([null_row], [0])
 
 
 class TestTuckerFactors:
@@ -567,10 +576,11 @@ class TestTuckerFactors:
         reference = BellMeasurement(identity_reading(state), config)
         for seed in (79, 83, 89):
             u = substream(seed).random((10_000, 4))
-            drawn = bell.draw(u)
-            assert all(np.array_equal(a, b) for a, b in zip(drawn, reference.draw(u)))
-            np.testing.assert_allclose(bell.conditionals(*drawn[:2]),
-                                       reference.conditionals(*drawn[:2]), rtol=0, atol=1e-13)
+            drawn, along = bell.draw(u), reference.draw(u)
+            assert all(np.array_equal(a, b)
+                       for a, b in zip(outcome_ids(bell, drawn), outcome_ids(reference, along)))
+            np.testing.assert_allclose(conditionals(bell, *drawn[:2]),
+                                       conditionals(reference, *along[:2]), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("backend, n_max, weights", [
         pytest.param("ideal", 26, (0.6, 0.8), id="ideal-26"),
@@ -588,10 +598,13 @@ class TestTuckerFactors:
         exact = BellMeasurement(protocol_factors(config), config)
         for seed in (97, 101):
             u = substream(seed).random((10_000, 4))
-            drawn = bell.draw(u)
-            assert all(np.array_equal(a, b) for a, b in zip(drawn, reference.draw(u)))
-            np.testing.assert_allclose(bell.conditionals(*drawn[:2]),
-                                       exact.conditionals(*drawn[:2]), rtol=0, atol=1e-13)
+            drawn, along, exactly = bell.draw(u), reference.draw(u), exact.draw(u)
+            ids = outcome_ids(bell, drawn)
+            for other, other_drawn in ((reference, along), (exact, exactly)):
+                assert all(np.array_equal(a, b)
+                           for a, b in zip(ids, outcome_ids(other, other_drawn)))
+            np.testing.assert_allclose(conditionals(bell, *drawn[:2]),
+                                       conditionals(exact, *exactly[:2]), rtol=0, atol=1e-13)
 
 
 FACTOR_CASES = {
@@ -923,14 +936,14 @@ class TestScoringAtReceiverRank:
                              trials=2000, seed=seed, aux=AuxiliaryPrep("coherent", 2.0))
         bell = BellMeasurement(protocol_factors(config), config)
         assert (bell.stages[0] is bell.stages[1]) == (gamma == 2.0)
-        receiver = _Receiver(config)
+        receiver = _Receiver(config, bell.receiver_basis)
         u = substream(seed).random((config.trials, 6))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # the displacement-ratio warning
-            columns, column = receiver.draw(*bell.draw(u[:, :4]), u[:, 4:])
-            coefficients = bell.coefficients(columns["stage1"], columns["stage2"])
-            want = receiver.fidelities(coefficients, bell.receiver_basis,
-                                       np.arange(config.trials), column)
+            drawn = bell.draw(u[:, :4])
+            _, column = receiver.draw(drawn.branch, u[:, 4:])
+            coefficients = bell.coefficients(drawn.first, drawn.second)
+            want = receiver.fidelities(coefficients, np.arange(config.trials), column)
             got = run_protocol(config).columns
         assert len(set(zip(got["stage1"].tolist(), got["stage2"].tolist()))) < config.trials
         assert (column >= 2).any()
@@ -955,7 +968,7 @@ class TestScoringAtReceiverRank:
             return block_probabilities(rows, blocks)
 
         monkeypatch.setattr(triwell.homodyne, "_block_probabilities", recorded)
-        monkeypatch.setattr(BellMeasurement, "conditionals", refuse)
+        monkeypatch.setattr(BellMeasurement, "sample", refuse)
         triwell.protocol._set_up_of.cache_clear()  # a cold call prepares the first stage
         assert run_protocol(config) == expected
         assert len(shapes) == 2  # the first stage, then every second stage at once
@@ -964,9 +977,8 @@ class TestScoringAtReceiverRank:
     def test_branch_bits_pick_the_corrections(self):
         config = make_config(p_d=0.5, aux=AuxiliaryPrep("coherent", 2.0))
         branch = np.tile(np.arange(4), 50)
-        zeros = np.zeros(len(branch), int)
-        columns, _ = _Receiver(config).draw(
-            zeros, zeros, branch, substream(5).random((len(branch), 2)))
+        columns, _ = _Receiver(config, np.eye(config.cutoff.dim)).draw(
+            branch, substream(5).random((len(branch), 2)))
         for b, ops in CORRECTIONS_FOR_BRANCH.items():
             rows = branch == b
             assert all((v == NOT_DRAWN) != ("displacement" in ops)
@@ -1079,8 +1091,8 @@ class TestCorrectAndScore:
         bell = BellMeasurement(build_protocol_state(config), config)
         reference = reference_state(config)
         draws = substream(config.seed).random((config.trials, 6))
-        first, second, _ = bell.draw(draws[:, :4])
-        for rec, state in zip(result.records, mode3_states(bell, first, second)):
+        drawn = bell.draw(draws[:, :4])
+        for rec, state in zip(result.records, mode3_states(bell, *drawn[:2])):
             if rec.outcome.branch in (2, 3):
                 state = parity_flip(state)
             assert rec.fidelity == pytest.approx(fidelity(state, reference), abs=1e-12)
@@ -1129,7 +1141,7 @@ class TestRunProtocol:
         for rec, u in zip(result.records, draws):
             drawn = bell.draw(u[None, :4])
             (state,) = mode3_states(bell, *drawn[:2])
-            (first,), (second,), (branch,) = (a.tolist() for a in drawn)
+            (first,), (second,), (branch,) = (a.tolist() for a in outcome_ids(bell, drawn))
             p_d_success = aux_m = None
             corrected = True
             if branch in (1, 3):
