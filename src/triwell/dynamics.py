@@ -10,6 +10,11 @@ Three propagators cover the dynamics used by the protocol:
   which conserves n_c + n_b: every pair evolution is one exact product over
   the tridiagonal total-number sectors, packed two to ``dim`` states.
 
+The sector eigensystem (~dim^3 floats) is built inside each call that uses
+it and released when that call returns; no pair eigensystem is kept between
+calls. A time grid is evolved from one eigensystem by one call
+(``josephson_evolutions``).
+
 ``oracle_evolve`` is the independent ground truth: it assembles the dense
 Hamiltonian from a small term vocabulary and exponentiates it by full
 eigendecomposition. The analytic propagators are validated against it in the
@@ -19,7 +24,6 @@ test suite, never the other way around.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -131,9 +135,9 @@ class _Sectors(NamedTuple):
     vecs: np.ndarray
 
 
-@lru_cache(maxsize=32)
 def _josephson_sectors(dim: int, omega: float, e0: float, kappa: float) -> _Sectors:
-    """Eigensystems of every sector of the pair Hamiltonian, packed."""
+    """Eigensystems of every sector of the pair Hamiltonian, packed. Built
+    anew on each call; the caller drops them when it returns."""
     vals, vecs = np.zeros((dim, dim)), np.zeros((dim, dim, dim))
     for total in range(2 * dim - 1):
         ns = np.arange(max(0, total - (dim - 1)), min(total, dim - 1) + 1)
@@ -146,29 +150,50 @@ def _josephson_sectors(dim: int, omega: float, e0: float, kappa: float) -> _Sect
     return _Sectors(n * dim + (n[:, None] - n) % dim, vals, vecs)
 
 
-def _propagate_packs(packs: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
-                     t: float) -> np.ndarray:
-    """``V e^{-i lambda t} V^T`` on a (packs, dim, k) complex array, with the
-    real eigenvectors V applied to the real and imaginary parts at once."""
-    spectral = np.matmul(vecs.transpose(0, 2, 1), packs.view(float)).view(complex)
-    spectral *= np.exp(-1j * t * vals)[..., None]
-    return np.matmul(vecs, spectral.view(float)).view(complex)
+def _spectral(packs: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """``V^T`` on a (packs, dim, k) complex array, with the real
+    eigenvectors V applied to the real and imaginary parts at once."""
+    return np.matmul(vecs.transpose(0, 2, 1), packs.view(float)).view(complex)
 
 
-def evolve_josephson(state: StateVector, modes: tuple, jp: JosephsonParams,
-                     kp: KerrParams, t: float) -> StateVector:
-    """Exact tunnelling + self-collision evolution on a mode pair, by sector pack."""
+def _from_spectral(spectral: np.ndarray, vals: np.ndarray, vecs: np.ndarray,
+                   t: float) -> np.ndarray:
+    """``V e^{-i lambda t}`` on the spectral packs ``V^T packs``."""
+    phased = spectral * np.exp(-1j * t * vals)[..., None]
+    return np.matmul(vecs, phased.view(float)).view(complex)
+
+
+def josephson_evolutions(state: StateVector, modes: tuple, jp: JosephsonParams,
+                         kp: KerrParams, times, read) -> list:
+    """``[read(U(t) state, t) for t in times]``: exact tunnelling +
+    self-collision evolution on a mode pair to each time, by sector pack.
+    One sector eigensystem and one spectral transform ``V^T`` of the pair
+    view serve every time; both are dropped on return, and each evolved
+    state lives only until ``read`` returns."""
     i, j = _pair_modes(state, modes, "tunnelling")
-    if t < 0:
+    times = [float(t) for t in times]
+    if any(t < 0 for t in times):
         raise ValueError("t must be >= 0")
     d = state.dim
     index, vals, vecs = _josephson_sectors(d, jp.omega, kp.e0_over_hbar, kp.kappa)
     view = np.moveaxis(state.tensor_view(), (i, j), (0, 1))
     flat = view.reshape(d * d, -1)
-    out = np.empty_like(flat)
-    out[index] = _propagate_packs(flat[index], vals, vecs, t)
-    out = np.moveaxis(out.reshape(view.shape), (0, 1), (i, j))
-    return state.replace_amplitudes(out.ravel())
+    spectral = _spectral(flat[index], vecs)
+    reads = []
+    for t in times:
+        out = np.empty_like(flat)
+        out[index] = _from_spectral(spectral, vals, vecs, t)
+        evolved = np.moveaxis(out.reshape(view.shape), (0, 1), (i, j))
+        reads.append(read(state.replace_amplitudes(evolved.ravel()), t))
+    return reads
+
+
+def evolve_josephson(state: StateVector, modes: tuple, jp: JosephsonParams,
+                     kp: KerrParams, t: float) -> StateVector:
+    """Exact tunnelling + self-collision evolution on a mode pair, by sector
+    pack: ``josephson_evolutions`` at the one time t, so its eigensystem
+    lives for this call alone."""
+    return josephson_evolutions(state, modes, jp, kp, (t,), lambda evolved, _: evolved)[0]
 
 
 def josephson_collision_columns(cutoff: FockCutoff, jp: JosephsonParams,
@@ -178,9 +203,10 @@ def josephson_collision_columns(cutoff: FockCutoff, jp: JosephsonParams,
     (dim^2, r) map from a signal mode's coefficients over ``basis`` (dim x r,
     orthonormal columns) onto the coupled signal+reference pair after
     tunnelling for time t. The identity basis gives the d columns
-    U (|n> (x) |reference>). One ``_propagate_packs`` product over the sector
-    packs of ``_josephson_sectors``, which hold every pair state once, on the
-    input ``basis[n] reference[N - n]`` of each sector state.
+    U (|n> (x) |reference>). One ``V e^{-i lambda t} V^T`` product over the
+    sector packs of ``_josephson_sectors``, which hold every pair state once,
+    on the input ``basis[n] reference[N - n]`` of each sector state. The
+    eigensystem is built for this call and dropped when it returns.
     """
     d = cutoff.dim
     if reference.shape != (d,) or basis.ndim != 2 or len(basis) != d:
@@ -190,7 +216,7 @@ def josephson_collision_columns(cutoff: FockCutoff, jp: JosephsonParams,
     # pack b holds |n, (b - n) mod d>
     inputs = np.multiply(basis, reference[index % d][..., None], dtype=complex)
     rows = np.empty((d * d, basis.shape[1]), dtype=np.complex128)
-    rows[index] = _propagate_packs(inputs, vals, vecs, t)
+    rows[index] = _from_spectral(_spectral(inputs, vecs), vals, vecs, t)
     return rows
 
 

@@ -79,8 +79,8 @@ import numpy as np
 from .dynamics import (
     JosephsonParams,
     KerrParams,
-    evolve_josephson,
     josephson_collision_columns,
+    josephson_evolutions,
 )
 from .errors import (
     AmbiguousSupport,
@@ -158,16 +158,14 @@ def simulate_sx(signal: StateVector, beta: CoherentSpec, jp: JosephsonParams,
     """Full quantum evolution of signal (x) |beta>; records S_x/S_y/S_z per time.
 
     Exact at any epsilon*N (unitary block evolution); the perturbative
-    validity domain does not apply here.
+    validity domain does not apply here. The whole grid is evolved by one
+    ``josephson_evolutions`` call, from one pair eigensystem that lives for
+    this call alone, and each evolved state only until it is recorded.
     """
     if signal.modes != 1:
         raise ShapeMismatch("simulate_sx expects a single-mode signal")
     joint = tensor(signal, prepare_coherent(beta, signal.cutoff))
-    records = []
-    for t in t_grid:
-        evolved = evolve_josephson(joint, (0, 1), jp, kp, float(t))
-        records.append(_pair_schwinger(evolved, float(t)))
-    return records
+    return josephson_evolutions(joint, (0, 1), jp, kp, t_grid, _pair_schwinger)
 
 
 def perturbative_sx(init: PerturbativeInit, total_number: float, omega: float,

@@ -9,6 +9,8 @@ package.
 
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -17,6 +19,7 @@ import pytest
 from triwell import run_protocol
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 def load(name: str):
@@ -36,6 +39,21 @@ def test_boundary_resolves(module_name, cls, attr, span):
     if cls is not None:
         owner = getattr(owner, cls)
     assert callable(getattr(owner, attr)), span
+
+
+def test_cli_import_loads_every_boundary_module():
+    # ``Tracer.install`` reads each EXTRA_BOUNDARIES module from sys.modules
+    # right after the traced process imports triwell.cli, so the CLI must
+    # import them all up front; a module loaded later fails every traced run
+    modules = sorted({module_name for module_name, *_ in extra_boundaries()})
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    script = "import sys, triwell.cli; print(' '.join(sorted(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert [name for name in modules if name not in loaded] == []
 
 
 def test_worker_reads_records_into_the_teleport_checks(monkeypatch):

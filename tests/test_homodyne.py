@@ -1,10 +1,15 @@
 import cmath
 import dataclasses
+import gc
 import math
+import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+import triwell.dynamics
+import triwell.protocol
 from triwell import (
     AmbiguousSupport,
     AuxiliaryPrep,
@@ -17,11 +22,13 @@ from triwell import (
     ProtocolConfig,
     SuperpositionSpec,
     ValidityDomainExceeded,
+    evolve_josephson,
     initial_schwinger,
     perturbative_sx,
     prepare_cat_superposition,
     prepare_coherent,
     prepare_number,
+    run_protocol,
     simulate_sx,
     substream,
     tensor,
@@ -34,6 +41,7 @@ from triwell.homodyne import (
     IdealPhaseDiscriminator,
     _PreparedReadout,
     _block_probabilities,
+    _pair_schwinger,
     helstrom_vectors,
 )
 from triwell.channel import parity_basis
@@ -631,6 +639,59 @@ class TestSharedReadouts:
             assert np.array_equal(got.rows, want.rows)
             assert np.array_equal(disc.prepare_block(got, block).cdf,
                                   disc.prepare_block(want, block).cdf)
+
+
+def recorded_eigensystems(monkeypatch) -> list:
+    """Wrap the pair eigensystem builder; the list gets a weakref to every
+    array of each eigensystem it returns, one list entry per build."""
+    build, built = triwell.dynamics._josephson_sectors, []
+
+    def recorded(*args):
+        sectors = build(*args)
+        built.append([weakref.ref(array) for array in sectors])
+        return sectors
+
+    monkeypatch.setattr(triwell.dynamics, "_josephson_sectors", recorded)
+    return built
+
+
+class TestEigensystemPerCall:
+    """A pair eigensystem lives for the call that builds it: no array of
+    one outlives its call, and a time grid is evolved from one."""
+
+    def test_no_eigensystem_outlives_its_call(self, monkeypatch):
+        built = recorded_eigensystems(monkeypatch)
+        config = teleport_config(26, trials=200)
+        triwell.protocol._set_up_of.cache_clear()  # a cold call builds the readouts
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the displacement-ratio warning
+            run_protocol(config)
+        for omega in (500.0, 2000.0, 4000.0):
+            triwell.protocol._set_up_of(
+                dataclasses.replace(config, josephson=JosephsonParams(omega), trials=1))
+        gc.collect()
+        assert len(built) == 4  # one per set-up: gamma == alpha shares a discriminator
+        assert all(ref() is None for refs in built for ref in refs)
+
+    @pytest.mark.parametrize("kappa, e0", [(0.0, 0.0), (0.05, 0.3)],
+                             ids=["cli-defaults", "kappa"])
+    def test_grid_is_the_per_time_evolution(self, kappa, e0, monkeypatch):
+        # the homodyne subcommand's defaults: |1> signal, reference 2i,
+        # omega 1, 41 times over [0, pi / omega], n_max 24
+        cutoff, beta, jp, kp = FockCutoff(24), CoherentSpec(2.0j), JosephsonParams(1.0), \
+            KerrParams(e0, kappa)
+        signal = prepare_cat_superposition(SuperpositionSpec(1.0, 0.0, 1.0 + 0j), cutoff)
+        t_grid = np.linspace(0.0, math.pi / jp.omega, 41)
+        joint = tensor(signal, prepare_coherent(beta, cutoff))
+        want = [_pair_schwinger(evolve_josephson(joint, (0, 1), jp, kp, float(t)), float(t))
+                for t in t_grid]
+        built = recorded_eigensystems(monkeypatch)
+        records = simulate_sx(signal, beta, jp, kp, t_grid)
+        gc.collect()
+        assert len(built) == 1 and all(ref() is None for ref in built[0])
+        # repr is exact for floats and tells -0.0 from 0.0
+        assert [repr(dataclasses.astuple(rec)) for rec in records] == \
+            [repr(dataclasses.astuple(rec)) for rec in want]
 
 
 class TestBlockProbabilities:

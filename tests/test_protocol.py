@@ -239,11 +239,14 @@ class TestBellMeasurement:
         assert [a.tolist() for a in drawn[:3]] == [[row[k][0] for row in rows] for k in range(3)]
         # each row, read as outcome ids, against the two stages prepared directly
         first, seconds, first_rows = bell.stages[0].prepare(state, 0), {}, bell.stages[0].rows
+        # stage 2's prepare over the identity basis, its readout built once
+        second_readout = bell.stages[1].readout(np.eye(state.dim))
         for i, (o1, o2, branch) in enumerate(zip(*(a.tolist() for a in outcome_ids(bell, drawn)))):
             (ref1,), (bit1,) = drawn_outcomes(first, u[i:i + 1, 0], u[i:i + 1, 1])
             if o1 not in seconds:
                 after = after_outcome(first_rows, state, o1)
-                seconds[o1] = bell.stages[1].prepare(after, 0)
+                seconds[o1] = bell.stages[1].prepare_block(
+                    second_readout, after.amplitudes.reshape(state.dim, -1))
             (ref2,), (bit2,) = drawn_outcomes(seconds[o1], u[i:i + 1, 2], u[i:i + 1, 3])
             assert (o1, o2, branch) == (ref1, ref2, 2 * (bit1 ^ bit2) + 1 - bit2)
         if trials == 2000:  # a 10^4-trial run's stack has 43-44 rows
@@ -426,14 +429,17 @@ class TestReceiverFactoring:
         ref1, bit1 = drawn_outcomes(direct, u[:, 0], u[:, 1])
         assert first.tolist() == ref1.tolist()
         view = state.amplitudes.reshape(d, d * d)
+        first_rows, second_rows = bell.stages[0].rows, bell.stages[1].rows  # built on each read
+        second_readout = bell.stages[1].readout(np.eye(d))  # stage 2's prepare, built once
         for i, (o1, o2) in enumerate(zip(first.tolist(), second.tolist())):
             if o1 not in seconds:
-                after = after_outcome(bell.stages[0].rows, state, o1)
-                seconds[o1] = bell.stages[1].prepare(after, 0)
+                after = after_outcome(first_rows, state, o1)
+                seconds[o1] = bell.stages[1].prepare_block(second_readout,
+                                                           after.amplitudes.reshape(d, -1))
             (ref2,), (bit2,) = drawn_outcomes(seconds[o1], u[i:i + 1, 2], u[i:i + 1, 3])
             assert (o2, branch[i]) == (ref2, 2 * (bit1[i] ^ bit2) + 1 - bit2)
-            after_first = (bell.stages[0].rows[o1] @ view).reshape(d, d)
-            expected = bell.stages[1].rows[o2] @ after_first / np.linalg.norm(after_first)
+            after_first = (first_rows[o1] @ view).reshape(d, d)
+            expected = second_rows[o2] @ after_first / np.linalg.norm(after_first)
             np.testing.assert_allclose(post[i], expected, rtol=0, atol=1e-13)
         assert len(seconds) > 1
 
@@ -445,9 +451,10 @@ class TestReceiverFactoring:
         drawn = bell.draw(substream(47).random((500, 4)))
         first, second = np.unique(np.stack(drawn[:2]), axis=1)
         ids = (readout.outcomes[rows] for readout, rows in zip(bell.readouts, (first, second)))
+        first_rows, second_rows = bell.stages[0].rows, bell.stages[1].rows  # built on each read
         for o1, o2, mode3 in zip(*ids, mode3_states(bell, first, second)):
-            after = after_outcome(bell.stages[0].rows, state, o1)
-            direct = after_outcome(bell.stages[1].rows, after, o2)
+            after = after_outcome(first_rows, state, o1)
+            direct = after_outcome(second_rows, after, o2)
             np.testing.assert_allclose(mode3.amplitudes, direct.amplitudes, rtol=0, atol=1e-13)
 
     def test_stacked_second_stage_cdfs_are_the_per_key_ones(self):
